@@ -4,22 +4,28 @@ Layout: a magic line "ectshape-model v1 <kind>", metadata lines, then
 kind-specific parameter blocks, then "end". Blank lines and '#' comments
 are ignored anywhere, so tools may prepend provenance headers. Floats
 carry 17 significant digits; save -> load -> save is byte-stable and
-load(save(model)) reproduces every parameter bit-for-bit.
+load(save(model)) reproduces every parameter bit-for-bit. Any parse or
+validation failure raises ModelFormatError with the offending line number.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
 from ..errors import ModelFormatError
 from ..textio import format_float, iter_data_lines
-from . import TrainedModel
+from . import CLASSIFIER_KINDS, TrainedModel
 from .decision_tree import TreeLeaf, TreeModel, TreeNode, TreeSplit
 from .naive_bayes import GnbModel
 from .perceptron import MlpModel
 
 MAGIC = "ectshape-model"
 FORMAT_VERSION = "v1"
+# deeper than train_tree, which recurses once per level, can grow
+_MAX_TREE_DEPTH = 1000
 
 
 def save_model(trained: TrainedModel) -> str:
@@ -42,10 +48,10 @@ def load_model(text: str) -> TrainedModel:
     reader = _LineReader(text)
     magic = reader.next_fields()
     if len(magic) != 3 or magic[0] != MAGIC or magic[1] != FORMAT_VERSION:
-        raise ModelFormatError(f"bad model header: {' '.join(magic)!r}")
+        raise reader.error(f"bad model header: {' '.join(magic)!r}")
     kind = magic[2]
-    if kind not in ("nb", "tree", "mlp"):
-        raise ModelFormatError(f"unknown model kind {kind!r}")
+    if kind not in CLASSIFIER_KINDS:
+        raise reader.error(f"unknown model kind {kind!r}")
 
     feature_names: tuple[str, ...] | None = None
     num_classes: int | None = None
@@ -55,40 +61,68 @@ def load_model(text: str) -> TrainedModel:
         if fields[0] == "feature_names":
             feature_names = tuple(reader.next_rest("feature_names").split(","))
         elif fields[0] == "num_classes":
-            num_classes = int(reader.next_fields()[1])
+            fields = reader.next_fields()
+            if len(fields) != 2:
+                raise reader.error("num_classes line needs one value")
+            num_classes = reader.to_int(fields[1], "num_classes")
+            if num_classes < 2:
+                raise reader.error(f"num_classes must be at least 2, got {num_classes}")
         elif fields[0] == "class_names":
             class_names = tuple(reader.next_rest("class_names").split(","))
         else:
             break
     if feature_names is None or num_classes is None:
-        raise ModelFormatError("model file missing feature_names or num_classes")
+        raise reader.error("model file missing feature_names or num_classes")
 
     if kind == "nb":
         model = _read_gnb(reader)
     elif kind == "tree":
-        model = _read_tree(reader, num_classes, len(feature_names))
+        model = _read_tree(reader, num_classes)
     else:
         model = _read_mlp(reader)
+    if model.n_features != len(feature_names):
+        raise reader.error(
+            f"model has {model.n_features} features,"
+            f" feature_names lists {len(feature_names)}"
+        )
+    if model.num_classes != num_classes:
+        raise reader.error(
+            f"model has {model.num_classes} classes, num_classes is {num_classes}"
+        )
     if reader.next_fields() != ["end"]:
-        raise ModelFormatError("model file missing trailing 'end'")
-    return TrainedModel(
-        kind=kind,
-        model=model,
-        feature_names=feature_names,
-        num_classes=num_classes,
-        class_names=class_names,
-    )
+        raise reader.error("model file missing trailing 'end'")
+    with reader.validating():
+        return TrainedModel(
+            kind=kind,
+            model=model,
+            feature_names=feature_names,
+            num_classes=num_classes,
+            class_names=class_names,
+        )
 
 
 class _LineReader:
     def __init__(self, text: str) -> None:
-        self._lines = [line for _, line in iter_data_lines(text)]
+        self._lines = list(iter_data_lines(text))
         self._pos = 0
+
+    def error(self, message: str) -> ModelFormatError:
+        """ModelFormatError at the line read last."""
+        line_no = self._lines[self._pos - 1][0] if self._pos else None
+        return ModelFormatError(message, line_no)
+
+    @contextmanager
+    def validating(self) -> Iterator[None]:
+        """Turn a model constructor's ValueError into ModelFormatError."""
+        try:
+            yield
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
 
     def next_line(self) -> str:
         if self._pos >= len(self._lines):
-            raise ModelFormatError("unexpected end of model file")
-        line = self._lines[self._pos]
+            raise self.error("unexpected end of model file")
+        line = self._lines[self._pos][1]
         self._pos += 1
         return line
 
@@ -97,37 +131,55 @@ class _LineReader:
 
     def peek_fields(self) -> list[str]:
         if self._pos >= len(self._lines):
-            raise ModelFormatError("unexpected end of model file")
-        return self._lines[self._pos].split()
+            raise self.error("unexpected end of model file")
+        return self._lines[self._pos][1].split()
 
     def next_rest(self, key: str) -> str:
         line = self.next_line()
         if not line.startswith(key + " "):
-            raise ModelFormatError(f"expected {key!r} line")
+            raise self.error(f"expected {key!r} line")
         return line[len(key) + 1 :]
+
+    def to_int(self, text: str, what: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise self.error(f"{what}: expected an integer, got {text!r}") from None
+
+    def to_float(self, text: str, what: str) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise self.error(f"{what}: expected a number, got {text!r}") from None
+
+    def to_floats(self, texts: list[str], what: str) -> np.ndarray:
+        return np.array([self.to_float(v, what) for v in texts], dtype=np.float64)
 
     def read_vector(self, name: str) -> np.ndarray:
         fields = self.next_fields()
         if len(fields) != 2 or fields[0] != name:
-            raise ModelFormatError(f"expected vector block {name!r}")
-        n = int(fields[1])
+            raise self.error(f"expected vector block {name!r}")
+        n = self.to_int(fields[1], f"vector {name!r} length")
         values = self.next_fields()
         if len(values) != n:
-            raise ModelFormatError(f"vector {name!r}: expected {n} values")
-        return np.array([float(v) for v in values])
+            raise self.error(f"vector {name!r}: expected {n} values")
+        return self.to_floats(values, f"vector {name!r}")
 
     def read_matrix(self, name: str) -> np.ndarray:
         fields = self.next_fields()
         if len(fields) != 3 or fields[0] != name:
-            raise ModelFormatError(f"expected matrix block {name!r}")
-        rows, cols = int(fields[1]), int(fields[2])
-        data = []
-        for _ in range(rows):
+            raise self.error(f"expected matrix block {name!r}")
+        rows = self.to_int(fields[1], f"matrix {name!r} rows")
+        cols = self.to_int(fields[2], f"matrix {name!r} columns")
+        if rows < 1 or cols < 1:
+            raise self.error(f"matrix {name!r}: needs positive dimensions")
+        data = np.empty((rows, cols))
+        for r in range(rows):
             values = self.next_fields()
             if len(values) != cols:
-                raise ModelFormatError(f"matrix {name!r}: expected {cols} columns")
-            data.append([float(v) for v in values])
-        return np.array(data).reshape(rows, cols)
+                raise self.error(f"matrix {name!r}: expected {cols} columns")
+            data[r] = self.to_floats(values, f"matrix {name!r}")
+        return data
 
 
 def _fmt_vec(vec: np.ndarray) -> str:
@@ -155,50 +207,63 @@ def _read_gnb(reader: _LineReader) -> GnbModel:
     priors = reader.read_vector("priors")
     means = reader.read_matrix("means")
     variances = reader.read_matrix("variances")
-    return GnbModel(means=means, variances=variances, priors=priors)
+    if means.shape != variances.shape or means.shape[0] != priors.shape[0]:
+        raise reader.error("priors, means and variances disagree in shape")
+    with reader.validating():
+        return GnbModel(means=means, variances=variances, priors=priors)
 
 
 def _write_tree(lines: list[str], model: TreeModel) -> None:
     lines.append(f"n_features {model.n_features}")
-
-    def walk(node: TreeNode) -> None:
+    # pre-order: a split, then its left subtree, then its right subtree
+    todo: list[TreeNode] = [model.root]
+    while todo:
+        node = todo.pop()
         if isinstance(node, TreeLeaf):
             lines.append("leaf " + _fmt_vec(node.distribution))
         else:
             lines.append(f"split {node.feature_index} {format_float(node.threshold)}")
-            walk(node.left)
-            walk(node.right)
-
-    walk(model.root)
+            todo += (node.right, node.left)
 
 
-def _read_tree(reader: _LineReader, num_classes: int, n_features: int) -> TreeModel:
+def _read_tree(reader: _LineReader, num_classes: int) -> TreeModel:
     fields = reader.next_fields()
     if len(fields) != 2 or fields[0] != "n_features":
-        raise ModelFormatError("tree model missing n_features")
-    n_features = int(fields[1])
-
-    def read_node() -> TreeNode:
+        raise reader.error("tree model missing n_features")
+    n_features = reader.to_int(fields[1], "n_features")
+    # Nodes come in pre-order: a split line, its left subtree, its right
+    # subtree. Each pending entry is a split still waiting for a child:
+    # [feature, threshold, left subtree or None].
+    pending: list[list] = []
+    while True:
         fields = reader.next_fields()
-        if fields[0] == "leaf":
-            dist = np.array([float(v) for v in fields[1:]])
-            if dist.shape[0] != num_classes:
-                raise ModelFormatError("leaf distribution length mismatch")
-            return TreeLeaf(distribution=dist)
         if fields[0] == "split":
             if len(fields) != 3:
-                raise ModelFormatError("split line needs feature and threshold")
-            feature = int(fields[1])
-            threshold = float(fields[2])
-            left = read_node()
-            right = read_node()
-            return TreeSplit(
-                feature_index=feature, threshold=threshold, left=left, right=right
+                raise reader.error("split line needs feature and threshold")
+            feature = reader.to_int(fields[1], "split feature")
+            if not 0 <= feature < n_features:
+                raise reader.error(f"split feature {feature} outside 0..{n_features - 1}")
+            if len(pending) == _MAX_TREE_DEPTH:
+                raise reader.error(f"tree deeper than {_MAX_TREE_DEPTH} levels")
+            pending.append([feature, reader.to_float(fields[2], "split threshold"), None])
+            continue
+        if fields[0] != "leaf":
+            raise reader.error(f"unknown tree node kind {fields[0]!r}")
+        dist = reader.to_floats(fields[1:], "leaf")
+        if dist.shape[0] != num_classes:
+            raise reader.error("leaf distribution length mismatch")
+        with reader.validating():
+            node: TreeNode = TreeLeaf(distribution=dist)
+        # a finished subtree is the left child of the innermost split that
+        # has none yet, or else completes that split
+        while pending and pending[-1][2] is not None:
+            feature, threshold, left = pending.pop()
+            node = TreeSplit(
+                feature_index=feature, threshold=threshold, left=left, right=node
             )
-        raise ModelFormatError(f"unknown tree node kind {fields[0]!r}")
-
-    root = read_node()
-    return TreeModel(root=root, num_classes=num_classes, n_features=n_features)
+        if not pending:
+            return TreeModel(root=node, num_classes=num_classes, n_features=n_features)
+        pending[-1][2] = node
 
 
 def _write_mlp(lines: list[str], model: MlpModel) -> None:
@@ -217,6 +282,16 @@ def _read_mlp(reader: _LineReader) -> MlpModel:
     b1 = reader.read_vector("b1")
     w2 = reader.read_matrix("w2")
     b2 = reader.read_vector("b2")
-    return MlpModel(
-        w1=w1, b1=b1, w2=w2, b2=b2, scaler_min=scaler_min, scaler_max=scaler_max
-    )
+    h, d = w1.shape
+    if (
+        scaler_min.shape != (d,)
+        or scaler_max.shape != (d,)
+        or b1.shape != (h,)
+        or w2.shape[1] != h
+        or b2.shape != (w2.shape[0],)
+    ):
+        raise reader.error("perceptron blocks disagree in shape")
+    with reader.validating():
+        return MlpModel(
+            w1=w1, b1=b1, w2=w2, b2=b2, scaler_min=scaler_min, scaler_max=scaler_max
+        )

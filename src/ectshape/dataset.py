@@ -8,6 +8,7 @@ the full set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -152,7 +153,10 @@ def feature_csv_row(record_id: str, label_name: str, feats: ShapeFeatures) -> st
 
 
 def parse_feature_csv(text: str) -> FeatureTable:
-    """Parse a feature CSV (header required, '#' comments skipped)."""
+    """Parse a feature CSV (header required, '#' comments skipped).
+
+    A non-numeric or non-finite feature value raises MalformedLineError.
+    """
     record_ids: list[str] = []
     label_names: list[str] = []
     rows: list[list[float]] = []
@@ -171,14 +175,17 @@ def parse_feature_csv(text: str) -> FeatureTable:
                 line_no,
                 f"line {line_no}: expected {2 + len(FEATURE_NAMES_EXTENDED)} fields",
             )
-        record_ids.append(parts[0])
-        label_names.append(parts[1])
         try:
-            rows.append([float(v) for v in parts[2:]])
+            values = [float(v) for v in parts[2:]]
         except ValueError:
             raise MalformedLineError(
                 line_no, f"line {line_no}: non-numeric feature value"
             ) from None
+        if not all(math.isfinite(v) for v in values):
+            raise MalformedLineError(line_no, f"line {line_no}: non-finite feature value")
+        record_ids.append(parts[0])
+        label_names.append(parts[1])
+        rows.append(values)
     if not header_seen:
         raise MalformedLineError(0, "feature CSV has no header line")
     values = (

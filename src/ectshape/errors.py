@@ -130,3 +130,7 @@ class BadSpecError(EctShapeError):
 
 class ModelFormatError(EctShapeError):
     """A model file is missing, truncated, or malformed."""
+
+    def __init__(self, message: str, line_no: int | None = None) -> None:
+        self.line_no = line_no
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import predict, train_model
+from .classifiers import MlpParams, TrainedModel, predict, train_model
+from .classifiers.perceptron import train_mlp_stack
 from .dataset import LabeledDataset
 from .errors import (
     BadKError,
@@ -238,19 +239,35 @@ def cross_validate(
     names = class_names if class_names is not None else tuple(
         str(c) for c in range(data.num_classes)
     )
+    train_sets = [data.subset(assignment.train_indices(f)) for f in range(k)]
+    seeds = [derive_seed(seed, f + 1) for f in range(k)]
+    if classifier_kind == "mlp":
+        # the k networks train in lockstep; each fit is model or error
+        mlp_fits = train_mlp_stack(train_sets, MlpParams(**(params or {})), seeds)
     per_fold = []
     for f in range(k):
-        train_set = data.subset(assignment.train_indices(f))
         try:
-            trained = train_model(
-                classifier_kind,
-                train_set,
-                params=params,
-                seed=derive_seed(seed, f + 1),
-                class_names=names,
-            )
+            if classifier_kind == "mlp":
+                if isinstance(mlp_fits[f], Exception):
+                    raise mlp_fits[f]
+                trained = TrainedModel(
+                    kind="mlp",
+                    model=mlp_fits[f],
+                    feature_names=data.feature_names,
+                    num_classes=data.num_classes,
+                    class_names=names,
+                )
+            else:
+                trained = train_model(
+                    classifier_kind,
+                    train_sets[f],
+                    params=params,
+                    seed=seeds[f],
+                    class_names=names,
+                )
         except Exception as exc:
-            exc.args = (f"fold {f}: {exc.args[0] if exc.args else exc!r}",)
+            detail = exc.args[0] if exc.args else repr(exc)
+            exc.args = (f"fold {f}: {detail}",)
             raise
         test_idx = assignment.test_indices(f)
         preds = np.array(

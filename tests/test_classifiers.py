@@ -21,8 +21,10 @@ from ectshape.classifiers import (
 )
 from ectshape.classifiers.decision_tree import tree_depth
 from ectshape.classifiers.perceptron import (
+    _Sigmoid,
     example_loss_and_gradients,
     scale_features,
+    train_mlp_stack,
 )
 from ectshape.classifiers.serialize import save_model
 from ectshape.dataset import LabeledDataset
@@ -32,7 +34,8 @@ from ectshape.errors import (
     EmptyDatasetError,
     NonFiniteLossError,
 )
-from ectshape.rng import SplitMix64
+from ectshape.evaluation import stratified_k_fold
+from ectshape.rng import SplitMix64, derive_seed
 
 
 def dataset_1d(values, labels, num_classes=2):
@@ -312,6 +315,72 @@ def test_mlp_scaling_constant_feature_and_no_clamp():
     scaled = scale_features(model, np.array([20.0, 7.0]))
     assert scaled[0] == 2.0  # outside training range, not clamped
     assert scaled[1] == 0.0  # constant feature maps to 0
+
+
+def model_bytes(model):
+    return [
+        getattr(model, name).tobytes()
+        for name in ("w1", "b1", "w2", "b2", "scaler_min", "scaler_max")
+    ]
+
+
+def test_mlp_lockstep_folds_match_training_alone():
+    # 180 rows in 7 stratified folds: training sets of 154 and 155 rows, so
+    # the shorter networks sit out the last step of every epoch
+    data = blob_dataset(seed=12, n_per=60)
+    assignment = stratified_k_fold(data, 7, seed=3)
+    train_sets = [data.subset(assignment.train_indices(f)) for f in range(7)]
+    assert sorted({s.n_rows for s in train_sets}) == [154, 155]
+    seeds = [derive_seed(11, f + 1) for f in range(7)]
+    stacked = train_mlp_stack(train_sets, MlpParams(epochs=3), seeds)
+    for train_set, seed, model in zip(train_sets, seeds, stacked):
+        alone = train_mlp(train_set, MlpParams(epochs=3, seed=seed))
+        assert model_bytes(model) == model_bytes(alone)
+
+
+def test_mlp_stack_reports_each_networks_error():
+    good = xor_dataset()
+    one_class = LabeledDataset(
+        features=good.features, labels=np.zeros(4, dtype=int),
+        num_classes=2, feature_names=good.feature_names,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fits = train_mlp_stack(
+            [good, one_class, good],
+            MlpParams(hidden=2, lr=1e308, momentum=1e308, epochs=50),
+            [1, 2, 3],
+        )
+    assert isinstance(fits[0], NonFiniteLossError)
+    assert isinstance(fits[1], EmptyClassError)
+    assert isinstance(fits[2], NonFiniteLossError)
+    calm = train_mlp_stack([one_class, good], MlpParams(hidden=2, epochs=5), [2, 3])
+    assert isinstance(calm[0], EmptyClassError)
+    assert model_bytes(calm[1]) == model_bytes(
+        train_mlp(good, MlpParams(hidden=2, epochs=5, seed=3))
+    )
+
+
+def test_sigmoid_passes_nan_and_inf():
+    z = np.array([[np.nan, np.inf, -np.inf, 0.0, 800.0, -800.0, 2.0, -2.0]])
+    out = np.empty_like(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _Sigmoid(z.shape)(z, out)
+    assert np.isnan(out[0, 0])
+    assert out[0, 1] == 1.0 and out[0, 4] == 1.0 and out[0, 3] == 0.5
+    assert 0.0 <= out[0, 2] < 1e-300 and 0.0 <= out[0, 5] < 1e-300
+    assert out[0, 6] == pytest.approx(1 / (1 + math.exp(-2.0)), rel=1e-15)
+    assert out[0, 7] == pytest.approx(1 / (1 + math.exp(2.0)), rel=1e-15)
+
+
+def test_sigmoid_accuracy():
+    g = SplitMix64(77)
+    z = np.array([[g.uniform_in(-40.0, 40.0) for _ in range(4000)]])
+    out = np.empty_like(z)
+    _Sigmoid(z.shape)(z, out)
+    want = np.array([1 / (1 + math.exp(-v)) for v in z[0]])
+    assert np.max(np.abs(out[0] - want) / want) < 4e-15
 
 
 # --- uniform contract --------------------------------------------------------

@@ -308,6 +308,61 @@ def test_classify_corrupt_model_exits_3(tmp_path, synth_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prefix,new_line", [
+    ("num_classes", "num_classes three"),
+    ("priors", "priors x"),
+    ("class_names", "class_names round,long"),
+    ("means", "means 3 nine"),
+])
+def test_classify_malformed_model_exits_3_with_one_line(
+    tmp_path, synth_dir, capsys, prefix, new_line
+):
+    manifest = str(synth_dir / "manifest.csv")
+    model = tmp_path / "model.txt"
+    assert main(["train", "--manifest", manifest, "--classifier", "nb",
+                 "--model-out", str(model)]) == 0
+    lines = model.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[index] = new_line
+    model.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["classify", "--model", str(model), "--manifest", manifest,
+                 "--out", str(tmp_path / "p.csv")])
+    assert code in (2, 3)
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ")
+    assert err.count("\n") == 1
+
+
+def test_classify_deep_tree_model_exits_3_with_one_line(tmp_path, synth_dir, capsys):
+    model = tmp_path / "deep.txt"
+    model.write_text("\n".join(
+        ["ectshape-model v1 tree", "feature_names L,W,alpha_deg", "num_classes 3",
+         "n_features 3"]
+        + ["split 0 0.5"] * 5000 + ["leaf 0.2 0.3 0.5"] * 5001 + ["end"]
+    ) + "\n")
+    code = main(["classify", "--model", str(model),
+                 "--manifest", str(synth_dir / "manifest.csv"),
+                 "--out", str(tmp_path / "p.csv")])
+    assert code in (2, 3)
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_evaluate_non_finite_feature_exits_with_line(tmp_path, capsys, value):
+    csv = tmp_path / "features.csv"
+    rows = [f"r{i},{'ab'[i % 2]}," + ",".join(["1.5"] * 10) for i in range(6)]
+    rows[3] = "r3,b," + ",".join(["1.5"] * 9 + [value])
+    csv.write_text(FEATURE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    code = main(["evaluate", "--features-csv", str(csv), "--classifier", "nb",
+                 "--k", "2", "--out-dir", str(tmp_path / "d")])
+    assert code in (2, 3)
+    err = capsys.readouterr().err
+    assert err == "error: line 5: non-finite feature value\n"
+
+
 def test_train_on_unreadable_manifest_exits_2(tmp_path):
     assert main(["train", "--manifest", str(tmp_path / "absent.csv"),
                  "--classifier", "nb", "--model-out", str(tmp_path / "m")]) == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ectshape.errors import (
     EmptyMatrixError,
     LabelOutOfRangeError,
     LengthMismatchError,
+    NonFiniteLossError,
 )
 from ectshape.evaluation import (
     METRICS_CSV_HEADER,
@@ -355,6 +357,26 @@ def test_cross_validate_annotates_failing_fold():
     )
     with pytest.raises(EmptyClassError, match="fold "):
         cross_validate(data, "nb", None, k=2, seed=0)
+
+
+def test_cross_validate_mlp_annotates_failing_fold():
+    labels = np.array([0] * 10 + [1])
+    g = SplitMix64(61)
+    features = np.array([[g.uniform()] for _ in range(11)])
+    data = LabeledDataset(
+        features=features, labels=labels, num_classes=2, feature_names=("f0",)
+    )
+    with pytest.raises(EmptyClassError, match="^fold [01]: class 1 has no training rows"):
+        cross_validate(data, "mlp", {"epochs": 2}, k=2, seed=0)
+
+
+def test_cross_validate_mlp_annotates_diverging_fold():
+    data = blob_dataset(seed=20, n_per=6)
+    params = {"hidden": 2, "lr": 1e308, "momentum": 1e308, "epochs": 20}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NonFiniteLossError, match="^fold 0: training diverged"):
+            cross_validate(data, "mlp", params, k=3, seed=0)
 
 
 def test_eval_report_checks_pooled_sum():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ectshape.dataset import FEATURE_CSV_HEADER, parse_feature_csv
 from ectshape.errors import (
     DuplicatePathError,
     EmptyRecordError,
@@ -155,3 +156,13 @@ def test_record_id_strips_directory_and_extension():
     m = load_manifest("some/dir/rec_07.csv,x\n")
     records = load_dataset(m, lambda p: "1 2\n")
     assert records[0].record_id == "rec_07"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_parse_feature_csv_rejects_non_finite_with_line(value):
+    good = "r0,a," + ",".join(["1.0"] * 10)
+    bad = "r1,b," + ",".join(["1.0"] * 4 + [value] + ["1.0"] * 5)
+    with pytest.raises(MalformedLineError) as exc:
+        parse_feature_csv("\n".join(["# comment", FEATURE_CSV_HEADER, good, bad]))
+    assert exc.value.line_no == 4
+    assert "non-finite" in str(exc.value)

@@ -145,3 +145,60 @@ def test_unknown_tree_node_rejected():
     text = save_model(train_model("tree", training_data()))
     with pytest.raises(ModelFormatError):
         load_model(text.replace("split", "branch", 1))
+
+
+def replace_line(text, prefix, new_line):
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[index] = new_line
+    return "\n".join(lines) + "\n", index + 1
+
+
+@pytest.mark.parametrize("kind,prefix,new_line", [
+    ("nb", "num_classes", "num_classes three"),
+    ("nb", "num_classes", "num_classes 1"),
+    ("nb", "class_names", "class_names a,b"),
+    ("nb", "priors 3", "priors x"),
+    ("nb", "means", "means 3 -2"),
+    ("nb", "feature_names", "feature_names L,W"),
+    ("tree", "n_features", "n_features x"),
+    ("tree", "split", "split 7 0.5"),
+    ("tree", "split", "split 0 half"),
+    ("tree", "leaf", "leaf 0.5 0.5 0.5"),
+    ("mlp", "b1", "b1 2"),
+    ("mlp", "w2", "w2 3 x"),
+])
+def test_malformed_model_raises_model_format_error_with_line(kind, prefix, new_line):
+    params = {"epochs": 2} if kind == "mlp" else None
+    trained = train_model(kind, training_data(), params, class_names=("a", "b", "c"))
+    text = save_model(trained)
+    bad, line_no = replace_line(text, prefix, new_line)
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(bad)
+    assert exc.value.line_no is not None
+    assert exc.value.line_no >= line_no
+    assert str(exc.value).startswith(f"line {exc.value.line_no}: ")
+
+
+TREE_HEADER = [
+    "ectshape-model v1 tree", "feature_names L", "num_classes 2", "n_features 1",
+]
+
+
+def test_deep_tree_chain_rejected_without_recursion():
+    chain = ["split 0 0.5"] * 5000 + ["leaf 0.5 0.5"] * 5001
+    with pytest.raises(ModelFormatError, match="deeper than"):
+        load_model("\n".join(TREE_HEADER + chain + ["end"]) + "\n")
+
+
+def test_deep_tree_chain_within_cap_loads():
+    depth = 900
+    # each split's left child is a leaf, its right child the next split
+    body = []
+    for i in range(depth):
+        body += [f"split 0 {i}.5", "leaf 0.75 0.25"]
+    text = "\n".join(TREE_HEADER + body + ["leaf 0.25 0.75", "end"]) + "\n"
+    trained = load_model(text)
+    assert save_model(trained) == text
+    assert predict(trained, np.array([0.0]))[0] == 0
+    assert predict(trained, np.array([float(depth)]))[0] == 1

@@ -1,0 +1,159 @@
+"""An MLP's bits do not depend on the CPU kernels its process picks.
+
+Each case trains in a child interpreter whose environment differs from an
+unchanged child's in one setting that moves OpenBLAS, numpy or glibc to other
+CPU kernels, and compares the digests of what the two children produced.
+Nothing is set in this process. A setting that this CPU, numpy build or glibc
+does not honour is skipped, and the skip says why.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+SETTINGS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES")
+DISABLED_NUMPY_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
+
+# Trains one model and one 3-fold evaluation, then prints the sha256 of the
+# model file and metrics CSV, the OpenBLAS core in use and numpy's CPU
+# features.
+CHILD = r"""
+import ctypes, glob, hashlib, json, os
+import numpy as np
+from ectshape.classifiers import train_model
+from ectshape.classifiers.serialize import save_model
+from ectshape.dataset import LabeledDataset
+from ectshape.evaluation import cross_validate, metrics_csv_lines
+from ectshape.rng import SplitMix64
+
+g = SplitMix64(2024)
+rows, labels = [], []
+for c, center in enumerate(((0, 0, 1), (3, 1, 2), (1, 4, 0), (4, 4, 3))):
+    for _ in range(15):
+        rows.append([v + 0.6 * g.normal() for v in center])
+        labels.append(c)
+data = LabeledDataset(features=np.array(rows), labels=np.array(labels),
+                      num_classes=4, feature_names=("L", "W", "alpha_deg"))
+model = save_model(train_model("mlp", data, {"epochs": 4}, seed=5))
+report = metrics_csv_lines(cross_validate(data, "mlp", {"epochs": 2}, k=3, seed=5))
+digest = hashlib.sha256((model + "\n".join(report)).encode()).hexdigest()
+
+def corename():
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            func = getattr(lib, name, None)
+            if func is not None:
+                func.restype = ctypes.c_char_p
+                return func().decode()
+    return None
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__ as features
+print(json.dumps({"digest": digest, "corename": corename(), "features": features}))
+"""
+
+# sha256 of the child's model file and metrics CSV; it changes only if the
+# training arithmetic does
+PINNED_DIGEST = "130bb588ced83fe4b3ae8f25e0806b4e771151d0fcb3a595becd144deab39eff"
+
+
+def base_env() -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k not in SETTINGS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
+
+
+def run_child(extra: dict[str, str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", CHILD], env={**base_env(), **extra},
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.fixture(scope="module")
+def baseline() -> dict:
+    proc = run_child({})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def glibc_active_features(extra: dict[str, str]) -> set[str] | None:
+    """glibc's enabled x86 CPU features under the given settings, read from
+    its dynamic loader's diagnostics; None where that cannot be read."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "/ld-" in line}
+    except OSError:
+        return None
+    loaders = [p for p in paths if re.search(r"/ld-linux[^/]*\.so", p)]
+    if not loaders:
+        return None
+    proc = subprocess.run(
+        [loaders[0], "--list-diagnostics"], env={**base_env(), **extra},
+        capture_output=True, text=True, timeout=60,
+    )
+    pattern = re.compile(r"x86\.cpu_features\.features\[\w+\]\.(active|usable)\[")
+    lines = {line for line in proc.stdout.splitlines() if pattern.match(line)}
+    return lines if proc.returncode == 0 and lines else None
+
+
+def honoured(name: str, value: str, child: dict, baseline: dict) -> str | None:
+    """Why the child did not run under the setting, or None if it did."""
+    if name == "OPENBLAS_CORETYPE":
+        # OpenBLAS may map a name onto an older kernel (Prescott onto Katmai)
+        core = child["corename"]
+        if core is None:
+            return "cannot read the OpenBLAS core name"
+        if core.lower() != value.lower() and core == baseline["corename"]:
+            return f"OpenBLAS stayed on {core}"
+    elif name == "NPY_DISABLE_CPU_FEATURES":
+        was_on = [f for f in value.split() if baseline["features"].get(f)]
+        if not was_on:
+            return f"none of {value} is enabled on this CPU"
+        if any(child["features"].get(f) for f in was_on):
+            return "numpy kept some of the features enabled"
+    else:
+        before, after = glibc_active_features({}), glibc_active_features({name: value})
+        if before is None or after is None:
+            return "cannot read glibc's CPU feature diagnostics"
+        if before == after:
+            return "this glibc ignores the setting"
+    return None
+
+
+@pytest.mark.parametrize("name,value", [
+    ("OPENBLAS_CORETYPE", "Prescott"),
+    ("OPENBLAS_CORETYPE", "Haswell"),
+    ("OPENBLAS_CORETYPE", "SkylakeX"),
+    ("NPY_DISABLE_CPU_FEATURES", DISABLED_NUMPY_FEATURES),
+    # glibc < 2.33 spells the feature names with _Usable, later ones without
+    ("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-FMA_Usable,-AVX2_Usable"),
+    ("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-FMA,-AVX2"),
+])
+def test_mlp_digest_same_under_cpu_kernel_setting(baseline, name, value):
+    proc = run_child({name: value})
+    if proc.returncode != 0:
+        lines = proc.stderr.strip().splitlines()
+        pytest.skip(f"child failed under {name}: {lines[-1] if lines else proc.returncode}")
+    child = json.loads(proc.stdout)
+    reason = honoured(name, value, child, baseline)
+    if reason:
+        pytest.skip(reason)
+    assert child["digest"] == baseline["digest"]
+
+
+def test_mlp_digest_pinned(baseline):
+    assert baseline["digest"] == PINNED_DIGEST
