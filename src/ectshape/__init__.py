@@ -55,7 +55,6 @@ from .ingest import (
     ClassLabel,
     DatasetManifest,
     ImpedanceRecord,
-    load_dataset,
     load_manifest,
     manifest_to_text,
     parse_record,
@@ -107,7 +106,6 @@ __all__ = [
     "derive_seed",
     "feature_names_for_mode",
     "generate_synthetic",
-    "load_dataset",
     "load_manifest",
     "load_model",
     "macro_metrics",

@@ -36,19 +36,6 @@ def artifact_header(config: dict, seed: int | None = None) -> list[str]:
     return lines
 
 
-def svg_header(config: dict, seed: int | None = None) -> list[str]:
-    """The artifact header as XML comments, legal before an <svg> root."""
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    lines = [
-        f"<!-- ectshape {TOOL_VERSION} -->",
-        f"<!-- timestamp: {stamp} -->",
-    ]
-    if seed is not None:
-        lines.append(f"<!-- seed: {seed} -->")
-    lines.append(f"<!-- config: {config_echo(config)} -->")
-    return lines
-
-
 def _is_timestamp_line(line: str) -> bool:
     stripped = line.strip()
     return stripped.startswith("# timestamp:") or stripped.startswith(

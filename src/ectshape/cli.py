@@ -9,13 +9,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
+from collections.abc import Callable
 
 import numpy as np
 
 from .artifacts import (
     TOOL_VERSION,
+    artifact_header,
     atomic_write_text,
-    svg_header,
     write_artifact,
 )
 from .classifiers import predict, train_model
@@ -30,12 +32,13 @@ from .dataset import (
 )
 from .errors import BadSpecError, DimensionMismatchError, EctShapeError
 from .evaluation import cross_validate, metrics_csv_lines, report_text
-from .geometry import shape_descriptors
+from .geometry import FEATURE_NAMES_EXTENDED, shape_descriptors
 from .ingest import (
+    DatasetManifest,
     ImpedanceRecord,
-    _record_id_from_path,
     load_manifest,
     parse_record,
+    record_id_from_path,
     record_to_text,
 )
 from .preprocess import TrimPolicy, to_point_cloud, trim_noise
@@ -201,19 +204,44 @@ def _load_manifest_from(path: str):
     return manifest, reader
 
 
-def _iter_extracted(manifest, reader, policy):
-    """Yield (path, label_name, record_id, ShapeFeatures or the exception)."""
+def extract_table(
+    manifest: DatasetManifest, reader: Callable[[str], str], policy: TrimPolicy
+) -> tuple[FeatureTable, list[tuple[str, Exception]]]:
+    """Features of every manifest record, in manifest order.
+
+    The one record-to-features path of every subcommand that reads a
+    manifest. A record that cannot be read, parsed, trimmed or measured is
+    left out of the table and listed in skipped as (path, exception), in
+    manifest order.
+    """
+    ids, labels, rows, skipped = [], [], [], []
     for path, label_name in manifest.entries:
-        rid = _record_id_from_path(path)
+        rid = record_id_from_path(path)
         try:
             record = parse_record(
                 reader(path), record_id=rid, label=manifest.label_for(label_name)
             )
             feats = shape_descriptors(trim_noise(to_point_cloud(record), policy))
         except (EctShapeError, OSError) as exc:
-            yield path, label_name, rid, exc
+            skipped.append((path, exc))
             continue
-        yield path, label_name, rid, feats
+        ids.append(rid)
+        labels.append(label_name)
+        rows.append(feats.as_vector(extended=True))
+    values = np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES_EXTENDED)))
+    table = FeatureTable(record_ids=tuple(ids), label_names=tuple(labels), values=values)
+    return table, skipped
+
+
+def _report_skips(skipped: list[tuple[str, Exception]], total: int) -> None:
+    """One stderr warning per skipped record, then a closing summary line."""
+    if not skipped:
+        return
+    for path, exc in skipped:
+        print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+    counts = Counter(type(exc).__name__ for _, exc in skipped)
+    kinds = ", ".join(f"{name}×{n}" for name, n in counts.most_common())
+    print(f"skipped {len(skipped)}/{total}: {kinds}", file=sys.stderr)
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -222,14 +250,17 @@ def cmd_extract(args: argparse.Namespace) -> int:
         policy = _policy(args)
     except (OSError, EctShapeError, ValueError) as exc:
         return _fail_config(str(exc))
-    lines = [FEATURE_CSV_HEADER]
-    for path, label_name, rid, result in _iter_extracted(manifest, reader, policy):
-        if isinstance(result, Exception):
-            if args.strict:
-                return _fail_data(f"{path}: {result}")
-            print(f"warning: skipping {path}: {result}", file=sys.stderr)
-            continue
-        lines.append(feature_csv_row(rid, label_name, result))
+    table, skipped = extract_table(manifest, reader, policy)
+    if skipped and args.strict:
+        path, exc = skipped[0]
+        return _fail_data(f"{path}: {exc}")
+    _report_skips(skipped, len(manifest.entries))
+    lines = [FEATURE_CSV_HEADER] + [
+        feature_csv_row(rid, label_name, values)
+        for rid, label_name, values in zip(
+            table.record_ids, table.label_names, table.values
+        )
+    ]
     try:
         write_artifact(args.out, lines, _config_of(args))
     except OSError as exc:
@@ -246,19 +277,9 @@ def _load_table(args: argparse.Namespace) -> FeatureTable:
     if args.features_csv:
         return parse_feature_csv(_read(args.features_csv))
     manifest, reader = _load_manifest_from(args.manifest)
-    policy = _policy(args)
-    ids, labels, rows = [], [], []
-    for path, label_name, rid, result in _iter_extracted(manifest, reader, policy):
-        if isinstance(result, Exception):
-            print(f"warning: skipping {path}: {result}", file=sys.stderr)
-            continue
-        ids.append(rid)
-        labels.append(label_name)
-        rows.append(result.as_vector(extended=True))
-    values = np.array(rows) if rows else np.empty((0, 10))
-    return FeatureTable(
-        record_ids=tuple(ids), label_names=tuple(labels), values=values
-    )
+    table, skipped = extract_table(manifest, reader, _policy(args))
+    _report_skips(skipped, len(manifest.entries))
+    return table
 
 
 def _params_for(kind: str, args: argparse.Namespace) -> dict:
@@ -390,12 +411,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 )
             )
         )
+    table, skipped = extract_table(manifest, reader, policy)
+    _report_skips(skipped, len(manifest.entries))
     lines = [PREDICTIONS_CSV_HEADER]
-    for path, _label_name, rid, result in _iter_extracted(manifest, reader, policy):
-        if isinstance(result, Exception):
-            print(f"warning: skipping {path}: {result}", file=sys.stderr)
-            continue
-        vec = result.as_vector(extended=(args.features == "extended"))
+    for rid, vec in zip(table.record_ids, table.columns(args.features)):
         try:
             idx, posterior = predict(trained, vec)
         except EctShapeError as exc:
@@ -466,7 +485,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
             text = _read(args.record)
         except OSError as exc:
             return _fail_config(str(exc))
-        rid = _record_id_from_path(args.record)
+        rid = record_id_from_path(args.record)
         try:
             record = parse_record(text, record_id=rid)
             cloud = trim_noise(to_point_cloud(record), policy)
@@ -487,7 +506,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
         out_name = "features.svg"
     try:
         os.makedirs(args.out_dir, exist_ok=True)
-        header = "\n".join(svg_header(_config_of(args))) + "\n"
+        # the artifact header as XML comments, legal before the <svg> root
+        header = "".join(
+            f"<!-- {line.removeprefix('# ')} -->\n"
+            for line in artifact_header(_config_of(args))
+        )
         atomic_write_text(os.path.join(args.out_dir, out_name), header + svg)
     except OSError as exc:
         return _fail_config(str(exc))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MalformedLineError
-from .geometry import FEATURE_NAMES_BASIC, FEATURE_NAMES_EXTENDED, ShapeFeatures
+from .geometry import FEATURE_NAMES_BASIC, FEATURE_NAMES_EXTENDED
 from .textio import format_float, iter_data_lines
 
 FEATURE_CSV_HEADER = "record_id,label," + ",".join(FEATURE_NAMES_EXTENDED)
@@ -134,21 +134,24 @@ class FeatureTable:
     def class_names(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.label_names)))
 
+    def columns(self, mode: str = "basic") -> np.ndarray:
+        """The feature matrix restricted to one mode's columns."""
+        cols = [FEATURE_NAMES_EXTENDED.index(n) for n in feature_names_for_mode(mode)]
+        return self.values[:, cols]
+
     def to_dataset(self, mode: str = "basic") -> LabeledDataset:
-        names = feature_names_for_mode(mode)
-        cols = [FEATURE_NAMES_EXTENDED.index(n) for n in names]
         index_of = {name: i for i, name in enumerate(self.class_names)}
         labels = np.array([index_of[n] for n in self.label_names], dtype=np.int64)
         return LabeledDataset(
-            features=self.values[:, cols],
+            features=self.columns(mode),
             labels=labels,
             num_classes=len(self.class_names),
-            feature_names=names,
+            feature_names=feature_names_for_mode(mode),
         )
 
 
-def feature_csv_row(record_id: str, label_name: str, feats: ShapeFeatures) -> str:
-    values = feats.as_vector(extended=True)
+def feature_csv_row(record_id: str, label_name: str, values: np.ndarray) -> str:
+    """One CSV data line; values are the ten features in header order."""
     return ",".join([record_id, label_name] + [format_float(v) for v in values])
 
 

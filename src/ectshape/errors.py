@@ -42,14 +42,6 @@ class DuplicatePathError(EctShapeError):
         super().__init__(f"duplicate path in manifest: {path}")
 
 
-class FileUnreadableError(EctShapeError):
-    """A manifest entry could not be read."""
-
-    def __init__(self, path: str, message: str = "") -> None:
-        self.path = path
-        super().__init__(message or f"cannot read file: {path}")
-
-
 # --- preprocessing ------------------------------------------------------
 
 class TooFewSamplesError(EctShapeError):

@@ -237,16 +237,21 @@ def oriented_extents(cloud: PointCloud2D, axes: PrincipalAxes) -> tuple[float, f
     Returns (L, W) with L >= W. A relative minor extent below 1e-12 is
     snapped to exactly 0. When the projection extents disagree with the
     eigenvalue ordering (possible for cross-like or near-isotropic
-    clouds) the pair is swapped; callers reporting the angle must then
-    rotate it by 90 degrees (shape_descriptors does).
+    clouds) the pair is swapped; see :func:`_oriented_box` for the angle
+    that goes with the swapped pair.
     """
-    ext_major, ext_minor = _raw_extents(cloud, axes)
-    if ext_major >= ext_minor:
-        return ext_major, ext_minor
-    return ext_minor, ext_major
+    length, width, _ = _oriented_box(cloud, axes)
+    return length, width
 
 
-def _raw_extents(cloud: PointCloud2D, axes: PrincipalAxes) -> tuple[float, float]:
+def _oriented_box(
+    cloud: PointCloud2D, axes: PrincipalAxes
+) -> tuple[float, float, float]:
+    """(L, W, alpha_deg) of the inertia-aligned bounding box, L >= W.
+
+    When the projections disagree with the eigen ordering the box is the
+    one aligned with the longer extent, so alpha is rotated by 90 degrees.
+    """
     if cloud.n == 0:
         raise EmptyCloudError("cannot take extents of an empty cloud")
     proj_major = cloud.x * axes.major[0] + cloud.y * axes.major[1]
@@ -258,38 +263,66 @@ def _raw_extents(cloud: PointCloud2D, axes: PrincipalAxes) -> tuple[float, float
         ext_minor = 0.0
     if ext_major <= _ZERO_WIDTH_REL * scale:
         ext_major = 0.0
-    return ext_major, ext_minor
+    if ext_major >= ext_minor:
+        return ext_major, ext_minor, axes.alpha_deg
+    return ext_minor, ext_major, normalize_angle_deg(axes.alpha_deg + 90.0)
 
 
 def convex_hull(cloud: PointCloud2D) -> ConvexPolygon:
     """Smallest convex polygon containing all points (monotone chain).
 
-    Vertices are CCW; collinear boundary points are dropped.
+    Vertices are CCW; collinear boundary points are dropped. The chain
+    runs on the Python floats of `.tolist()`: they are the same IEEE
+    doubles, and arithmetic on them costs a fraction of numpy-scalar
+    indexing.
     """
     if cloud.n < 3:
         raise CollinearCloudError("need at least 3 points for a hull")
-    pts = np.unique(cloud.points, axis=0)  # lexicographic sort + dedupe
-    if pts.shape[0] < 3:
+    pts = _sorted_distinct(cloud.points).tolist()
+    if len(pts) < 3:
         raise CollinearCloudError("fewer than 3 distinct points")
-
-    def build(seq: np.ndarray) -> list[np.ndarray]:
-        chain: list[np.ndarray] = []
-        for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = build(pts)
-    upper = build(pts[::-1])
+    lower = _half_hull(pts)
+    pts.reverse()
+    upper = _half_hull(pts)
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise CollinearCloudError("all points are collinear")
     return ConvexPolygon(vertices=np.array(hull, dtype=np.float64))
 
 
-def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+def _sorted_distinct(points: np.ndarray) -> np.ndarray:
+    """Rows sorted by (x, y) with equal rows dropped, as np.unique(axis=0).
+
+    Rows that compare equal but differ in the sign of a zero are a group
+    whose survivor np.unique picks by an unstable sort; only for such
+    clouds is np.unique itself used, so the survivor's bits stay the same.
+    """
+    ordered = points[np.lexsort((points[:, 1], points[:, 0]))]
+    fresh = np.empty(ordered.shape[0], dtype=bool)
+    fresh[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=fresh[1:])
+    if not fresh.all():
+        bits = ordered.view(np.uint64)
+        if np.any(~fresh[1:] & np.any(bits[1:] != bits[:-1], axis=1)):
+            return np.unique(points, axis=0)
+    return ordered[fresh]
+
+
+def _half_hull(pts: list[list[float]]) -> list[list[float]]:
+    chain: list[list[float]] = []
+    for p in pts:
+        px, py = p
+        while len(chain) >= 2:
+            ox, oy = chain[-2]
+            ax, ay = chain[-1]
+            # pop on a clockwise or straight turn; a NaN cross product
+            # (overflow near 1e308) compares false and keeps the point
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
 
 
 def polygon_area_perimeter(poly: ConvexPolygon) -> tuple[float, float]:
@@ -323,14 +356,7 @@ def shape_descriptors(cloud: PointCloud2D) -> ShapeFeatures:
     """
     moments = central_moments(cloud)
     axes = principal_axes(moments)
-    ext_major, ext_minor = _raw_extents(cloud, axes)
-    if ext_major >= ext_minor:
-        length, width, alpha_deg = ext_major, ext_minor, axes.alpha_deg
-    else:
-        # projections disagree with the eigen ordering: report the box
-        # aligned with the longer extent
-        length, width = ext_minor, ext_major
-        alpha_deg = normalize_angle_deg(axes.alpha_deg + 90.0)
+    length, width, alpha_deg = _oriented_box(cloud, axes)
     if width == 0.0:
         raise ZeroWidthError("cloud is collinear; elongation undefined")
 

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
     DuplicatePathError,
-    EctShapeError,
     EmptyRecordError,
-    FileUnreadableError,
     MalformedLineError,
     NonFiniteSampleError,
 )
@@ -177,37 +175,7 @@ def manifest_to_text(manifest: DatasetManifest) -> str:
     return "\n".join(f"{path},{label}" for path, label in manifest.entries) + "\n"
 
 
-def load_dataset(
-    manifest: DatasetManifest,
-    reader: Callable[[str], str],
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-) -> list[ImpedanceRecord]:
-    """Load one labeled record per manifest entry, in manifest order.
-
-    `reader` maps a manifest path to that file's text; OSError from it is
-    reported as FileUnreadableError. Parse errors are annotated with the
-    offending path and re-raised unchanged otherwise.
-    """
-    records: list[ImpedanceRecord] = []
-    for path, label_name in manifest.entries:
-        try:
-            text = reader(path)
-        except OSError as exc:
-            raise FileUnreadableError(path, f"cannot read {path}: {exc}") from exc
-        try:
-            record = parse_record(
-                text,
-                record_id=_record_id_from_path(path),
-                sample_rate_hz=sample_rate_hz,
-                label=manifest.label_for(label_name),
-            )
-        except EctShapeError as exc:
-            exc.args = (f"{path}: {exc.args[0] if exc.args else ''}",)
-            raise
-        records.append(record)
-    return records
-
-
-def _record_id_from_path(path: str) -> str:
+def record_id_from_path(path: str) -> str:
+    """Record id of a manifest path: the file name without its extension."""
     name = path.replace("\\", "/").rsplit("/", 1)[-1]
     return name.rsplit(".", 1)[0] if "." in name else name

@@ -9,6 +9,7 @@ enough to exercise the whole pipeline without any acquisition hardware.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ class SynthClassSpec:
             raise BadSpecError(f"class name must be non-empty without spaces: {self.name!r}")
         if "," in self.name or self.name.startswith("#"):
             raise BadSpecError(f"class name may not contain ',' or start with '#': {self.name!r}")
+        reals = (*self.center, self.a, self.b, self.rotation_deg, self.noise_sigma)
+        if not all(math.isfinite(v) for v in reals):
+            raise BadSpecError(f"center, axes, rotation and noise must be finite: {reals}")
         if self.n_points < 16:
             raise BadSpecError(f"n_points must be >= 16, got {self.n_points}")
         if not (self.a >= self.b > 0):
@@ -71,7 +75,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
     )
     try:
         doc = json.loads(stripped)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise BadSpecError(f"spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "classes" not in doc:
         raise BadSpecError("spec must be an object with a 'classes' array")
@@ -82,12 +86,10 @@ def parse_synth_spec(text: str) -> SynthSpec:
     for i, entry in enumerate(raw_classes):
         if not isinstance(entry, dict):
             raise BadSpecError(f"class {i}: expected an object")
-        try:
-            axes = entry["axis_lengths"]
-            n_points = int(entry["n_points"])
-            n_records = int(entry["n_records"])
-        except KeyError as exc:
-            raise BadSpecError(f"class {i}: missing field {exc.args[0]!r}") from exc
+        missing = [k for k in ("axis_lengths", "n_points", "n_records") if k not in entry]
+        if missing:
+            raise BadSpecError(f"class {i}: missing field {missing[0]!r}")
+        axes = entry["axis_lengths"]
         if not isinstance(axes, list) or len(axes) != 2:
             raise BadSpecError(f"class {i}: axis_lengths must be [a, b]")
         center = entry.get("center", [0.0, 0.0])
@@ -97,16 +99,16 @@ def parse_synth_spec(text: str) -> SynthSpec:
             classes.append(
                 SynthClassSpec(
                     name=str(entry.get("name", f"class{i:02d}")),
-                    n_points=n_points,
+                    n_points=int(entry["n_points"]),
                     center=(float(center[0]), float(center[1])),
                     a=float(axes[0]),
                     b=float(axes[1]),
                     rotation_deg=float(entry.get("rotation_deg", 0.0)),
                     noise_sigma=float(entry.get("noise_sigma", 0.0)),
-                    n_records=n_records,
+                    n_records=int(entry["n_records"]),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadSpecError(f"class {i}: {exc}") from exc
     return SynthSpec(classes=tuple(classes))
 

@@ -1,11 +1,15 @@
 import json
 import math
+import re
 
 import pytest
 
-from ectshape.artifacts import comparable_artifact
+from ectshape.artifacts import TOOL_VERSION, comparable_artifact, config_echo
 from ectshape.cli import main
 from ectshape.dataset import FEATURE_CSV_HEADER
+from ectshape.ingest import parse_record
+from ectshape.plots import record_svg
+from ectshape.preprocess import TrimPolicy, to_point_cloud, trim_noise
 
 
 def data_lines(text):
@@ -164,13 +168,62 @@ def test_extract_skips_collinear_record(tmp_path, capsys):
 def test_extract_strict_aborts(tmp_path, capsys):
     write_record(tmp_path / "good.csv", good_points())
     write_record(tmp_path / "flat.csv", [(i, i) for i in range(10)])
+    write_record(tmp_path / "short.csv", [(1, 2), (3, 4)])
     manifest = make_manifest(
-        tmp_path, [("good.csv", "ok"), ("flat.csv", "ok")]
+        tmp_path, [("good.csv", "ok"), ("flat.csv", "ok"), ("short.csv", "ok")]
     )
     code = main(["extract", "--manifest", str(manifest),
                  "--out", str(tmp_path / "f.csv"), "--strict"])
     assert code == 3
-    assert "flat.csv" in capsys.readouterr().err
+    # one line naming the first bad record; no warnings, no summary
+    assert capsys.readouterr().err == (
+        "error: flat.csv: cloud is collinear; elongation undefined\n"
+    )
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_extract_prints_no_skip_summary_without_skips(tmp_path, capsys):
+    write_record(tmp_path / "good.csv", good_points())
+    manifest = make_manifest(tmp_path, [("good.csv", "ok")])
+    assert main(["extract", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "f.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate", "train", "classify"])
+def test_skip_summary_closes_stderr(tmp_path, synth_dir, capsys, command):
+    write_record(tmp_path / "flat.csv", [(i, i) for i in range(10)])
+    write_record(tmp_path / "short.csv", [(1, 2), (3, 4)])
+    write_record(tmp_path / "line.csv", [(i, 2 * i) for i in range(10)])
+    synth_entries = [
+        line.split(",")
+        for line in data_lines((synth_dir / "manifest.csv").read_text())
+    ]
+    entries = [(str(synth_dir / path), label) for path, label in synth_entries]
+    entries[1:1] = [("flat.csv", "round"), ("short.csv", "long")]
+    entries.append(("line.csv", "mid"))
+    manifest = str(make_manifest(tmp_path, entries))
+    model = tmp_path / "nb.model"
+    argv = {
+        "extract": ["extract", "--manifest", manifest,
+                    "--out", str(tmp_path / "f.csv")],
+        "evaluate": ["evaluate", "--manifest", manifest, "--classifier", "nb",
+                     "--k", "4", "--out-dir", str(tmp_path / "eval")],
+        "train": ["train", "--manifest", manifest, "--classifier", "nb",
+                  "--model-out", str(model)],
+        "classify": ["classify", "--model", str(model), "--manifest", manifest,
+                     "--out", str(tmp_path / "p.csv")],
+    }
+    if command == "classify":
+        assert main(argv["train"]) == 0
+        capsys.readouterr()
+    assert main(argv[command]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: skipping flat.csv: cloud is collinear; elongation undefined",
+        "warning: skipping short.csv: record 'short' has 2 samples; need >= 3",
+        "warning: skipping line.csv: cloud is collinear; elongation undefined",
+        "skipped 3/39: ZeroWidthError×2, TooFewSamplesError×1",
+    ]
 
 
 def test_extract_missing_manifest_exits_2(tmp_path, capsys):
@@ -382,6 +435,28 @@ def test_plot_record_structure(tmp_path, synth_dir):
     assert svg.count('class="centroid"') == 1
     assert 'class="sample"' in svg
     assert "resistance" in svg and "reactance" in svg
+
+
+def test_plot_svg_header_is_the_artifact_header_as_comments(tmp_path, synth_dir):
+    out_dir = tmp_path / "plots"
+    record = synth_dir / "round_00.csv"
+    assert main(["plot", "--record", str(record),
+                 "--out-dir", str(out_dir)]) == 0
+    svg = (out_dir / "round_00.svg").read_text()
+    config = {"command": "plot", "features_csv": "", "out_dir": str(out_dir),
+              "record": str(record), "trim_mode": "both-axes",
+              "trim_quantile": 0.98}
+    cloud = trim_noise(
+        to_point_cloud(parse_record(record.read_text(), "round_00")), TrimPolicy()
+    )
+    expected = (
+        f"<!-- ectshape {TOOL_VERSION} -->\n"
+        "<!-- timestamp: 2000-01-01T00:00:00+00:00 -->\n"
+        f"<!-- config: {config_echo(config)} -->\n"
+        + record_svg(cloud, "round_00")
+    )
+    assert comparable_artifact(svg) == comparable_artifact(expected)
+    assert re.fullmatch(r"<!-- timestamp: \S+ -->", svg.splitlines()[1])
 
 
 def test_plot_collinear_record_still_draws(tmp_path):

@@ -279,6 +279,82 @@ def test_hull_matches_brute_force_seed7():
     assert set(map(tuple, hull.vertices)) == brute_force_hull_vertices(pts)
 
 
+def reference_hull(points: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain on numpy scalars over np.unique rows.
+
+    The straightforward form of the algorithm: convex_hull must give the
+    same vertex bits, or raise the same error class.
+    """
+    if points.shape[0] < 3:
+        raise CollinearCloudError("need at least 3 points for a hull")
+    pts = np.unique(points, axis=0)
+    if pts.shape[0] < 3:
+        raise CollinearCloudError("fewer than 3 distinct points")
+
+    def cross(o, a, b):
+        return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+
+    def build(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    hull = build(pts)[:-1] + build(pts[::-1])[:-1]
+    if len(hull) < 3:
+        raise CollinearCloudError("all points are collinear")
+    return ConvexPolygon(vertices=np.array(hull, dtype=np.float64)).vertices
+
+
+def hull_outcome(fn, points):
+    try:
+        return fn(points)
+    except (CollinearCloudError, ValueError) as exc:
+        return type(exc)
+
+
+def oracle_cloud(rng: np.random.Generator, family: str) -> np.ndarray:
+    n = int(rng.integers(3, 90))
+    if family == "grid":  # duplicates and collinear runs on a small lattice
+        pts = rng.integers(-2, 3, size=(n, 2)).astype(float)
+    elif family == "lines":  # collinear runs with a few points off the line
+        t = rng.integers(-4, 5, size=n).astype(float)
+        pts = np.column_stack((t, 2.0 * t + (rng.random(n) < 0.1)))
+    elif family == "extremes":  # overflow to inf and NaN cross products
+        values = [0.0, 1.0, -1.0, 1e300, -1e300, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 1e-320, 5e-324]
+        pts = rng.choice(values, size=(n, 2))
+    else:  # a noisy cloud at one scale, with repeated rows
+        scale = {"1e300": 1e300, "1e-300": 1e-300, "1e-320": 1e-320}[family]
+        pts = rng.normal(size=(n, 2)) * scale
+        pts = np.vstack((pts, pts[rng.integers(0, n, size=n // 3)]))
+        pts[rng.random(pts.shape) < 0.1] = 0.0
+    pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    return pts
+
+
+@pytest.mark.parametrize(
+    "seed,family",
+    enumerate(["grid", "lines", "extremes", "1e300", "1e-300", "1e-320"]),
+)
+def test_hull_matches_numpy_scalar_reference_bits(seed, family):
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        for _ in range(250):
+            pts = oracle_cloud(rng, family)
+            want = hull_outcome(reference_hull, pts)
+            got = hull_outcome(
+                lambda p: convex_hull(PointCloud2D(points=p)).vertices, pts
+            )
+            if isinstance(want, type) or isinstance(got, type):
+                assert got is want
+            else:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
 def test_convex_polygon_rejects_clockwise():
     with pytest.raises(ValueError):
         ConvexPolygon(vertices=((0, 0), (0, 1), (1, 1), (1, 0)))

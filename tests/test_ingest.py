@@ -1,25 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ectshape.cli import extract_table
 from ectshape.dataset import FEATURE_CSV_HEADER, parse_feature_csv
 from ectshape.errors import (
     DuplicatePathError,
     EmptyRecordError,
-    FileUnreadableError,
     MalformedLineError,
     NonFiniteSampleError,
+    TooFewSamplesError,
 )
+from ectshape.geometry import FEATURE_NAMES_EXTENDED
 from ectshape.ingest import (
     ClassLabel,
     ImpedanceRecord,
-    load_dataset,
     load_manifest,
     manifest_to_text,
     parse_record,
+    record_id_from_path,
     record_to_text,
 )
+from ectshape.preprocess import TrimPolicy
 from ectshape.textio import format_float, iter_data_lines
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -122,40 +127,56 @@ def test_manifest_round_trip():
     assert manifest_to_text(load_manifest(text)) == text
 
 
-def test_load_dataset_happy_path():
+ELLIPSE_TEXT = "".join(
+    f"{1.0 + 2.0 * math.cos(i * math.pi / 10)} {0.5 + 0.8 * math.sin(i * math.pi / 10)}\n"
+    for i in range(20)
+)
+
+
+def test_extract_table_happy_path():
     m = load_manifest("one.csv,low\ntwo.csv,high\n")
-    files = {"one.csv": "1 2\n3 4\n", "two.csv": "5 6\n"}
-    records = load_dataset(m, files.__getitem__)
-    assert [r.record_id for r in records] == ["one", "two"]
-    assert records[0].label.name == "low"
-    assert records[1].label.index == 0  # "high" sorts first
-    assert records[0].label.index == 1
+    files = {"one.csv": ELLIPSE_TEXT, "two.csv": "# comment\n" + ELLIPSE_TEXT}
+    table, skipped = extract_table(m, files.__getitem__, TrimPolicy())
+    assert skipped == []
+    assert table.record_ids == ("one", "two")
+    assert table.label_names == ("low", "high")
+    assert table.class_names == ("high", "low")
+    assert table.values.shape == (2, len(FEATURE_NAMES_EXTENDED))
+    assert np.array_equal(table.values[0], table.values[1])
 
 
-def test_load_dataset_missing_file():
+def test_extract_table_skips_unreadable_file():
     m = load_manifest("gone.csv,x\nthere.csv,x\n")
 
     def reader(path):
         if path == "gone.csv":
             raise FileNotFoundError(path)
-        return "1 2\n"
+        return ELLIPSE_TEXT
 
-    with pytest.raises(FileUnreadableError):
-        load_dataset(m, reader)
+    table, skipped = extract_table(m, reader, TrimPolicy())
+    assert table.record_ids == ("there",)
+    assert [path for path, _ in skipped] == ["gone.csv"]
+    assert isinstance(skipped[0][1], FileNotFoundError)
 
 
-def test_load_dataset_annotates_parse_error_with_path():
-    m = load_manifest("bad.csv,x\nother.csv,y\n")
-    files = {"bad.csv": "1 2 3\n", "other.csv": "1 2\n"}
-    with pytest.raises(MalformedLineError) as exc:
-        load_dataset(m, files.__getitem__)
-    assert "bad.csv" in str(exc.value)
+def test_extract_table_reports_parse_error_with_path():
+    m = load_manifest("bad.csv,x\nother.csv,y\nshort.csv,y\n")
+    files = {"bad.csv": "1 2 3\n", "other.csv": ELLIPSE_TEXT, "short.csv": "1 2\n3 4\n"}
+    table, skipped = extract_table(m, files.__getitem__, TrimPolicy())
+    assert table.record_ids == ("other",)
+    assert [path for path, _ in skipped] == ["bad.csv", "short.csv"]
+    assert isinstance(skipped[0][1], MalformedLineError)
+    assert skipped[0][1].line_no == 1
+    assert isinstance(skipped[1][1], TooFewSamplesError)
 
 
 def test_record_id_strips_directory_and_extension():
+    assert record_id_from_path("some/dir/rec_07.csv") == "rec_07"
+    assert record_id_from_path("some\\dir\\rec_08.txt") == "rec_08"
+    assert record_id_from_path("plain") == "plain"
     m = load_manifest("some/dir/rec_07.csv,x\n")
-    records = load_dataset(m, lambda p: "1 2\n")
-    assert records[0].record_id == "rec_07"
+    table, _ = extract_table(m, lambda p: ELLIPSE_TEXT, TrimPolicy())
+    assert table.record_ids == ("rec_07",)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])

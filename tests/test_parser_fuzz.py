@@ -1,0 +1,165 @@
+"""Fuzz tests for the text parsers: malformed input raises EctShapeError only.
+
+Every parser behind a CLI input (record, manifest, feature CSV, model file,
+synth spec) is fed small generated texts, some of them mutations of a valid
+file. Any exception that is not an EctShapeError would escape the CLI as a
+traceback instead of exit code 2 or 3. Generated inputs stay small: no
+large counts, no deep nesting.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ectshape.classifiers import train_model
+from ectshape.classifiers.serialize import load_model, save_model
+from ectshape.dataset import FEATURE_CSV_HEADER, LabeledDataset, parse_feature_csv
+from ectshape.errors import EctShapeError
+from ectshape.ingest import load_manifest, parse_record
+from ectshape.synthetic import parse_synth_spec
+
+FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+# Fields that are numbers, almost numbers, or none at all.
+TOKENS = st.sampled_from([
+    "0", "-0", "1", "-1.5", "2e3", "1e308", "1e999", "-1e999", "5e-324",
+    "nan", "NaN", "inf", "-inf", "infinity", "0x10", "1_0", "", " ", "x",
+    "#", ",", ",,", "\t", "1,", ",1", "--1", "+", ".", "e5", "١",
+    "\x00", " ", "path/a.csv", "class", "-", "3", "17", "99999",
+])
+
+
+def lines_of(token_strategy, max_lines=8, max_fields=5):
+    line = st.lists(token_strategy, max_size=max_fields).map(" ".join)
+    return st.lists(line, max_size=max_lines).map("\n".join)
+
+
+def raises_only_ectshape_errors(parse, text):
+    try:
+        parse(text)
+    except EctShapeError:
+        pass
+
+
+# --- records, manifests, feature CSVs ---------------------------------------
+
+@FUZZ
+@given(st.one_of(st.text(max_size=200), lines_of(TOKENS)))
+def test_parse_record_raises_only_ectshape_errors(text):
+    raises_only_ectshape_errors(lambda t: parse_record(t, "r"), text)
+
+
+@FUZZ
+@given(st.one_of(
+    st.text(max_size=200),
+    lines_of(st.one_of(TOKENS, st.text(max_size=6)), max_fields=3).map(
+        lambda t: t.replace(" ", ",")
+    ),
+))
+def test_load_manifest_raises_only_ectshape_errors(text):
+    raises_only_ectshape_errors(load_manifest, text)
+
+
+@FUZZ
+@given(
+    st.booleans(),
+    st.lists(
+        st.lists(TOKENS, min_size=0, max_size=14).map(",".join), max_size=6
+    ),
+    st.text(max_size=40),
+)
+def test_parse_feature_csv_raises_only_ectshape_errors(with_header, rows, tail):
+    lines = ([FEATURE_CSV_HEADER] if with_header else []) + rows + [tail]
+    raises_only_ectshape_errors(parse_feature_csv, "\n".join(lines))
+
+
+# --- model files ------------------------------------------------------------
+
+def _model_texts():
+    g = np.random.default_rng(5)
+    centers = np.array([[0.0, 0.0, 1.0], [3.0, 1.0, 2.0], [1.0, 4.0, 0.0]])
+    rows = np.repeat(centers, 6, axis=0) + 0.3 * g.normal(size=(18, 3))
+    data = LabeledDataset(
+        features=rows,
+        labels=np.repeat(np.arange(3), 6),
+        num_classes=3,
+        feature_names=("L", "W", "alpha_deg"),
+    )
+    params = {"nb": None, "tree": {"min_leaf": 1}, "mlp": {"epochs": 3, "hidden": 2}}
+    return {
+        kind: save_model(train_model(kind, data, params=p, seed=1))
+        for kind, p in params.items()
+    }
+
+
+MODEL_TEXTS = _model_texts()
+
+
+@st.composite
+def mutated_models(draw):
+    lines = MODEL_TEXTS[draw(st.sampled_from(sorted(MODEL_TEXTS)))].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "dup", "field", "line", "cut"]))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "field":
+            fields = lines[i].split(" ")
+            j = draw(st.integers(0, len(fields)))
+            if j < len(fields):
+                fields[j] = draw(TOKENS)
+            else:
+                fields.append(draw(TOKENS))
+            lines[i] = " ".join(fields)
+        elif op == "line":
+            lines[i] = draw(lines_of(TOKENS, max_lines=1))
+        elif op == "cut":
+            lines = lines[: i + 1]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_TEXTS))
+def test_model_texts_load(kind):
+    assert save_model(load_model(MODEL_TEXTS[kind])) == MODEL_TEXTS[kind]
+
+
+@FUZZ
+@given(st.one_of(mutated_models(), st.text(max_size=200)))
+def test_load_model_raises_only_ectshape_errors(text):
+    raises_only_ectshape_errors(load_model, text)
+
+
+# --- synth specs --------------------------------------------------------------
+
+SPEC_VALUES = st.one_of(
+    st.integers(-3, 40),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.text(max_size=5),
+    st.none(),
+    st.booleans(),
+    st.lists(st.one_of(st.integers(-3, 40), st.floats(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+SPEC_KEYS = st.sampled_from([
+    "name", "n_points", "center", "axis_lengths", "rotation_deg", "noise_sigma",
+    "n_records", "extra",
+])
+SPEC_CLASS = st.dictionaries(SPEC_KEYS, SPEC_VALUES, max_size=8)
+
+
+@FUZZ
+@given(st.one_of(
+    st.lists(SPEC_CLASS, max_size=3).map(lambda cs: json.dumps({"classes": cs})),
+    st.dictionaries(st.text(max_size=8), SPEC_VALUES, max_size=2).map(json.dumps),
+    SPEC_VALUES.map(json.dumps),
+    st.text(max_size=120),
+))
+def test_parse_synth_spec_raises_only_ectshape_errors(text):
+    raises_only_ectshape_errors(parse_synth_spec, text)
