@@ -18,7 +18,6 @@ from .classifiers import (
 from .classifiers.serialize import load_model, save_model
 from .dataset import (
     FEATURE_CSV_HEADER,
-    FeatureRow,
     FeatureTable,
     LabeledDataset,
     feature_names_for_mode,
@@ -82,7 +81,6 @@ __all__ = [
     "FEATURE_CSV_HEADER",
     "FEATURE_NAMES_BASIC",
     "FEATURE_NAMES_EXTENDED",
-    "FeatureRow",
     "FeatureTable",
     "FoldAssignment",
     "ImpedanceRecord",

@@ -367,11 +367,9 @@ def train_mlp_stack(
 
     # init draws run w1, b1, w2, b2, each row-major
     rngs = [SplitMix64(seeds[i]) for i in live]
+    n_params = stack.theta.shape[1]
     for j, rng in enumerate(rngs):
-        draws = np.array([
-            rng.uniform_in(-_INIT_HALF_RANGE, _INIT_HALF_RANGE)
-            for _ in range(stack.theta.shape[1])
-        ])
+        draws = rng.uniforms_in(-_INIT_HALF_RANGE, _INIT_HALF_RANGE, n_params)
         ends = np.cumsum([h * d, h, n_out * h])
         w1, b1, w2, b2 = np.split(draws, ends)
         stack.set_params(j, w1.reshape(h, d), b1, w2.reshape(n_out, h), b2)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,23 +28,6 @@ def feature_names_for_mode(mode: str) -> tuple[str, ...]:
     if mode == "extended":
         return FEATURE_NAMES_EXTENDED
     raise ValueError(f"feature mode must be one of {FEATURE_MODES}")
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    """One feature vector, optionally labeled."""
-
-    values: np.ndarray
-    label_index: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        if not np.isfinite(values).all():
-            raise ValueError("feature values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -81,26 +63,6 @@ class LabeledDataset:
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[FeatureRow],
-        num_classes: int,
-        feature_names: Sequence[str],
-    ) -> "LabeledDataset":
-        if not rows:
-            raise ValueError("need at least one row")
-        if any(row.label_index is None for row in rows):
-            raise ValueError("all rows must be labeled")
-        features = np.stack([row.values for row in rows])
-        labels = np.array([row.label_index for row in rows], dtype=np.int64)
-        return cls(
-            features=features,
-            labels=labels,
-            num_classes=num_classes,
-            feature_names=tuple(feature_names),
-        )
 
     @property
     def n_rows(self) -> int:

@@ -120,7 +120,8 @@ def generate_synthetic(
 
     A single generator is streamed through the whole spec, so the output is
     a pure function of (spec, seed) and any change to an earlier class
-    reshuffles everything after it.
+    reshuffles everything after it. Raises BadSpecError naming the class
+    when its finite spec values still overflow to a non-finite point.
     """
     rng = SplitMix64(seed)
     out: list[tuple[PointCloud2D, ClassLabel]] = []
@@ -130,13 +131,24 @@ def generate_synthetic(
         unit = np.column_stack((cls.a * np.cos(theta), cls.b * np.sin(theta)))
         phi = np.deg2rad(cls.rotation_deg)
         rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-        base = unit @ rot.T + np.array(cls.center)
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = unit @ rot.T + np.array(cls.center)
+        _require_finite(base, cls)
         for _ in range(cls.n_records):
             points = base
             if cls.noise_sigma > 0:
-                noise = np.array(
-                    [[rng.normal(), rng.normal()] for _ in range(cls.n_points)]
-                )
-                points = base + cls.noise_sigma * noise
+                # one normal per coordinate, point by point, x before y
+                noise = rng.normals(2 * cls.n_points).reshape(cls.n_points, 2)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    points = base + cls.noise_sigma * noise
+                _require_finite(points, cls)
             out.append((PointCloud2D(points=points), label))
     return out
+
+
+def _require_finite(points: np.ndarray, cls: SynthClassSpec) -> None:
+    if not np.isfinite(points).all():
+        raise BadSpecError(
+            f"class {cls.name!r}: points overflow to non-finite values;"
+            " shrink center, axis_lengths or noise_sigma"
+        )

@@ -126,6 +126,23 @@ def test_synth_bad_spec_exits_2(tmp_path, capsys):
     assert "n_points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise_sigma", [0.1, 0.0])
+def test_synth_overflowing_spec_exits_2(tmp_path, capsys, noise_sigma):
+    # finite in the spec, but center + axis overflows to inf
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"classes": [{
+        "name": "huge", "n_points": 16, "center": [1.7e308, 0],
+        "axis_lengths": [1.7e308, 1e308], "noise_sigma": noise_sigma,
+        "n_records": 2,
+    }]}))
+    out = tmp_path / "o"
+    assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: class 'huge': ")
+    assert not out.exists()
+
+
 def test_synth_missing_spec_exits_2(tmp_path):
     assert main(["synth", "--spec", str(tmp_path / "absent.json"),
                  "--out-dir", str(tmp_path / "o")]) == 2

@@ -89,6 +89,23 @@ def test_record_text_round_trip(pairs):
     assert np.array_equal(back.samples, rec.samples)
 
 
+@given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=30))
+def test_record_text_equals_per_line_format_float(pairs):
+    rec = ImpedanceRecord(record_id="r", samples=np.array(pairs))
+    lines = [f"{format_float(re)} {format_float(im)}" for re, im in rec.samples]
+    assert record_to_text(rec) == "\n".join(lines) + "\n"
+
+
+def test_record_text_keeps_extreme_values_and_zero_signs():
+    samples = np.array([[-0.0, 0.0], [5e-324, -1.7976931348623157e308], [1 / 3, 2.0]])
+    text = record_to_text(ImpedanceRecord(record_id="r", samples=samples))
+    assert text == (
+        "-0 0\n"
+        "4.9406564584124654e-324 -1.7976931348623157e+308\n"
+        "0.33333333333333331 2\n"
+    )
+
+
 def test_record_samples_immutable():
     rec = parse_record("1 2\n3 4\n", "r")
     with pytest.raises(ValueError):
