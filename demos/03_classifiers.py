@@ -42,8 +42,8 @@ def main() -> None:
 
     for kind, model in models.items():
         print(f"--- {kind} ---")
-        for q in queries:
-            label, post = predict(model, q)
+        labels, posteriors = predict(model, queries)
+        for q, label, post in zip(queries, labels, posteriors):
             dist = "  ".join(
                 f"{name}={p:.3f}" for name, p in zip(CLASS_NAMES, post)
             )
@@ -52,11 +52,8 @@ def main() -> None:
     # round trip: the reloaded model must answer exactly like the original
     text = save_model(models["mlp"])
     reloaded = load_model(text)
-    agree = all(
-        predict(models["mlp"], q)[0] == predict(reloaded, q)[0]
-        and np.array_equal(predict(models["mlp"], q)[1], predict(reloaded, q)[1])
-        for q in queries
-    )
+    (l0, p0), (l1, p1) = predict(models["mlp"], queries), predict(reloaded, queries)
+    agree = np.array_equal(l0, l1) and np.array_equal(p0, p1)
     print()
     print(f"mlp model text: {len(text.splitlines())} lines")
     print(f"save -> load round trip bit-exact on all queries: {agree}")

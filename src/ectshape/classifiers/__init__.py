@@ -2,8 +2,9 @@
 
 A trained model is a tagged union (naive Bayes, decision tree, or
 perceptron) plus the feature names and class count it was trained with.
-Prediction always returns a label index and a posterior distribution;
-argmax ties break to the lowest class index.
+Prediction takes an (n, d) feature matrix and returns a label index and
+a posterior distribution per row; argmax ties break to the lowest class
+index.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from .decision_tree import (
     train_tree,
     tree_posterior,
 )
-from .naive_bayes import (
-    GnbModel,
-    gnb_posterior,
-    gnb_posterior_direct,
-    train_gnb,
-)
+from .naive_bayes import GnbModel, gnb_posterior, train_gnb
 from .perceptron import (
     MlpModel,
     MlpParams,
@@ -51,7 +47,6 @@ __all__ = [
     "TreeParams",
     "TreeSplit",
     "gnb_posterior",
-    "gnb_posterior_direct",
     "mlp_posterior",
     "predict",
     "train_model",
@@ -115,18 +110,23 @@ def train_model(
     )
 
 
-def predict(trained: TrainedModel, features: np.ndarray) -> tuple[int, np.ndarray]:
-    """Label index and posterior for one feature vector."""
+def predict(
+    trained: TrainedModel, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (n,) and posteriors (n, K) for the rows of an (n, d) matrix.
+
+    Each posterior row sums to 1 and its label is the row's argmax, ties
+    broken to the lowest class index.
+    """
     x = np.asarray(features, dtype=np.float64)
-    if x.shape != (len(trained.feature_names),):
-        raise DimensionMismatchError(
-            f"model expects {len(trained.feature_names)} features, got {x.shape}"
-        )
+    d = len(trained.feature_names)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise DimensionMismatchError(f"model expects (n, {d}) features, got {x.shape}")
     if trained.kind == "nb":
         posterior = gnb_posterior(trained.model, x)
     elif trained.kind == "tree":
         posterior = tree_posterior(trained.model, x)
     else:
         posterior = mlp_posterior(trained.model, x)
-    posterior = posterior / posterior.sum()
-    return int(np.argmax(posterior)), posterior
+    posterior = posterior / posterior.sum(axis=1, keepdims=True)
+    return np.argmax(posterior, axis=1).astype(np.int64), posterior

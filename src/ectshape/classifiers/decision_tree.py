@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..dataset import LabeledDataset
-from ..errors import DimensionMismatchError, EmptyDatasetError
+from ..errors import EmptyDatasetError
 
 # split-info below this falls back to raw gain; gains below it stop recursion
 _GAIN_EPS = 1e-12
@@ -170,14 +170,14 @@ def train_tree(data: LabeledDataset, params: TreeParams = TreeParams()) -> TreeM
 
 
 def tree_posterior(model: TreeModel, x: np.ndarray) -> np.ndarray:
-    if x.shape != (model.n_features,):
-        raise DimensionMismatchError(
-            f"expected {model.n_features} features, got {x.shape}"
-        )
-    node = model.root
-    while isinstance(node, TreeSplit):
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return node.distribution.copy()
+    """Leaf distribution (n, K) reached by each row of x (n, d)."""
+    out = np.empty((x.shape[0], model.num_classes))
+    for i, row in enumerate(x.tolist()):
+        node = model.root
+        while isinstance(node, TreeSplit):
+            node = node.left if row[node.feature_index] <= node.threshold else node.right
+        out[i] = node.distribution
+    return out
 
 
 def tree_depth(model: TreeModel) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import LabeledDataset
-from ..errors import DimensionMismatchError, EmptyClassError
+from ..errors import EmptyClassError
 
 # floor = _VAR_FLOOR_REL * (per-feature global range)^2 + _VAR_FLOOR_ABS,
 # so constant-within-class features never produce a degenerate density
@@ -63,40 +63,13 @@ def train_gnb(data: LabeledDataset) -> GnbModel:
     return GnbModel(means=means, variances=variances, priors=priors)
 
 
-def gnb_log_joint(model: GnbModel, x: np.ndarray) -> np.ndarray:
-    """log prior + log likelihood per class (unnormalized posterior)."""
-    if x.shape != (model.n_features,):
-        raise DimensionMismatchError(
-            f"expected {model.n_features} features, got {x.shape}"
-        )
+def gnb_posterior(model: GnbModel, x: np.ndarray) -> np.ndarray:
+    """Posterior over classes (n, K) for the rows of x (n, d), normalized in
+    log space."""
     log_density = -0.5 * (
         np.log(2.0 * np.pi * model.variances)
-        + (x - model.means) ** 2 / model.variances
-    ).sum(axis=1)
-    return np.log(model.priors) + log_density
-
-
-def gnb_posterior(model: GnbModel, x: np.ndarray) -> np.ndarray:
-    """Posterior over classes, normalized in log space."""
-    log_joint = gnb_log_joint(model, x)
-    shifted = np.exp(log_joint - log_joint.max())
-    return shifted / shifted.sum()
-
-
-def gnb_posterior_direct(model: GnbModel, x: np.ndarray) -> np.ndarray:
-    """Posterior via direct density products; cross-check for the log path.
-
-    Underflows for distant queries; only meaningful where the densities
-    stay representable.
-    """
-    if x.shape != (model.n_features,):
-        raise DimensionMismatchError(
-            f"expected {model.n_features} features, got {x.shape}"
-        )
-    density = np.prod(
-        np.exp(-((x - model.means) ** 2) / (2.0 * model.variances))
-        / np.sqrt(2.0 * np.pi * model.variances),
-        axis=1,
-    )
-    joint = model.priors * density
-    return joint / joint.sum()
+        + (x[:, None, :] - model.means) ** 2 / model.variances
+    ).sum(axis=2)
+    log_joint = np.log(model.priors) + log_density
+    shifted = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)

@@ -5,11 +5,12 @@ training set; hidden and output layers both use the logistic sigmoid;
 targets are one-hot and the loss is squared error. Weight init and the
 per-epoch example order come from one seeded generator per network.
 
-One kernel trains a stack of networks in lockstep: the k folds of a
-cross-validation, or a single network (k = 1) for ``train_mlp``. Its
-arithmetic has a fixed order. Every dot product is an elementwise multiply
-followed by a left-to-right ``np.add.accumulate`` (never BLAS, never a
-pairwise ``np.sum``), and the sigmoid's exponential is a fixed sequence of
+One kernel runs a stack of networks in lockstep: it trains the k folds of
+a cross-validation, or a single network (k = 1) for ``train_mlp``, and
+``mlp_posterior`` runs one copy of a network per query row. Its arithmetic
+has a fixed order. Every dot product is an elementwise multiply followed by
+a left-to-right ``np.add.accumulate`` (never BLAS, never a pairwise
+``np.sum``), and the sigmoid's exponential is a fixed sequence of
 IEEE ``+ - * /`` operations rather than a libm or SIMD ``exp``. Each of those
 operations is correctly rounded on every CPU, so a network's bits depend
 only on its data, hyperparameters and seed: not on k, not on its place in
@@ -19,14 +20,13 @@ the stack, and not on the kernels numpy, BLAS or libm pick at run time.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from ..dataset import LabeledDataset
-from ..errors import DimensionMismatchError, EmptyClassError, NonFiniteLossError
+from ..errors import EmptyClassError, NonFiniteLossError
 from ..rng import SplitMix64
 
 _INIT_HALF_RANGE = 0.5
@@ -196,7 +196,8 @@ class _Stack:
         """Copies of network f's w1, b1, w2, b2."""
         return _split(self.layer1[f], self.layer2[f])
 
-    def set_params(self, f: int, w1, b1, w2, b2) -> None:
+    def set_params(self, f: int | slice, w1, b1, w2, b2) -> None:
+        """Give network f (or every network in slice f) these parameters."""
         self.layer1[f, :-1], self.layer1[f, -1] = np.transpose(w1), b1
         self.layer2[f, :-1], self.layer2[f, -1] = np.transpose(w2), b2
 
@@ -436,41 +437,19 @@ def train_mlp(data: LabeledDataset, params: MlpParams = MlpParams()) -> MlpModel
     return result
 
 
-class _PosteriorStacks(threading.local):
-    """One-network stacks for mlp_posterior, with an input column whose
-    last entry is 1, one per shape and thread.
-
-    mlp_posterior runs once per row, and building a stack costs about as
-    much as the forward pass. A stack holds no state between calls: each
-    call overwrites its parameters, its input and every buffer it reads.
-    """
-
-    def __init__(self) -> None:
-        self.by_shape: dict[tuple[int, int, int], tuple[_Stack, np.ndarray]] = {}
-
-    def get(self, d: int, h: int, n_out: int) -> tuple[_Stack, np.ndarray]:
-        key = (d, h, n_out)
-        if key not in self.by_shape:
-            self.by_shape[key] = (_Stack(1, d, h, n_out), np.ones((1, d + 1, 1)))
-        return self.by_shape[key]
-
-
-_POSTERIOR_STACKS = _PosteriorStacks()
-
-
 def mlp_posterior(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass on scaled features, outputs normalized to sum 1."""
-    if x.shape != (model.n_features,):
-        raise DimensionMismatchError(
-            f"expected {model.n_features} features, got {x.shape}"
-        )
+    """Forward pass on the scaled rows of x (n, d), each row's outputs
+    normalized to sum 1 (uniform where their sum is not positive and finite).
+
+    Row i runs as network i of a stack whose networks all hold the model's
+    parameters; the kernel gives each the bits of a lone network.
+    """
     h, d = model.w1.shape
-    stack, x_col = _POSTERIOR_STACKS.get(d, h, model.num_classes)
-    stack.set_params(0, model.w1, model.b1, model.w2, model.b2)
-    x_col[0, :d, 0] = scale_features(model, x)
-    stack.forward(x_col)
-    output = stack.output[0]
-    total = float(np.add.accumulate(output)[-1])
-    if total <= 0.0 or not math.isfinite(total):
-        return np.full(model.num_classes, 1.0 / model.num_classes)
-    return output / total
+    n_out = model.num_classes
+    stack = _Stack(x.shape[0], d, h, n_out)
+    stack.set_params(slice(None), model.w1, model.b1, model.w2, model.b2)
+    stack.forward(_with_bias_input(scale_features(model, x))[:, :, None])
+    output = stack.output
+    total = _fixed_sum(output)[:, None]
+    usable = (total > 0.0) & np.isfinite(total)
+    return np.divide(output, total, out=np.full_like(output, 1.0 / n_out), where=usable)

@@ -20,17 +20,16 @@ from .artifacts import (
     atomic_write_text,
     write_artifact,
 )
-from .classifiers import predict, train_model
+from .classifiers import CLASSIFIER_KINDS, predict, train_model
 from .classifiers.serialize import load_model, save_model
 from .dataset import (
     FEATURE_CSV_HEADER,
     FEATURE_MODES,
     FeatureTable,
     feature_csv_row,
-    feature_names_for_mode,
     parse_feature_csv,
 )
-from .errors import BadSpecError, DimensionMismatchError, EctShapeError
+from .errors import BadSpecError, EctShapeError
 from .evaluation import cross_validate, metrics_csv_lines, report_text
 from .geometry import FEATURE_NAMES_EXTENDED, shape_descriptors
 from .ingest import (
@@ -51,8 +50,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 
 PREDICTIONS_CSV_HEADER = "record_id,predicted_label,confidence"
-
-_EVAL_KINDS = ("tree", "nb", "mlp")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,19 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_trim_flags(p)
     p.add_argument(
-        "--features",
-        choices=FEATURE_MODES,
-        default="extended",
-        help="recorded in the header; the CSV always carries every column",
-    )
-    p.add_argument(
         "--strict", action="store_true", help="abort on the first bad record"
     )
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("evaluate", help="k-fold cross-validation report")
     _add_input_group(p)
-    p.add_argument("--classifier", required=True, choices=_EVAL_KINDS + ("all",))
+    p.add_argument("--classifier", required=True, choices=CLASSIFIER_KINDS + ("all",))
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
@@ -108,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit one classifier on every record")
     _add_input_group(p)
-    p.add_argument("--classifier", required=True, choices=_EVAL_KINDS)
+    p.add_argument("--classifier", required=True, choices=CLASSIFIER_KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", required=True)
     p.add_argument("--features", choices=FEATURE_MODES, default="basic")
@@ -120,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--features", choices=FEATURE_MODES, default="basic")
     _add_trim_flags(p)
     p.set_defaults(func=cmd_classify)
 
@@ -311,7 +301,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         data = table.to_dataset(args.features)
     except ValueError as exc:
         return _fail_data(f"not stratifiable: {exc}")
-    kinds = _EVAL_KINDS if args.classifier == "all" else (args.classifier,)
+    kinds = CLASSIFIER_KINDS if args.classifier == "all" else (args.classifier,)
     os.makedirs(args.out_dir, exist_ok=True)
     config = _config_of(args)
     summary = [
@@ -401,27 +391,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
         policy = _policy(args)
     except (OSError, EctShapeError, ValueError) as exc:
         return _fail_config(str(exc))
-    expected = feature_names_for_mode(args.features)
-    if tuple(trained.feature_names) != expected:
-        return _fail_data(
-            str(
-                DimensionMismatchError(
-                    f"model expects features {trained.feature_names},"
-                    f" extraction mode {args.features!r} produces {expected}"
-                )
-            )
-        )
+    unknown = [n for n in trained.feature_names if n not in FEATURE_NAMES_EXTENDED]
+    if unknown:
+        return _fail_data(f"model feature {unknown[0]!r} is not an extracted feature")
     table, skipped = extract_table(manifest, reader, policy)
     _report_skips(skipped, len(manifest.entries))
-    lines = [PREDICTIONS_CSV_HEADER]
-    for rid, vec in zip(table.record_ids, table.columns(args.features)):
-        try:
-            idx, posterior = predict(trained, vec)
-        except EctShapeError as exc:
-            return _fail_data(str(exc))
-        lines.append(
-            f"{rid},{trained.label_name(idx)},{format_float(float(posterior[idx]))}"
+    labels, posteriors = predict(trained, table.columns(trained.feature_names))
+    confidences = posteriors[np.arange(labels.shape[0]), labels]
+    lines = [PREDICTIONS_CSV_HEADER] + [
+        f"{rid},{trained.label_name(idx)},{format_float(confidence)}"
+        for rid, idx, confidence in zip(
+            table.record_ids, labels.tolist(), confidences.tolist()
         )
+    ]
     try:
         write_artifact(args.out, lines, _config_of(args))
     except OSError as exc:

@@ -96,19 +96,22 @@ class FeatureTable:
     def class_names(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.label_names)))
 
-    def columns(self, mode: str = "basic") -> np.ndarray:
-        """The feature matrix restricted to one mode's columns."""
-        cols = [FEATURE_NAMES_EXTENDED.index(n) for n in feature_names_for_mode(mode)]
-        return self.values[:, cols]
+    def columns(self, names: tuple[str, ...]) -> np.ndarray:
+        """The feature matrix restricted to the named columns, in that order.
+
+        Raises ValueError for a name that is not an extracted feature.
+        """
+        return self.values[:, [FEATURE_NAMES_EXTENDED.index(n) for n in names]]
 
     def to_dataset(self, mode: str = "basic") -> LabeledDataset:
         index_of = {name: i for i, name in enumerate(self.class_names)}
         labels = np.array([index_of[n] for n in self.label_names], dtype=np.int64)
+        names = feature_names_for_mode(mode)
         return LabeledDataset(
-            features=self.columns(mode),
+            features=self.columns(names),
             labels=labels,
             num_classes=len(self.class_names),
-            feature_names=feature_names_for_mode(mode),
+            feature_names=names,
         )
 
 

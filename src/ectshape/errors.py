@@ -62,10 +62,6 @@ class DegenerateCloudError(EctShapeError):
     """All points identical; second moments are all zero."""
 
 
-class DegenerateMomentsError(EctShapeError):
-    """The covariance matrix is the zero matrix."""
-
-
 class CollinearCloudError(EctShapeError):
     """All points lie on one line; no 2D convex hull exists."""
 

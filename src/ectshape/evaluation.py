@@ -270,9 +270,7 @@ def cross_validate(
             exc.args = (f"fold {f}: {detail}",)
             raise
         test_idx = assignment.test_indices(f)
-        preds = np.array(
-            [predict(trained, data.features[i])[0] for i in test_idx], dtype=np.int64
-        )
+        preds, _ = predict(trained, data.features[test_idx])
         per_fold.append(confusion_matrix(data.labels[test_idx], preds, data.num_classes))
     pooled = per_fold[0]
     for m in per_fold[1:]:

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     CollinearCloudError,
     DegenerateCloudError,
-    DegenerateMomentsError,
     EmptyCloudError,
     ZeroWidthError,
 )
@@ -207,7 +206,7 @@ def principal_axes(moments: CentralMoments2) -> PrincipalAxes:
     """
     mu20, mu02, mu11 = moments.mu20, moments.mu02, moments.mu11
     if mu20 == 0.0 and mu02 == 0.0 and mu11 == 0.0:
-        raise DegenerateMomentsError("covariance is the zero matrix")
+        raise DegenerateCloudError("covariance is the zero matrix")
     mean = 0.5 * (mu20 + mu02)
     half_diff = 0.5 * (mu20 - mu02)
     disc = math.hypot(half_diff, mu11)

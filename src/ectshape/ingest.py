@@ -23,8 +23,6 @@ from .errors import (
 )
 from .textio import iter_data_lines
 
-DEFAULT_SAMPLE_RATE_HZ = 10_000.0
-
 
 @dataclass(frozen=True)
 class ClassLabel:
@@ -50,7 +48,6 @@ class ImpedanceRecord:
 
     record_id: str
     samples: np.ndarray
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     label: Optional[ClassLabel] = None
 
     def __post_init__(self) -> None:
@@ -59,8 +56,6 @@ class ImpedanceRecord:
             raise ValueError("samples must be a non-empty (n, 2) array")
         if not np.isfinite(samples).all():
             raise ValueError("samples must be finite")
-        if not (self.sample_rate_hz > 0):
-            raise ValueError("sample_rate_hz must be positive")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -96,7 +91,6 @@ class DatasetManifest:
 def parse_record(
     text: str,
     record_id: str,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
     label: Optional[ClassLabel] = None,
 ) -> ImpedanceRecord:
     """Parse record text into an :class:`ImpedanceRecord`.
@@ -132,9 +126,7 @@ def parse_record(
     if not rows:
         raise EmptyRecordError(f"record {record_id!r} has no data lines")
     samples = np.array(rows, dtype=np.float64)
-    return ImpedanceRecord(
-        record_id=record_id, samples=samples, sample_rate_hz=sample_rate_hz, label=label
-    )
+    return ImpedanceRecord(record_id=record_id, samples=samples, label=label)
 
 
 def record_to_text(record: ImpedanceRecord) -> str:

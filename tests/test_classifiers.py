@@ -11,7 +11,6 @@ from ectshape.classifiers import (
     TreeParams,
     TreeSplit,
     gnb_posterior,
-    gnb_posterior_direct,
     predict,
     train_gnb,
     train_mlp,
@@ -22,6 +21,7 @@ from ectshape.classifiers import (
 from ectshape.classifiers.decision_tree import tree_depth
 from ectshape.classifiers.perceptron import (
     _Sigmoid,
+    _Stack,
     example_loss_and_gradients,
     scale_features,
     train_mlp_stack,
@@ -92,26 +92,38 @@ def test_gnb_empty_class_raises():
 
 def test_gnb_confident_near_floored_class():
     model = train_gnb(dataset_1d([0.0, 0.0, 10.0, 10.0], [0, 0, 1, 1]))
-    posterior = gnb_posterior(model, np.array([0.0]))
-    assert posterior[0] > 0.99
+    posterior = gnb_posterior(model, np.array([[0.0]]))
+    assert posterior.shape == (1, 2)
+    assert posterior[0, 0] > 0.99
 
 
 def test_gnb_symmetric_tie_breaks_low():
     data = dataset_1d([-1.0, -3.0, 1.0, 3.0], [0, 0, 1, 1])
     trained = train_model("nb", data)
-    label, posterior = predict(trained, np.array([0.0]))
-    assert label == 0
-    assert posterior[0] == pytest.approx(0.5, abs=1e-12)
-    assert posterior[1] == pytest.approx(0.5, abs=1e-12)
+    labels, posteriors = predict(trained, np.array([[0.0]]))
+    assert labels.tolist() == [0]
+    assert posteriors[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert posteriors[0, 1] == pytest.approx(0.5, abs=1e-12)
+
+
+def gnb_posterior_direct(model, x):
+    """Posterior of one row via direct density products: the log-space
+    path's oracle where the densities stay representable."""
+    density = np.prod(
+        np.exp(-((x - model.means) ** 2) / (2.0 * model.variances))
+        / np.sqrt(2.0 * np.pi * model.variances),
+        axis=1,
+    )
+    joint = model.priors * density
+    return joint / joint.sum()
 
 
 def test_gnb_log_and_direct_paths_agree():
     data = blob_dataset()
     model = train_gnb(data)
     g = SplitMix64(8)
-    for _ in range(50):
-        x = np.array([g.uniform_in(-1, 5), g.uniform_in(-1, 7)])
-        a = gnb_posterior(model, x)
+    queries = np.array([[g.uniform_in(-1, 5), g.uniform_in(-1, 7)] for _ in range(50)])
+    for x, a in zip(queries, gnb_posterior(model, queries)):
         b = gnb_posterior_direct(model, x)
         assert np.abs(a - b).max() < 1e-9
         assert a.min() >= 0.0
@@ -129,17 +141,17 @@ def test_gnb_argmax_invariant_under_feature_permutation():
     m0 = train_gnb(data)
     m1 = train_gnb(permuted)
     g = SplitMix64(12)
-    for _ in range(30):
-        x = np.array([g.uniform_in(-2, 6), g.uniform_in(-2, 8)])
-        assert np.argmax(gnb_posterior(m0, x)) == np.argmax(
-            gnb_posterior(m1, x[::-1].copy())
-        )
+    x = np.array([[g.uniform_in(-2, 6), g.uniform_in(-2, 8)] for _ in range(30)])
+    assert np.array_equal(
+        np.argmax(gnb_posterior(m0, x), axis=1),
+        np.argmax(gnb_posterior(m1, x[:, ::-1].copy()), axis=1),
+    )
 
 
 def test_gnb_dimension_mismatch():
-    model = train_gnb(blob_dataset())
+    trained = train_model("nb", blob_dataset())
     with pytest.raises(DimensionMismatchError):
-        gnb_posterior(model, np.array([1.0, 2.0, 3.0]))
+        predict(trained, np.array([[1.0, 2.0, 3.0]]))
 
 
 # --- decision tree -----------------------------------------------------------
@@ -154,7 +166,9 @@ def test_tree_midpoint_threshold():
     assert isinstance(root.left, TreeLeaf) and isinstance(root.right, TreeLeaf)
     assert list(root.left.distribution) == [0.75, 0.25]  # Laplace (2+1)/(2+2)
     assert list(root.right.distribution) == [0.25, 0.75]
-    assert list(tree_posterior(model, np.array([3.0]))) == [0.75, 0.25]
+    assert tree_posterior(model, np.array([[3.0], [5.0]])).tolist() == [
+        [0.75, 0.25], [0.75, 0.25],  # 5.0 <= threshold goes left
+    ]
 
 
 def test_tree_identical_features_single_leaf():
@@ -192,11 +206,8 @@ def test_tree_tie_prefers_lowest_feature_index():
 def test_tree_min_leaf_one_reaches_training_recall():
     data = blob_dataset(seed=17)
     model = train_tree(data, TreeParams(min_leaf=1))
-    preds = [
-        int(np.argmax(tree_posterior(model, data.features[i])))
-        for i in range(data.n_rows)
-    ]
-    assert preds == list(data.labels)
+    preds = np.argmax(tree_posterior(model, data.features), axis=1)
+    assert preds.tolist() == data.labels.tolist()
 
 
 def test_tree_min_leaf_blocks_tiny_dataset():
@@ -255,23 +266,15 @@ def xor_dataset():
 def test_mlp_learns_xor():
     data = xor_dataset()
     model = train_mlp(data, MlpParams(hidden=4, epochs=5000, seed=1))
-    preds = [
-        int(np.argmax(
-            predict(
-                TrainedModel("mlp", model, data.feature_names, 2), data.features[i]
-            )[1]
-        ))
-        for i in range(4)
-    ]
-    assert preds == [0, 1, 1, 0]
+    trained = TrainedModel("mlp", model, data.feature_names, 2)
+    assert predict(trained, data.features)[0].tolist() == [0, 1, 1, 0]
 
 
 def test_mlp_memorizes_one_point_per_class():
     data = dataset_1d([0.0, 1.0], [0, 1])
     model = train_mlp(data, MlpParams(epochs=500, seed=0))
     trained = TrainedModel("mlp", model, data.feature_names, 2)
-    assert predict(trained, np.array([0.0]))[0] == 0
-    assert predict(trained, np.array([1.0]))[0] == 1
+    assert predict(trained, np.array([[0.0], [1.0]]))[0].tolist() == [0, 1]
 
 
 def test_mlp_bitwise_deterministic():
@@ -388,21 +391,22 @@ def test_sigmoid_accuracy():
 def test_predict_posteriors_are_distributions():
     data = blob_dataset(seed=6, n_per=8)
     g = SplitMix64(44)
+    x = np.array([[g.uniform_in(-2, 6), g.uniform_in(-2, 8)] for _ in range(10)])
     for kind, params in (("nb", None), ("tree", None), ("mlp", {"epochs": 20})):
         trained = train_model(kind, data, params, seed=1)
-        for _ in range(10):
-            x = np.array([g.uniform_in(-2, 6), g.uniform_in(-2, 8)])
-            label, posterior = predict(trained, x)
-            assert posterior.shape == (3,)
-            assert posterior.min() >= 0.0
-            assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
-            assert label == int(np.argmax(posterior))
+        labels, posteriors = predict(trained, x)
+        assert labels.shape == (10,) and labels.dtype == np.int64
+        assert posteriors.shape == (10, 3)
+        assert posteriors.min() >= 0.0
+        assert np.abs(posteriors.sum(axis=1) - 1.0).max() < 1e-9
+        assert np.array_equal(labels, np.argmax(posteriors, axis=1))
 
 
 def test_predict_dimension_mismatch():
     trained = train_model("tree", blob_dataset(seed=1, n_per=4))
-    with pytest.raises(DimensionMismatchError):
-        predict(trained, np.array([1.0, 2.0, 3.0]))
+    for bad in ([[1.0, 2.0, 3.0]], [1.0, 2.0], [[[1.0, 2.0]]]):
+        with pytest.raises(DimensionMismatchError):
+            predict(trained, np.array(bad))
 
 
 def test_train_model_rejects_unknown_kind():
@@ -418,3 +422,113 @@ def test_trained_model_label_names():
     assert named.label_name(0) == "low"
     with pytest.raises(ValueError):
         TrainedModel("nb", anon.model, ("f0",), 2, class_names=("only",))
+
+
+# --- batch prediction against the per-row oracle -----------------------------
+
+def reference_gnb_posterior(model, x):
+    log_density = -0.5 * (
+        np.log(2.0 * np.pi * model.variances)
+        + (x - model.means) ** 2 / model.variances
+    ).sum(axis=1)
+    log_joint = np.log(model.priors) + log_density
+    shifted = np.exp(log_joint - log_joint.max())
+    return shifted / shifted.sum()
+
+
+def reference_tree_posterior(model, x):
+    node = model.root
+    while isinstance(node, TreeSplit):
+        node = node.left if x[node.feature_index] <= node.threshold else node.right
+    return node.distribution.copy()
+
+
+def reference_mlp_posterior(model, x):
+    h, d = model.w1.shape
+    stack = _Stack(1, d, h, model.num_classes)
+    stack.set_params(0, model.w1, model.b1, model.w2, model.b2)
+    x_col = np.ones((1, d + 1, 1))
+    x_col[0, :d, 0] = scale_features(model, x)
+    stack.forward(x_col)
+    output = stack.output[0]
+    total = float(np.add.accumulate(output)[-1])
+    if total <= 0.0 or not math.isfinite(total):
+        return np.full(model.num_classes, 1.0 / model.num_classes)
+    return output / total
+
+
+REFERENCE_POSTERIOR = {
+    "nb": reference_gnb_posterior,
+    "tree": reference_tree_posterior,
+    "mlp": reference_mlp_posterior,
+}
+
+
+def reference_predict(trained, x):
+    """One row at a time: the kind's posterior, renormalized, then argmax."""
+    labels, posteriors = [], np.empty((x.shape[0], trained.num_classes))
+    for i, row in enumerate(x):
+        posterior = REFERENCE_POSTERIOR[trained.kind](trained.model, row)
+        posteriors[i] = posterior / posterior.sum()
+        labels.append(int(np.argmax(posteriors[i])))
+    return labels, posteriors
+
+
+def assert_matches_reference(trained, x):
+    labels, posteriors = predict(trained, x)
+    want_labels, want_posteriors = reference_predict(trained, x)
+    assert labels.tolist() == want_labels
+    assert posteriors.shape == want_posteriors.shape
+    assert posteriors.tobytes() == want_posteriors.tobytes()
+
+
+def oracle_dataset(rng, d, k, ties):
+    """k classes of 2-5 rows each around random centers; with ties, on a
+    small integer lattice so that rows, class means and thresholds repeat."""
+    labels = np.repeat(np.arange(k), rng.integers(2, 6, size=k))
+    features = rng.normal(size=(k, d))[labels] * 3.0 + rng.normal(size=(len(labels), d))
+    if ties:
+        features = np.clip(np.round(features / 2.0), -2, 2)
+    return LabeledDataset(
+        features=features, labels=labels, num_classes=k,
+        feature_names=tuple(f"f{j}" for j in range(d)),
+    )
+
+
+def oracle_queries(rng, data, n, ties):
+    """n queries at a random scale in 1e-3..1e4, or, with ties, lattice
+    points and their midpoints (where tree thresholds lie) plus training rows."""
+    d = data.n_features
+    if not ties:
+        return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3.0, 4.0)
+    pool = np.vstack((rng.integers(-4, 5, size=(n, d)) / 2.0, data.features))
+    return pool[rng.integers(0, pool.shape[0], size=n)]
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_batch_predict_matches_per_row_oracle(ties):
+    # every d in 1..11 with every K in 2..13 of one parity: K > 8 and d >= 8
+    # take numpy's pairwise sums through their 8-accumulator loop
+    rng = np.random.default_rng(2 + ties)
+    for d in range(1, 12):
+        for k in range(2 + (d + ties) % 2, 14, 2):
+            data = oracle_dataset(rng, d, k, ties)
+            queries = oracle_queries(rng, data, 40, ties)
+            for kind, params in (
+                ("nb", None), ("tree", {"min_leaf": 1}), ("mlp", {"epochs": 3}),
+            ):
+                trained = train_model(kind, data, params, seed=d * 100 + k)
+                for n in (0, 1, int(rng.integers(2, 41))):
+                    assert_matches_reference(trained, queries[:n])
+
+
+def test_batch_mlp_falls_back_to_uniform_per_row():
+    data = blob_dataset(seed=9, n_per=4)
+    trained = train_model("mlp", data, {"epochs": 5})
+    x = np.array([[1.0, 2.0], [np.nan, 0.0], [np.inf, -np.inf], [0.5, 6.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert_matches_reference(trained, x)
+        posteriors = predict(trained, x)[1]
+    assert posteriors[1].tolist() == [1 / 3] * 3
+    assert posteriors[2].tolist() == [1 / 3] * 3

@@ -5,11 +5,14 @@ import re
 import pytest
 
 from ectshape.artifacts import TOOL_VERSION, comparable_artifact, config_echo
+from ectshape.classifiers import predict
+from ectshape.classifiers.serialize import load_model
 from ectshape.cli import main
-from ectshape.dataset import FEATURE_CSV_HEADER
+from ectshape.dataset import FEATURE_CSV_HEADER, parse_feature_csv
 from ectshape.ingest import parse_record
 from ectshape.plots import record_svg
 from ectshape.preprocess import TrimPolicy, to_point_cloud, trim_noise
+from ectshape.textio import format_float
 
 
 def data_lines(text):
@@ -260,17 +263,6 @@ def test_extract_rerun_comparable_identical(tmp_path, synth_dir):
     assert comparable_artifact(out.read_text()) == comparable_artifact(first)
 
 
-def test_extract_feature_flag_only_annotates(tmp_path, synth_dir):
-    manifest = str(synth_dir / "manifest.csv")
-    a, b = tmp_path / "basic.csv", tmp_path / "ext.csv"
-    assert main(["extract", "--manifest", manifest, "--out", str(a),
-                 "--features", "basic"]) == 0
-    assert main(["extract", "--manifest", manifest, "--out", str(b),
-                 "--features", "extended"]) == 0
-    assert data_lines(a.read_text()) == data_lines(b.read_text())
-    assert "features=basic" in a.read_text()
-
-
 # --- evaluate ----------------------------------------------------------------
 
 def test_evaluate_all_classifiers(tmp_path, synth_dir, capsys):
@@ -282,7 +274,7 @@ def test_evaluate_all_classifiers(tmp_path, synth_dir, capsys):
     ])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 4  # header + tree + nb + mlp
+    assert len(lines) == 4  # header + one row per kind
     for row in lines[1:]:
         fields = row.split()
         assert fields[0] in ("tree", "nb", "mlp")
@@ -357,15 +349,70 @@ def test_train_then_classify_recovers_labels(tmp_path, synth_dir):
         assert 0.0 < float(confidence) <= 1.0
 
 
-def test_classify_feature_mode_mismatch_exits_3(tmp_path, synth_dir, capsys):
+def test_classify_takes_columns_from_an_extended_model(tmp_path, synth_dir):
     manifest = str(synth_dir / "manifest.csv")
-    model = tmp_path / "wide.model"
+    model, features = tmp_path / "wide.model", tmp_path / "features.csv"
+    preds = tmp_path / "p.csv"
     assert main(["train", "--manifest", manifest, "--classifier", "nb",
                  "--features", "extended", "--model-out", str(model)]) == 0
+    assert main(["classify", "--model", str(model), "--manifest", manifest,
+                 "--out", str(preds)]) == 0
+    assert main(["extract", "--manifest", manifest, "--out", str(features)]) == 0
+    table = parse_feature_csv(features.read_text())
+    trained = load_model(model.read_text())
+    labels, posteriors = predict(trained, table.values)  # all ten columns
+    assert data_lines(preds.read_text())[1:] == [
+        f"{rid},{trained.label_name(i)},{format_float(p[i])}"
+        for rid, i, p in zip(table.record_ids, labels, posteriors)
+    ]
+    assert "features=" not in preds.read_text()
+    # the flags that could only restate or contradict the model are gone
+    for argv in (
+        ["classify", "--model", str(model), "--manifest", manifest,
+         "--out", str(preds), "--features", "extended"],
+        ["extract", "--manifest", manifest, "--out", str(features),
+         "--features", "extended"],
+    ):
+        assert main(argv) == 2
+
+
+def test_classify_unknown_model_feature_exits_3(tmp_path, synth_dir, capsys):
+    manifest = str(synth_dir / "manifest.csv")
+    model = tmp_path / "model.txt"
+    assert main(["train", "--manifest", manifest, "--classifier", "nb",
+                 "--model-out", str(model)]) == 0
+    model.write_text(model.read_text().replace(
+        "feature_names L,W,alpha_deg", "feature_names L,W,beta"
+    ))
+    capsys.readouterr()
     code = main(["classify", "--model", str(model), "--manifest", manifest,
-                 "--out", str(tmp_path / "p.csv"), "--features", "basic"])
+                 "--out", str(tmp_path / "p.csv")])
     assert code == 3
-    assert "extraction mode" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: model feature 'beta' is not an extracted feature\n"
+    )
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["nb", "tree", "mlp"])
+def test_classify_with_every_record_skipped(tmp_path, synth_dir, capsys, kind):
+    model, preds = tmp_path / "model.txt", tmp_path / "p.csv"
+    assert main(["train", "--manifest", str(synth_dir / "manifest.csv"),
+                 "--classifier", kind, "--mlp-epochs", "5",
+                 "--model-out", str(model)]) == 0
+    write_record(tmp_path / "flat.csv", [(i, i) for i in range(10)])
+    write_record(tmp_path / "short.csv", [(1, 2), (3, 4)])
+    write_record(tmp_path / "line.csv", [(i, 2 * i) for i in range(10)])
+    manifest = make_manifest(
+        tmp_path, [("flat.csv", "round"), ("short.csv", "long"), ("line.csv", "mid")]
+    )
+    capsys.readouterr()
+    assert main(["classify", "--model", str(model), "--manifest", str(manifest),
+                 "--out", str(preds)]) == 0
+    assert data_lines(preds.read_text()) == ["record_id,predicted_label,confidence"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4
+    assert err[-1] == "skipped 3/3: ZeroWidthError×2, TooFewSamplesError×1"
 
 
 def test_classify_corrupt_model_exits_3(tmp_path, synth_dir, capsys):

@@ -51,12 +51,11 @@ def test_round_trip_preserves_everything(kind, params):
     for orig, back in zip(params_of(trained), params_of(loaded)):
         assert np.array_equal(orig, back)  # bit-exact, not approx
     g = SplitMix64(77)
-    for _ in range(20):
-        x = np.array([g.uniform_in(-1, 4) for _ in range(3)])
-        l0, p0 = predict(trained, x)
-        l1, p1 = predict(loaded, x)
-        assert l0 == l1
-        assert np.array_equal(p0, p1)
+    x = np.array([[g.uniform_in(-1, 4) for _ in range(3)] for _ in range(20)])
+    l0, p0 = predict(trained, x)
+    l1, p1 = predict(loaded, x)
+    assert np.array_equal(l0, l1)
+    assert np.array_equal(p0, p1)
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -76,11 +75,10 @@ def test_tree_structure_survives_round_trip():
     # same routing on every training row
     data = training_data()
     loaded = load_model(save_model(trained))
-    for i in range(data.n_rows):
-        l0, p0 = predict(trained, data.features[i])
-        l1, p1 = predict(loaded, data.features[i])
-        assert l0 == l1
-        assert np.array_equal(p0, p1)
+    l0, p0 = predict(trained, data.features)
+    l1, p1 = predict(loaded, data.features)
+    assert np.array_equal(l0, l1)
+    assert np.array_equal(p0, p1)
 
 
 def test_load_ignores_comments_and_blank_lines():
@@ -200,5 +198,4 @@ def test_deep_tree_chain_within_cap_loads():
     text = "\n".join(TREE_HEADER + body + ["leaf 0.25 0.75", "end"]) + "\n"
     trained = load_model(text)
     assert save_model(trained) == text
-    assert predict(trained, np.array([0.0]))[0] == 0
-    assert predict(trained, np.array([float(depth)]))[0] == 1
+    assert predict(trained, np.array([[0.0], [float(depth)]]))[0].tolist() == [0, 1]
