@@ -58,12 +58,30 @@ class TreeModel:
     n_features: int
 
 
-def _entropy_bits(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a (r, K) class-count matrix.
+
+    Each row gets the bits of summing -p*log2(p) over its nonzero
+    probabilities alone, as a 1-D array: rows are grouped by their number m
+    of nonzero counts and each group's nonzeros are packed, in order, into
+    an (rows, m) block, so numpy's pairwise sum sees the same m terms in
+    the same order. Zero padding would not do: past 8 terms the pairwise
+    sum's eight partial sums would regroup them. An all-zero row gives 0.
+    """
+    m = np.count_nonzero(counts, axis=1)
+    order = np.argsort(m, kind="stable")
+    packed = counts[order]
+    p = packed[packed > 0] / np.repeat(counts.sum(axis=1)[order], m[order])
+    terms = p * np.log2(p)
+    out = np.zeros(counts.shape[0])
+    row = term = 0
+    for width, n_rows in zip(*np.unique(m, return_counts=True)):
+        if width:
+            block = terms[term : term + n_rows * width].reshape(n_rows, width)
+            out[order[row : row + n_rows]] = -block.sum(axis=1)
+        row += n_rows
+        term += n_rows * width
+    return out
 
 
 @dataclass
@@ -81,47 +99,42 @@ def _best_split(
     num_classes: int,
     params: TreeParams,
 ) -> Optional[_Candidate]:
+    """The highest-scoring split, the first in (feature, sorted row) order on
+    ties; None when no boundary leaves min_leaf rows on both sides."""
     n = labels.shape[0]
+    order = np.argsort(features, axis=0, kind="stable").T  # (d, n)
+    v = np.take_along_axis(features.T, order, axis=1)
+    # splitting after sorted row i leaves i + 1 rows on the left
+    n_left = np.arange(1, n)
+    ok = (v[:, :-1] != v[:, 1:]) & (n_left >= params.min_leaf) & (
+        n - n_left >= params.min_leaf
+    )
+    feature, i = np.nonzero(ok)  # feature-major, the order ties are broken in
+    if feature.size == 0:
+        return None
+    # class counts left of each candidate boundary
+    left = np.cumsum(np.eye(num_classes)[labels[order]], axis=1)[feature, i]
     parent_counts = np.bincount(labels, minlength=num_classes)
-    parent_entropy = _entropy_bits(parent_counts)
-    best: Optional[_Candidate] = None
-    for j in range(features.shape[1]):
-        order = np.argsort(features[:, j], kind="stable")
-        v = features[order, j]
-        y = labels[order]
-        # prefix class counts after each sorted row
-        onehot = np.zeros((n, num_classes))
-        onehot[np.arange(n), y] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        boundaries = np.nonzero(v[:-1] != v[1:])[0]  # split after index i
-        for i in boundaries:
-            n_left = i + 1
-            n_right = n - n_left
-            if n_left < params.min_leaf or n_right < params.min_leaf:
-                continue
-            left_counts = prefix[i]
-            right_counts = parent_counts - left_counts
-            p_left = n_left / n
-            p_right = n_right / n
-            gain = parent_entropy - (
-                p_left * _entropy_bits(left_counts)
-                + p_right * _entropy_bits(right_counts)
-            )
-            split_info = -(p_left * np.log2(p_left) + p_right * np.log2(p_right))
-            if params.use_gain_ratio and split_info >= _GAIN_EPS:
-                score = gain / split_info
-            else:
-                score = gain
-            if best is None or score > best.score:
-                threshold = 0.5 * (v[i] + v[i + 1])
-                best = _Candidate(
-                    feature=j,
-                    threshold=threshold,
-                    gain=gain,
-                    score=score,
-                    left_mask=features[:, j] <= threshold,
-                )
-    return best
+    entropy = _entropies(np.vstack((parent_counts, left, parent_counts - left)))
+    c = feature.size
+    rows_left = n_left[i]
+    p_left = rows_left / n
+    p_right = (n - rows_left) / n
+    gain = entropy[0] - (p_left * entropy[1 : c + 1] + p_right * entropy[c + 1 :])
+    split_info = -(p_left * np.log2(p_left) + p_right * np.log2(p_right))
+    score = gain
+    if params.use_gain_ratio:
+        score = np.divide(gain, split_info, out=gain.copy(), where=split_info >= _GAIN_EPS)
+    best = int(np.argmax(score))  # first maximum
+    j, b = int(feature[best]), int(i[best])
+    threshold = 0.5 * (v[j, b] + v[j, b + 1])
+    return _Candidate(
+        feature=j,
+        threshold=threshold,
+        gain=gain[best],
+        score=score[best],
+        left_mask=features[:, j] <= threshold,
+    )
 
 
 def _grow(
@@ -129,25 +142,40 @@ def _grow(
     labels: np.ndarray,
     num_classes: int,
     params: TreeParams,
-    depth: int,
 ) -> TreeNode:
-    counts = np.bincount(labels, minlength=num_classes)
-    if (
-        np.count_nonzero(counts) <= 1  # pure
-        or depth >= params.max_depth
-        or labels.shape[0] < 2 * params.min_leaf
-    ):
-        return _leaf(counts)
-    best = _best_split(features, labels, num_classes, params)
-    if best is None or best.gain <= _GAIN_EPS:
-        return _leaf(counts)
-    left = best.left_mask
-    return TreeSplit(
-        feature_index=best.feature,
-        threshold=best.threshold,
-        left=_grow(features[left], labels[left], num_classes, params, depth + 1),
-        right=_grow(features[~left], labels[~left], num_classes, params, depth + 1),
-    )
+    """Grow the tree depth first, left subtree before right, with an explicit
+    stack so depth is bounded by max_depth and not by Python's recursion
+    limit. A task is a (features, labels, depth) subset still to grow, or a
+    (feature, threshold) split whose subtrees are the last two finished."""
+    todo: list[tuple] = [(features, labels, 0)]
+    done: list[TreeNode] = []
+    while todo:
+        task = todo.pop()
+        if len(task) == 2:
+            right = done.pop()
+            left = done.pop()
+            done.append(
+                TreeSplit(feature_index=task[0], threshold=task[1], left=left, right=right)
+            )
+            continue
+        x, y, depth = task
+        counts = np.bincount(y, minlength=num_classes)
+        if (
+            np.count_nonzero(counts) <= 1  # pure
+            or depth >= params.max_depth
+            or y.shape[0] < 2 * params.min_leaf
+        ):
+            done.append(_leaf(counts))
+            continue
+        best = _best_split(x, y, num_classes, params)
+        if best is None or best.gain <= _GAIN_EPS:
+            done.append(_leaf(counts))
+            continue
+        mask = best.left_mask
+        todo.append((best.feature, best.threshold))
+        todo.append((x[~mask], y[~mask], depth + 1))
+        todo.append((x[mask], y[mask], depth + 1))
+    return done[0]
 
 
 def _leaf(counts: np.ndarray) -> TreeLeaf:
@@ -156,16 +184,16 @@ def _leaf(counts: np.ndarray) -> TreeLeaf:
 
 
 def train_tree(data: LabeledDataset, params: TreeParams = TreeParams()) -> TreeModel:
-    """Grow a tree by recursive binary splitting.
+    """Grow a tree by binary splitting.
 
-    Recursion stops at purity, max_depth, min_leaf, or when no candidate
-    improves on zero gain.
+    A node becomes a leaf at purity, at max_depth, when min_leaf leaves no
+    split, or when no candidate improves on zero gain.
     """
     if data.n_rows < params.min_leaf or data.n_rows == 0:
         raise EmptyDatasetError(
             f"need at least min_leaf={params.min_leaf} rows, got {data.n_rows}"
         )
-    root = _grow(data.features, data.labels, data.num_classes, params, depth=0)
+    root = _grow(data.features, data.labels, data.num_classes, params)
     return TreeModel(root=root, num_classes=data.num_classes, n_features=data.n_features)
 
 
@@ -178,12 +206,3 @@ def tree_posterior(model: TreeModel, x: np.ndarray) -> np.ndarray:
             node = node.left if row[node.feature_index] <= node.threshold else node.right
         out[i] = node.distribution
     return out
-
-
-def tree_depth(model: TreeModel) -> int:
-    def walk(node: TreeNode) -> int:
-        if isinstance(node, TreeLeaf):
-            return 0
-        return 1 + max(walk(node.left), walk(node.right))
-
-    return walk(model.root)

@@ -24,7 +24,8 @@ from .perceptron import MlpModel
 
 MAGIC = "ectshape-model"
 FORMAT_VERSION = "v1"
-# deeper than train_tree, which recurses once per level, can grow
+# nested splits a model file may hold; the reader keeps one pending split
+# per level, and `train` caps --tree-max-depth here so its trees load back
 _MAX_TREE_DEPTH = 1000
 
 

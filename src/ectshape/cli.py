@@ -21,7 +21,7 @@ from .artifacts import (
     write_artifact,
 )
 from .classifiers import CLASSIFIER_KINDS, predict, train_model
-from .classifiers.serialize import load_model, save_model
+from .classifiers.serialize import _MAX_TREE_DEPTH, load_model, save_model
 from .dataset import (
     FEATURE_CSV_HEADER,
     FEATURE_MODES,
@@ -51,6 +51,15 @@ EXIT_DATA = 3
 
 PREDICTIONS_CSV_HEADER = "record_id,predicted_label,confidence"
 
+# inclusive (low, high) of each integer hyperparameter flag, None unbounded;
+# the depth cap keeps every tree that `train` writes loadable
+_PARAM_RANGES = {
+    "mlp_hidden": (1, None),
+    "mlp_epochs": (1, None),
+    "tree_max_depth": (1, _MAX_TREE_DEPTH),
+    "tree_min_leaf": (1, None),
+}
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -59,6 +68,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
         return EXIT_OK if code == 0 else EXIT_CONFIG
+    for name, (low, high) in _PARAM_RANGES.items():
+        value = getattr(args, name, None)
+        if value is None or (low <= value and (high is None or value <= high)):
+            continue
+        flag = "--" + name.replace("_", "-")
+        bound = f"at least {low}" if high is None else f"in {low}..{high}"
+        return _fail_config(f"{flag} must be {bound}, got {value}")
     return args.func(args)
 
 

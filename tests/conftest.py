@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ectshape.classifiers import TreeModel, TreeSplit
 from ectshape.preprocess import PointCloud2D
 from ectshape.rng import SplitMix64
 
@@ -59,3 +60,15 @@ def angles_close(a: float, b: float, tol: float) -> bool:
     """Compare two axis angles on the 180-degree circle."""
     d = abs(a - b) % 180.0
     return min(d, 180.0 - d) <= tol
+
+
+def tree_depth(model: TreeModel) -> int:
+    """Splits on the longest root-to-leaf path."""
+    deepest, todo = 0, [(model.root, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if isinstance(node, TreeSplit):
+            todo += ((node.left, depth + 1), (node.right, depth + 1))
+        else:
+            deepest = max(deepest, depth)
+    return deepest

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import tree_depth
 from ectshape.classifiers import (
     MlpParams,
     TrainedModel,
@@ -18,7 +19,7 @@ from ectshape.classifiers import (
     train_tree,
     tree_posterior,
 )
-from ectshape.classifiers.decision_tree import tree_depth
+from ectshape.classifiers import decision_tree
 from ectshape.classifiers.perceptron import (
     _Sigmoid,
     _Stack,
@@ -220,6 +221,172 @@ def test_tree_deterministic():
     t0 = train_model("tree", data, {"min_leaf": 1})
     t1 = train_model("tree", data, {"min_leaf": 1})
     assert save_model(t0) == save_model(t1)
+
+
+# --- split search against the per-boundary oracle ----------------------------
+
+def reference_entropy_bits(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def reference_best_split(features, labels, num_classes, params):
+    """One boundary at a time, strict > across (feature, boundary) order."""
+    n = labels.shape[0]
+    parent_counts = np.bincount(labels, minlength=num_classes)
+    parent_entropy = reference_entropy_bits(parent_counts)
+    best = None
+    for j in range(features.shape[1]):
+        order = np.argsort(features[:, j], kind="stable")
+        v = features[order, j]
+        y = labels[order]
+        onehot = np.zeros((n, num_classes))
+        onehot[np.arange(n), y] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        for i in np.nonzero(v[:-1] != v[1:])[0]:
+            n_left = i + 1
+            n_right = n - n_left
+            if n_left < params.min_leaf or n_right < params.min_leaf:
+                continue
+            left_counts = prefix[i]
+            right_counts = parent_counts - left_counts
+            p_left = n_left / n
+            p_right = n_right / n
+            gain = parent_entropy - (
+                p_left * reference_entropy_bits(left_counts)
+                + p_right * reference_entropy_bits(right_counts)
+            )
+            split_info = -(p_left * np.log2(p_left) + p_right * np.log2(p_right))
+            if params.use_gain_ratio and split_info >= decision_tree._GAIN_EPS:
+                score = gain / split_info
+            else:
+                score = gain
+            if best is None or score > best.score:
+                threshold = 0.5 * (v[i] + v[i + 1])
+                best = decision_tree._Candidate(
+                    feature=j, threshold=threshold, gain=gain, score=score,
+                    left_mask=features[:, j] <= threshold,
+                )
+    return best
+
+
+def candidate_bits(candidate):
+    if candidate is None:
+        return None
+    return (
+        candidate.feature,
+        np.float64(candidate.threshold).tobytes(),
+        np.float64(candidate.gain).tobytes(),
+        np.float64(candidate.score).tobytes(),
+        candidate.left_mask.tolist(),
+    )
+
+
+SPLIT_PARAMS = (
+    TreeParams(), TreeParams(min_leaf=1), TreeParams(min_leaf=5),
+    TreeParams(use_gain_ratio=False),
+)
+
+
+def split_oracle_case(rng, k):
+    """Features (n, d) and labels in 0..k-1: an integer lattice at a scale in
+    1e-3..1e5 (many equal values, equal scores within a feature) or normal
+    data; half the time the last column repeats the first, so equal scores
+    also span features."""
+    n, d = int(rng.integers(2, 80)), int(rng.integers(1, 5))
+    if rng.random() < 0.7:
+        features = rng.integers(-3, 4, size=(n, d)) * 10.0 ** int(rng.integers(-3, 6))
+    else:
+        features = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3.0, 5.0)
+    if d > 1 and rng.random() < 0.5:
+        features[:, -1] = features[:, 0]
+    labels = rng.integers(0, k, size=n)
+    if rng.random() < 0.3:  # classes in runs along the first feature
+        labels = np.sort(labels)[np.argsort(np.argsort(features[:, 0], kind="stable"))]
+    return features, labels
+
+
+def assert_split_search_matches_oracle(seed, cases_per_k):
+    """_best_split against the per-boundary loop for K = 2..20 under every
+    SPLIT_PARAMS; the same candidate bits and left mask, or both None."""
+    rng = np.random.default_rng(seed)
+    for k in range(2, 21):
+        for _ in range(cases_per_k):
+            features, labels = split_oracle_case(rng, k)
+            for params in SPLIT_PARAMS:
+                got = decision_tree._best_split(features, labels, k, params)
+                want = reference_best_split(features, labels, k, params)
+                assert candidate_bits(got) == candidate_bits(want), (k, params)
+
+
+@pytest.mark.parametrize("gain_eps", [None, 0.5])
+def test_best_split_matches_per_boundary_oracle(monkeypatch, gain_eps):
+    # no reachable row count brings split info below 1e-12, so the raised
+    # threshold is what exercises the fall back from gain ratio to gain
+    if gain_eps is not None:
+        monkeypatch.setattr(decision_tree, "_GAIN_EPS", gain_eps)
+    assert_split_search_matches_oracle(seed=11 + bool(gain_eps), cases_per_k=6)
+
+
+def test_entropies_match_per_row_oracle():
+    # K > 8 rows with more than 8 nonzero counts go through the pairwise
+    # sum's 8-accumulator loop
+    rng = np.random.default_rng(4)
+    for k in range(2, 40):
+        counts = rng.integers(0, 50, size=(300, k)).astype(float)
+        counts[rng.random(size=counts.shape) < rng.random(size=(300, 1))] = 0.0
+        counts[:3] = 0.0
+        counts[1, -1] = 7.0
+        counts[2, :] = 1e6
+        want = np.array([reference_entropy_bits(row) for row in counts])
+        assert decision_tree._entropies(counts).tobytes() == want.tobytes(), k
+
+
+def reference_grow(features, labels, num_classes, params, depth=0):
+    """The recursive tree growth the explicit stack replaced."""
+    counts = np.bincount(labels, minlength=num_classes)
+    if (
+        np.count_nonzero(counts) <= 1
+        or depth >= params.max_depth
+        or labels.shape[0] < 2 * params.min_leaf
+    ):
+        return decision_tree._leaf(counts)
+    best = decision_tree._best_split(features, labels, num_classes, params)
+    if best is None or best.gain <= decision_tree._GAIN_EPS:
+        return decision_tree._leaf(counts)
+    left = best.left_mask
+    return TreeSplit(
+        feature_index=best.feature,
+        threshold=best.threshold,
+        left=reference_grow(features[left], labels[left], num_classes, params, depth + 1),
+        right=reference_grow(features[~left], labels[~left], num_classes, params, depth + 1),
+    )
+
+
+def test_tree_growth_matches_recursive_oracle():
+    rng = np.random.default_rng(8)
+    for k in (2, 5, 12):
+        for _ in range(4):
+            features, labels = split_oracle_case(rng, k)
+            data = LabeledDataset(
+                features=features, labels=labels, num_classes=k,
+                feature_names=tuple(f"f{j}" for j in range(features.shape[1])),
+            )
+            for params in SPLIT_PARAMS + (TreeParams(max_depth=2, min_leaf=1),):
+                if labels.shape[0] < params.min_leaf:
+                    continue
+                want = TrainedModel(
+                    "tree",
+                    decision_tree.TreeModel(
+                        reference_grow(features, labels, k, params), k, data.n_features
+                    ),
+                    data.feature_names, k,
+                )
+                got = train_model("tree", data, vars(params))
+                assert save_model(got) == save_model(want)
 
 
 # --- perceptron --------------------------------------------------------------

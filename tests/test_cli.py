@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from conftest import tree_depth
 from ectshape.artifacts import TOOL_VERSION, comparable_artifact, config_echo
 from ectshape.classifiers import predict
 from ectshape.classifiers.serialize import load_model
@@ -465,6 +466,51 @@ def test_classify_deep_tree_model_exits_3_with_one_line(tmp_path, synth_dir, cap
     err = capsys.readouterr().err
     assert err.startswith("error: line ")
     assert err.count("\n") == 1
+
+
+def test_thousand_level_tree_trains_saves_and_classifies(tmp_path, synth_dir):
+    # labels alternate along L, the only feature that varies, so each split
+    # peels one row off a chain as deep as --tree-max-depth allows
+    csv = tmp_path / "features.csv"
+    rows = [f"r{i},{'ab'[i % 2]},{i}," + ",".join(["1.5"] * 9) for i in range(1002)]
+    csv.write_text(FEATURE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    model = tmp_path / "chain.txt"
+    assert main(["train", "--features-csv", str(csv), "--classifier", "tree",
+                 "--tree-max-depth", "1000", "--tree-min-leaf", "1",
+                 "--model-out", str(model)]) == 0
+    assert tree_depth(load_model(model.read_text()).model) == 1000
+    preds = tmp_path / "p.csv"
+    assert main(["classify", "--model", str(model),
+                 "--manifest", str(synth_dir / "manifest.csv"),
+                 "--out", str(preds)]) == 0
+    assert len(data_lines(preds.read_text())) == 37
+
+
+OUT_OF_RANGE = [
+    ("--mlp-hidden", "0", "at least 1"),
+    ("--mlp-epochs", "-5", "at least 1"),
+    ("--mlp-epochs", "0", "at least 1"),
+    ("--tree-max-depth", "-3", "in 1..1000"),
+    ("--tree-max-depth", "0", "in 1..1000"),
+    ("--tree-max-depth", "1001", "in 1..1000"),
+    ("--tree-min-leaf", "0", "at least 1"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize(
+    "flag,value,bound", OUT_OF_RANGE, ids=[f"{f[2:]}={v}" for f, v, _ in OUT_OF_RANGE]
+)
+def test_out_of_range_hyperparameter_exits_2_with_one_line(
+    tmp_path, synth_dir, capsys, command, flag, value, bound
+):
+    out = ["--model-out", str(tmp_path / "m.txt")] if command == "train" else [
+        "--out-dir", str(tmp_path / "eval")]
+    code = main([command, "--manifest", str(synth_dir / "manifest.csv"),
+                 "--classifier", "mlp", flag, value] + out)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag} must be {bound}, got {value}\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

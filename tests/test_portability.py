@@ -1,8 +1,11 @@
-"""An MLP's bits do not depend on the CPU kernels its process picks.
+"""An MLP's and a tree's bits do not depend on the CPU kernels their process
+picks.
 
 Each case trains in a child interpreter whose environment differs from an
 unchanged child's in one setting that moves OpenBLAS, numpy or glibc to other
-CPU kernels, and compares the digests of what the two children produced.
+CPU kernels, and compares the digests of what the two children produced. The
+tree child also runs the split-search oracle of tests/test_classifiers.py,
+since the vectorised split search takes np.log2 over whole blocks.
 Nothing is set in this process. A setting that this CPU, numpy build or glibc
 does not honour is skipped, and the skip says why.
 """
@@ -18,15 +21,17 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+TESTS = Path(__file__).resolve().parent
+SRC = str(TESTS.parent / "src")
 SETTINGS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES")
 DISABLED_NUMPY_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
 
-# Trains one model and one 3-fold evaluation, then prints the sha256 of the
-# model file and metrics CSV, the OpenBLAS core in use and numpy's CPU
-# features.
+# Trains one model and one 3-fold evaluation of the kind named by its argument
+# (mlp, or tree on tie-heavy lattice data, which also runs the split oracle),
+# then prints the sha256 of the model file and metrics CSV, the oracle's
+# failure if any, the OpenBLAS core in use and numpy's CPU features.
 CHILD = r"""
-import ctypes, glob, hashlib, json, os
+import ctypes, glob, hashlib, json, os, sys
 import numpy as np
 from ectshape.classifiers import train_model
 from ectshape.classifiers.serialize import save_model
@@ -34,17 +39,34 @@ from ectshape.dataset import LabeledDataset
 from ectshape.evaluation import cross_validate, metrics_csv_lines
 from ectshape.rng import SplitMix64
 
+kind = sys.argv[1]
 g = SplitMix64(2024)
 rows, labels = [], []
-for c, center in enumerate(((0, 0, 1), (3, 1, 2), (1, 4, 0), (4, 4, 3))):
-    for _ in range(15):
-        rows.append([v + 0.6 * g.normal() for v in center])
-        labels.append(c)
+if kind == "mlp":
+    for c, center in enumerate(((0, 0, 1), (3, 1, 2), (1, 4, 0), (4, 4, 3))):
+        for _ in range(15):
+            rows.append([v + 0.6 * g.normal() for v in center])
+            labels.append(c)
+    params, cv_params = {"epochs": 4}, {"epochs": 2}
+else:
+    for c in range(12):
+        center = (c % 4, c // 4, (c * 7) % 5)
+        for _ in range(10):
+            rows.append([round(2.0 * (v + 0.7 * g.normal())) / 4.0 for v in center])
+            labels.append(c)
+    params = cv_params = {"min_leaf": 1}
 data = LabeledDataset(features=np.array(rows), labels=np.array(labels),
-                      num_classes=4, feature_names=("L", "W", "alpha_deg"))
-model = save_model(train_model("mlp", data, {"epochs": 4}, seed=5))
-report = metrics_csv_lines(cross_validate(data, "mlp", {"epochs": 2}, k=3, seed=5))
+                      num_classes=len(set(labels)), feature_names=("L", "W", "alpha_deg"))
+model = save_model(train_model(kind, data, params, seed=5))
+report = metrics_csv_lines(cross_validate(data, kind, cv_params, k=3, seed=5))
 digest = hashlib.sha256((model + "\n".join(report)).encode()).hexdigest()
+oracle = None
+if kind == "tree":
+    from test_classifiers import assert_split_search_matches_oracle
+    try:
+        assert_split_search_matches_oracle(seed=11, cases_per_k=2)
+    except AssertionError as exc:
+        oracle = f"split search differs from the oracle at {exc}"
 
 def corename():
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
@@ -62,32 +84,45 @@ try:
     from numpy._core._multiarray_umath import __cpu_features__ as features
 except ImportError:
     from numpy.core._multiarray_umath import __cpu_features__ as features
-print(json.dumps({"digest": digest, "corename": corename(), "features": features}))
+print(json.dumps({"digest": digest, "oracle": oracle, "corename": corename(),
+                  "features": features}))
 """
 
-# sha256 of the child's model file and metrics CSV; it changes only if the
+# sha256 of each child's model file and metrics CSV; it changes only if the
 # training arithmetic does
 PINNED_DIGEST = "130bb588ced83fe4b3ae8f25e0806b4e771151d0fcb3a595becd144deab39eff"
+PINNED_TREE_DIGEST = "0a7acf2a143e85f2ddf16cd5715242cc2f090c3804fe98fa8ff14c4e91703340"
 
 
 def base_env() -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if k not in SETTINGS}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, str(TESTS), env.get("PYTHONPATH")))
+    )
     return env
 
 
-def run_child(extra: dict[str, str]) -> subprocess.CompletedProcess:
+def run_child(kind: str, extra: dict[str, str]) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", CHILD], env={**base_env(), **extra},
+        [sys.executable, "-c", CHILD, kind], env={**base_env(), **extra},
         capture_output=True, text=True, timeout=300,
     )
 
 
-@pytest.fixture(scope="module")
-def baseline() -> dict:
-    proc = run_child({})
+def run_baseline(kind: str) -> dict:
+    proc = run_child(kind, {})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def baseline() -> dict:
+    return run_baseline("mlp")
+
+
+@pytest.fixture(scope="module")
+def tree_baseline() -> dict:
+    return run_baseline("tree")
 
 
 def glibc_active_features(extra: dict[str, str]) -> set[str] | None:
@@ -134,7 +169,7 @@ def honoured(name: str, value: str, child: dict, baseline: dict) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("name,value", [
+SETTING_CASES = [
     ("OPENBLAS_CORETYPE", "Prescott"),
     ("OPENBLAS_CORETYPE", "Haswell"),
     ("OPENBLAS_CORETYPE", "SkylakeX"),
@@ -142,9 +177,11 @@ def honoured(name: str, value: str, child: dict, baseline: dict) -> str | None:
     # glibc < 2.33 spells the feature names with _Usable, later ones without
     ("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-FMA_Usable,-AVX2_Usable"),
     ("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-FMA,-AVX2"),
-])
-def test_mlp_digest_same_under_cpu_kernel_setting(baseline, name, value):
-    proc = run_child({name: value})
+]
+
+
+def assert_same_under_setting(kind: str, baseline: dict, name: str, value: str) -> None:
+    proc = run_child(kind, {name: value})
     if proc.returncode != 0:
         lines = proc.stderr.strip().splitlines()
         pytest.skip(f"child failed under {name}: {lines[-1] if lines else proc.returncode}")
@@ -152,8 +189,26 @@ def test_mlp_digest_same_under_cpu_kernel_setting(baseline, name, value):
     reason = honoured(name, value, child, baseline)
     if reason:
         pytest.skip(reason)
+    assert child["oracle"] is None, child["oracle"]
     assert child["digest"] == baseline["digest"]
+
+
+@pytest.mark.parametrize("name,value", SETTING_CASES)
+def test_mlp_digest_same_under_cpu_kernel_setting(baseline, name, value):
+    assert_same_under_setting("mlp", baseline, name, value)
 
 
 def test_mlp_digest_pinned(baseline):
     assert baseline["digest"] == PINNED_DIGEST
+
+
+@pytest.mark.parametrize("name,value", SETTING_CASES)
+def test_tree_digest_and_split_oracle_same_under_cpu_kernel_setting(
+    tree_baseline, name, value
+):
+    assert_same_under_setting("tree", tree_baseline, name, value)
+
+
+def test_tree_digest_pinned_and_split_oracle_holds(tree_baseline):
+    assert tree_baseline["oracle"] is None, tree_baseline["oracle"]
+    assert tree_baseline["digest"] == PINNED_TREE_DIGEST
