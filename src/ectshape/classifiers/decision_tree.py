@@ -18,6 +18,9 @@ from ..errors import EmptyDatasetError
 
 # split-info below this falls back to raw gain; gains below it stop recursion
 _GAIN_EPS = 1e-12
+# deepest tree that may be grown; a model file holds no deeper one, so every
+# tree trained loads back
+MAX_DEPTH = 1000
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,14 @@ class TreeParams:
     max_depth: int = 25
     min_leaf: int = 2
     use_gain_ratio: bool = True
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.max_depth <= MAX_DEPTH:
+            raise ValueError(
+                f"max_depth must be in 1..{MAX_DEPTH}, got {self.max_depth}"
+            )
+        if self.min_leaf < 1:
+            raise ValueError(f"min_leaf must be at least 1, got {self.min_leaf}")
 
 
 @dataclass(frozen=True)

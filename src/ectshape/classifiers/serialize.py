@@ -18,15 +18,12 @@ import numpy as np
 from ..errors import ModelFormatError
 from ..textio import format_float, iter_data_lines
 from . import CLASSIFIER_KINDS, TrainedModel
-from .decision_tree import TreeLeaf, TreeModel, TreeNode, TreeSplit
+from .decision_tree import MAX_DEPTH, TreeLeaf, TreeModel, TreeNode, TreeSplit
 from .naive_bayes import GnbModel
 from .perceptron import MlpModel
 
 MAGIC = "ectshape-model"
 FORMAT_VERSION = "v1"
-# nested splits a model file may hold; the reader keeps one pending split
-# per level, and `train` caps --tree-max-depth here so its trees load back
-_MAX_TREE_DEPTH = 1000
 
 
 def save_model(trained: TrainedModel) -> str:
@@ -244,8 +241,9 @@ def _read_tree(reader: _LineReader, num_classes: int) -> TreeModel:
             feature = reader.to_int(fields[1], "split feature")
             if not 0 <= feature < n_features:
                 raise reader.error(f"split feature {feature} outside 0..{n_features - 1}")
-            if len(pending) == _MAX_TREE_DEPTH:
-                raise reader.error(f"tree deeper than {_MAX_TREE_DEPTH} levels")
+            # one pending split per level: MAX_DEPTH nested splits at most
+            if len(pending) == MAX_DEPTH:
+                raise reader.error(f"tree deeper than {MAX_DEPTH} levels")
             pending.append([feature, reader.to_float(fields[2], "split threshold"), None])
             continue
         if fields[0] != "leaf":

@@ -1,7 +1,8 @@
 """Command-line frontend for the impedance-shape pipeline.
 
 Exit codes are fixed for scriptability: 0 success, 2 usage/config error,
-3 data/processing error.
+3 data/processing error. Subcommands raise; `main` alone maps the class
+of what escapes them to an exit code and one `error:` line.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import os
 import sys
 from collections import Counter
 from collections.abc import Callable
+from typing import NoReturn
 
 import numpy as np
 
@@ -21,7 +23,8 @@ from .artifacts import (
     write_artifact,
 )
 from .classifiers import CLASSIFIER_KINDS, predict, train_model
-from .classifiers.serialize import _MAX_TREE_DEPTH, load_model, save_model
+from .classifiers.decision_tree import MAX_DEPTH
+from .classifiers.serialize import load_model, save_model
 from .dataset import (
     FEATURE_CSV_HEADER,
     FEATURE_MODES,
@@ -51,23 +54,20 @@ EXIT_DATA = 3
 
 PREDICTIONS_CSV_HEADER = "record_id,predicted_label,confidence"
 
-# inclusive (low, high) of each integer hyperparameter flag, None unbounded;
-# the depth cap keeps every tree that `train` writes loadable
+# inclusive (low, high) of each integer hyperparameter flag, None unbounded
 _PARAM_RANGES = {
     "mlp_hidden": (1, None),
     "mlp_epochs": (1, None),
-    "tree_max_depth": (1, _MAX_TREE_DEPTH),
+    "tree_max_depth": (1, MAX_DEPTH),
     "tree_min_leaf": (1, None),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-        return EXIT_OK if code == 0 else EXIT_CONFIG
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     for name, (low, high) in _PARAM_RANGES.items():
         value = getattr(args, name, None)
         if value is None or (low <= value and (high is None or value <= high)):
@@ -75,11 +75,33 @@ def main(argv: list[str] | None = None) -> int:
         flag = "--" + name.replace("_", "-")
         bound = f"at least {low}" if high is None else f"in {low}..{high}"
         return _fail_config(f"{flag} must be {bound}, got {value}")
-    return args.func(args)
+    policy = None
+    if "trim_mode" in args:
+        try:
+            policy = TrimPolicy(
+                quantile_q=args.trim_quantile, mode=args.trim_mode.replace("-", "_")
+            )
+        except ValueError as exc:
+            return _fail_config(str(exc))
+    # an unreadable input is a usage error; this clause comes first because
+    # UnicodeDecodeError is a ValueError
+    try:
+        return args.func(args, policy)
+    except (OSError, UnicodeDecodeError, BadSpecError) as exc:
+        return _fail_config(str(exc))
+    except (EctShapeError, ValueError) as exc:
+        return _fail_data(str(exc))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one `error:` line; subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ect-shape",
         description="Shape-based classification of eddy-current impedance records.",
     )
@@ -193,12 +215,6 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _policy(args: argparse.Namespace) -> TrimPolicy:
-    return TrimPolicy(
-        quantile_q=args.trim_quantile, mode=args.trim_mode.replace("-", "_")
-    )
-
-
 def _load_manifest_from(path: str):
     manifest = load_manifest(_read(path))
     base = os.path.dirname(os.path.abspath(path))
@@ -216,9 +232,9 @@ def extract_table(
     """Features of every manifest record, in manifest order.
 
     The one record-to-features path of every subcommand that reads a
-    manifest. A record that cannot be read, parsed, trimmed or measured is
-    left out of the table and listed in skipped as (path, exception), in
-    manifest order.
+    manifest. A record that cannot be read, decoded, parsed, trimmed or
+    measured is left out of the table and listed in skipped as
+    (path, exception), in manifest order.
     """
     ids, labels, rows, skipped = [], [], [], []
     for path, label_name in manifest.entries:
@@ -228,7 +244,7 @@ def extract_table(
                 reader(path), record_id=rid, label=manifest.label_for(label_name)
             )
             feats = shape_descriptors(trim_noise(to_point_cloud(record), policy))
-        except (EctShapeError, OSError) as exc:
+        except (EctShapeError, OSError, UnicodeDecodeError) as exc:
             skipped.append((path, exc))
             continue
         ids.append(rid)
@@ -250,12 +266,8 @@ def _report_skips(skipped: list[tuple[str, Exception]], total: int) -> None:
     print(f"skipped {len(skipped)}/{total}: {kinds}", file=sys.stderr)
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    try:
-        manifest, reader = _load_manifest_from(args.manifest)
-        policy = _policy(args)
-    except (OSError, EctShapeError, ValueError) as exc:
-        return _fail_config(str(exc))
+def cmd_extract(args: argparse.Namespace, policy: TrimPolicy) -> int:
+    manifest, reader = _load_manifest_from(args.manifest)
     table, skipped = extract_table(manifest, reader, policy)
     if skipped and args.strict:
         path, exc = skipped[0]
@@ -267,14 +279,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
             table.record_ids, table.label_names, table.values
         )
     ]
-    try:
-        write_artifact(args.out, lines, _config_of(args))
-    except OSError as exc:
-        return _fail_config(str(exc))
+    write_artifact(args.out, lines, _config_of(args))
     return EXIT_OK
 
 
-def _load_table(args: argparse.Namespace) -> FeatureTable:
+def _load_table(args: argparse.Namespace, policy: TrimPolicy) -> FeatureTable:
     """Feature table from --features-csv, or extracted from --manifest.
 
     The two routes agree bit-for-bit: the CSV stores 17 significant digits,
@@ -283,7 +292,7 @@ def _load_table(args: argparse.Namespace) -> FeatureTable:
     if args.features_csv:
         return parse_feature_csv(_read(args.features_csv))
     manifest, reader = _load_manifest_from(args.manifest)
-    table, skipped = extract_table(manifest, reader, _policy(args))
+    table, skipped = extract_table(manifest, reader, policy)
     _report_skips(skipped, len(manifest.entries))
     return table
 
@@ -303,16 +312,8 @@ def _params_for(kind: str, args: argparse.Namespace) -> dict:
     return {}
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        table = _load_table(args)
-        _policy(args)
-    except OSError as exc:
-        return _fail_config(str(exc))
-    except ValueError as exc:
-        return _fail_config(str(exc))
-    except EctShapeError as exc:
-        return _fail_data(str(exc))
+def cmd_evaluate(args: argparse.Namespace, policy: TrimPolicy) -> int:
+    table = _load_table(args, policy)
     try:
         data = table.to_dataset(args.features)
     except ValueError as exc:
@@ -337,21 +338,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         except EctShapeError as exc:
             return _fail_data(f"{kind}: {exc}")
-        try:
-            write_artifact(
-                os.path.join(args.out_dir, f"report_{kind}.txt"),
-                report_text(report).splitlines(),
-                config,
-                seed=args.seed,
-            )
-            write_artifact(
-                os.path.join(args.out_dir, f"metrics_{kind}.csv"),
-                metrics_csv_lines(report),
-                config,
-                seed=args.seed,
-            )
-        except OSError as exc:
-            return _fail_config(str(exc))
+        write_artifact(
+            os.path.join(args.out_dir, f"report_{kind}.txt"),
+            report_text(report).splitlines(),
+            config,
+            seed=args.seed,
+        )
+        write_artifact(
+            os.path.join(args.out_dir, f"metrics_{kind}.csv"),
+            metrics_csv_lines(report),
+            config,
+            seed=args.seed,
+        )
         m = report.macro
         summary.append(
             f"{kind:<12} {m.accuracy:>9.4f} {m.sensitivity:>12.4f}"
@@ -361,52 +359,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    try:
-        table = _load_table(args)
-    except OSError as exc:
-        return _fail_config(str(exc))
-    except ValueError as exc:
-        return _fail_config(str(exc))
-    except EctShapeError as exc:
-        return _fail_data(str(exc))
-    try:
-        data = table.to_dataset(args.features)
-        trained = train_model(
-            args.classifier,
-            data,
-            params=_params_for(args.classifier, args),
-            seed=args.seed,
-            class_names=table.class_names,
-        )
-    except (EctShapeError, ValueError) as exc:
-        return _fail_data(str(exc))
-    try:
-        write_artifact(
-            args.model_out,
-            save_model(trained).splitlines(),
-            _config_of(args),
-            seed=args.seed,
-        )
-    except OSError as exc:
-        return _fail_config(str(exc))
+def cmd_train(args: argparse.Namespace, policy: TrimPolicy) -> int:
+    table = _load_table(args, policy)
+    trained = train_model(
+        args.classifier,
+        table.to_dataset(args.features),
+        params=_params_for(args.classifier, args),
+        seed=args.seed,
+        class_names=table.class_names,
+    )
+    write_artifact(
+        args.model_out,
+        save_model(trained).splitlines(),
+        _config_of(args),
+        seed=args.seed,
+    )
     return EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        model_text = _read(args.model)
-    except OSError as exc:
-        return _fail_config(str(exc))
-    try:
-        trained = load_model(model_text)
-    except EctShapeError as exc:
-        return _fail_data(str(exc))
-    try:
-        manifest, reader = _load_manifest_from(args.manifest)
-        policy = _policy(args)
-    except (OSError, EctShapeError, ValueError) as exc:
-        return _fail_config(str(exc))
+def cmd_classify(args: argparse.Namespace, policy: TrimPolicy) -> int:
+    trained = load_model(_read(args.model))
+    manifest, reader = _load_manifest_from(args.manifest)
     unknown = [n for n in trained.feature_names if n not in FEATURE_NAMES_EXTENDED]
     if unknown:
         return _fail_data(f"model feature {unknown[0]!r} is not an extracted feature")
@@ -420,52 +393,39 @@ def cmd_classify(args: argparse.Namespace) -> int:
             table.record_ids, labels.tolist(), confidences.tolist()
         )
     ]
-    try:
-        write_artifact(args.out, lines, _config_of(args))
-    except OSError as exc:
-        return _fail_config(str(exc))
+    write_artifact(args.out, lines, _config_of(args))
     return EXIT_OK
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        spec_text = _read(args.spec)
-    except OSError as exc:
-        return _fail_config(str(exc))
-    try:
-        spec = parse_synth_spec(spec_text)
-        pairs = generate_synthetic(spec, args.seed)
-    except BadSpecError as exc:
-        return _fail_config(str(exc))
+def cmd_synth(args: argparse.Namespace, policy: None) -> int:
+    spec = parse_synth_spec(_read(args.spec))
+    pairs = generate_synthetic(spec, args.seed)
     config = _config_of(args)
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-        counters: dict[str, int] = {}
-        manifest_lines = []
-        for cloud, label in pairs:
-            i = counters.get(label.name, 0)
-            counters[label.name] = i + 1
-            stem = f"{label.name}_{i:02d}"
-            record = ImpedanceRecord(
-                record_id=stem,
-                samples=np.column_stack((cloud.x, cloud.y)),
-                label=label,
-            )
-            write_artifact(
-                os.path.join(args.out_dir, f"{stem}.csv"),
-                record_to_text(record).splitlines(),
-                config,
-                seed=args.seed,
-            )
-            manifest_lines.append(f"{stem}.csv,{label.name}")
+    os.makedirs(args.out_dir, exist_ok=True)
+    counters: dict[str, int] = {}
+    manifest_lines = []
+    for cloud, label in pairs:
+        i = counters.get(label.name, 0)
+        counters[label.name] = i + 1
+        stem = f"{label.name}_{i:02d}"
+        record = ImpedanceRecord(
+            record_id=stem,
+            samples=np.column_stack((cloud.x, cloud.y)),
+            label=label,
+        )
         write_artifact(
-            os.path.join(args.out_dir, "manifest.csv"),
-            manifest_lines,
+            os.path.join(args.out_dir, f"{stem}.csv"),
+            record_to_text(record).splitlines(),
             config,
             seed=args.seed,
         )
-    except OSError as exc:
-        return _fail_config(str(exc))
+        manifest_lines.append(f"{stem}.csv,{label.name}")
+    write_artifact(
+        os.path.join(args.out_dir, "manifest.csv"),
+        manifest_lines,
+        config,
+        seed=args.seed,
+    )
     print(
         f"wrote {len(pairs)} records across {len(spec.classes)} classes"
         f" to {args.out_dir}"
@@ -473,45 +433,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
-    try:
-        policy = _policy(args)
-    except ValueError as exc:
-        return _fail_config(str(exc))
+def cmd_plot(args: argparse.Namespace, policy: TrimPolicy) -> int:
     if args.record:
-        try:
-            text = _read(args.record)
-        except OSError as exc:
-            return _fail_config(str(exc))
         rid = record_id_from_path(args.record)
-        try:
-            record = parse_record(text, record_id=rid)
-            cloud = trim_noise(to_point_cloud(record), policy)
-            svg = record_svg(cloud, rid)
-        except (EctShapeError, ValueError) as exc:
-            return _fail_data(str(exc))
+        record = parse_record(_read(args.record), record_id=rid)
+        svg = record_svg(trim_noise(to_point_cloud(record), policy), rid)
         out_name = f"{rid}.svg"
     else:
-        try:
-            table = parse_feature_csv(_read(args.features_csv))
-        except OSError as exc:
-            return _fail_config(str(exc))
-        except EctShapeError as exc:
-            return _fail_data(str(exc))
+        table = parse_feature_csv(_read(args.features_csv))
         if table.values.shape[0] == 0:
             return _fail_config("feature CSV has no data rows")
         svg = features_svg(table)
         out_name = "features.svg"
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-        # the artifact header as XML comments, legal before the <svg> root
-        header = "".join(
-            f"<!-- {line.removeprefix('# ')} -->\n"
-            for line in artifact_header(_config_of(args))
-        )
-        atomic_write_text(os.path.join(args.out_dir, out_name), header + svg)
-    except OSError as exc:
-        return _fail_config(str(exc))
+    os.makedirs(args.out_dir, exist_ok=True)
+    # the artifact header as XML comments, legal before the <svg> root
+    header = "".join(
+        f"<!-- {line.removeprefix('# ')} -->\n"
+        for line in artifact_header(_config_of(args))
+    )
+    atomic_write_text(os.path.join(args.out_dir, out_name), header + svg)
     return EXIT_OK
 
 

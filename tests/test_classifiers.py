@@ -211,6 +211,23 @@ def test_tree_min_leaf_one_reaches_training_recall():
     assert preds.tolist() == data.labels.tolist()
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_depth": 0},
+    {"max_depth": decision_tree.MAX_DEPTH + 1},
+    {"min_leaf": 0},
+])
+def test_tree_params_out_of_range_raise(kwargs):
+    with pytest.raises(ValueError):
+        TreeParams(**kwargs)
+
+
+def test_train_model_grows_no_tree_the_model_reader_rejects():
+    # MAX_DEPTH is also the model reader's cap, so no deeper tree is grown
+    with pytest.raises(ValueError):
+        train_model("tree", blob_dataset(seed=3), {"max_depth": 1200, "min_leaf": 1})
+    assert TreeParams(max_depth=decision_tree.MAX_DEPTH).max_depth == 1000
+
+
 def test_tree_min_leaf_blocks_tiny_dataset():
     with pytest.raises(EmptyDatasetError):
         train_tree(dataset_1d([1.0], [0]), TreeParams(min_leaf=2))

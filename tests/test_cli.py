@@ -75,6 +75,34 @@ def test_missing_subcommand_exits_2():
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--features-csv", "x", "--classifier", "tree", "--model-out", "m",
+      "--tree-max-depth", "abc"],
+     "argument --tree-max-depth: invalid int value: 'abc'"),
+    (["synth", "--spec", "s", "--out-dir", "d", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["evaluate", "--features-csv", "x", "--classifier", "svm", "--out-dir", "d"],
+     "argument --classifier: invalid choice: 'svm'"),
+    (["plot", "--out-dir", "d"],
+     "one of the arguments --record --features-csv is required"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-int", "unknown-flag", "bad-choice", "missing-group", "no-command"])
+def test_usage_error_is_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    # the wording of the choices list differs across Python versions
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+def test_help_prints_full_usage(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ect-shape")
+    assert len(out.splitlines()) > 10
+
+
 def test_bad_trim_quantile_exits_2(tmp_path, capsys):
     record = tmp_path / "r.csv"
     write_record(record, good_points())
@@ -211,34 +239,52 @@ def test_extract_prints_no_skip_summary_without_skips(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("command", ["extract", "evaluate", "train", "classify"])
-def test_skip_summary_closes_stderr(tmp_path, synth_dir, capsys, command):
-    write_record(tmp_path / "flat.csv", [(i, i) for i in range(10)])
-    write_record(tmp_path / "short.csv", [(1, 2), (3, 4)])
-    write_record(tmp_path / "line.csv", [(i, 2 * i) for i in range(10)])
-    synth_entries = [
-        line.split(",")
-        for line in data_lines((synth_dir / "manifest.csv").read_text())
-    ]
-    entries = [(str(synth_dir / path), label) for path, label in synth_entries]
-    entries[1:1] = [("flat.csv", "round"), ("short.csv", "long")]
-    entries.append(("line.csv", "mid"))
-    manifest = str(make_manifest(tmp_path, entries))
-    model = tmp_path / "nb.model"
-    argv = {
+MANIFEST_COMMANDS = ["extract", "evaluate", "train", "classify"]
+
+
+def manifest_argv(command, manifest, tmp_path, model):
+    """argv of a subcommand that reads the manifest; outputs go to tmp_path."""
+    return {
         "extract": ["extract", "--manifest", manifest,
                     "--out", str(tmp_path / "f.csv")],
         "evaluate": ["evaluate", "--manifest", manifest, "--classifier", "nb",
                      "--k", "4", "--out-dir", str(tmp_path / "eval")],
         "train": ["train", "--manifest", manifest, "--classifier", "nb",
-                  "--model-out", str(model)],
+                  "--model-out", str(tmp_path / "trained.model")],
         "classify": ["classify", "--model", str(model), "--manifest", manifest,
                      "--out", str(tmp_path / "p.csv")],
-    }
-    if command == "classify":
-        assert main(argv["train"]) == 0
-        capsys.readouterr()
-    assert main(argv[command]) == 0
+    }[command]
+
+
+def synth_entries(synth_dir):
+    return [
+        (str(synth_dir / path), label)
+        for path, label in (
+            line.split(",")
+            for line in data_lines((synth_dir / "manifest.csv").read_text())
+        )
+    ]
+
+
+@pytest.fixture(scope="module")
+def nb_model(tmp_path_factory, synth_dir):
+    model = tmp_path_factory.mktemp("model") / "nb.model"
+    assert main(["train", "--manifest", str(synth_dir / "manifest.csv"),
+                 "--classifier", "nb", "--model-out", str(model)]) == 0
+    return model
+
+
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
+def test_skip_summary_closes_stderr(tmp_path, synth_dir, nb_model, capsys, command):
+    write_record(tmp_path / "flat.csv", [(i, i) for i in range(10)])
+    write_record(tmp_path / "short.csv", [(1, 2), (3, 4)])
+    write_record(tmp_path / "line.csv", [(i, 2 * i) for i in range(10)])
+    entries = synth_entries(synth_dir)
+    entries[1:1] = [("flat.csv", "round"), ("short.csv", "long")]
+    entries.append(("line.csv", "mid"))
+    manifest = str(make_manifest(tmp_path, entries))
+    capsys.readouterr()
+    assert main(manifest_argv(command, manifest, tmp_path, nb_model)) == 0
     assert capsys.readouterr().err.splitlines() == [
         "warning: skipping flat.csv: cloud is collinear; elongation undefined",
         "warning: skipping short.csv: record 'short' has 2 samples; need >= 3",
@@ -529,6 +575,81 @@ def test_evaluate_non_finite_feature_exits_with_line(tmp_path, capsys, value):
 def test_train_on_unreadable_manifest_exits_2(tmp_path):
     assert main(["train", "--manifest", str(tmp_path / "absent.csv"),
                  "--classifier", "nb", "--model-out", str(tmp_path / "m")]) == 2
+
+
+# --- exit code by error class -------------------------------------------------
+
+NOT_UTF8 = b"a.csv,round\n\xff\xfe\n"
+
+# {bad} is the non-UTF-8 file; {out} a path that must stay absent
+NON_UTF8_ARGV = [
+    ["extract", "--manifest", "{bad}", "--out", "{out}"],
+    ["evaluate", "--manifest", "{bad}", "--classifier", "nb", "--out-dir", "{out}"],
+    ["evaluate", "--features-csv", "{bad}", "--classifier", "nb",
+     "--out-dir", "{out}"],
+    ["train", "--manifest", "{bad}", "--classifier", "nb", "--model-out", "{out}"],
+    ["train", "--features-csv", "{bad}", "--classifier", "nb",
+     "--model-out", "{out}"],
+    ["classify", "--model", "{bad}", "--manifest", "{manifest}", "--out", "{out}"],
+    ["classify", "--model", "{model}", "--manifest", "{bad}", "--out", "{out}"],
+    ["synth", "--spec", "{bad}", "--out-dir", "{out}"],
+    ["plot", "--record", "{bad}", "--out-dir", "{out}"],
+    ["plot", "--features-csv", "{bad}", "--out-dir", "{out}"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", NON_UTF8_ARGV, ids=[f"{a[0]} {a[a.index('{bad}') - 1]}" for a in NON_UTF8_ARGV]
+)
+def test_non_utf8_input_file_exits_2_with_one_line(
+    tmp_path, synth_dir, nb_model, capsys, argv
+):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    paths = {"bad": bad, "out": tmp_path / "out",
+             "manifest": synth_dir / "manifest.csv", "model": nb_model}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
+def test_non_utf8_record_is_skipped(tmp_path, synth_dir, nb_model, capsys, command):
+    (tmp_path / "bad.csv").write_bytes(NOT_UTF8)
+    entries = synth_entries(synth_dir) + [("bad.csv", "round")]
+    manifest = str(make_manifest(tmp_path, entries))
+    capsys.readouterr()
+    assert main(manifest_argv(command, manifest, tmp_path, nb_model)) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("warning: skipping bad.csv: 'utf-8' codec")
+    assert err[1] == "skipped 1/37: UnicodeDecodeError×1"
+
+
+def test_evaluate_out_dir_under_a_file_exits_2_with_one_line(
+    tmp_path, synth_dir, capsys
+):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["evaluate", "--manifest", str(synth_dir / "manifest.csv"),
+                 "--classifier", "nb", "--k", "4",
+                 "--out-dir", str(blocker / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 20] Not a directory")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
+def test_malformed_manifest_exits_3(tmp_path, nb_model, capsys, command):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("a.csv,round\nb.csv\n")
+    capsys.readouterr()
+    assert main(manifest_argv(command, str(manifest), tmp_path, nb_model)) == 3
+    assert capsys.readouterr().err == "error: line 2: expected 'path,label'\n"
 
 
 # --- plot --------------------------------------------------------------------
