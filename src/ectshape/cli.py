@@ -212,7 +212,14 @@ def _config_of(args: argparse.Namespace) -> dict:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            # the class decides the exit code and the skip summary, so it
+            # stays; the message names the file
+            raise UnicodeDecodeError(
+                exc.encoding, exc.object, exc.start, exc.end, f"{exc.reason} in {path}"
+            ) from None
 
 
 def _load_manifest_from(path: str):

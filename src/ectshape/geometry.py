@@ -101,8 +101,8 @@ class ConvexPolygon:
         verts = np.asarray(self.vertices, dtype=np.float64)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise ValueError("need at least 3 vertices as an (m, 2) array")
-        nxt = np.roll(verts, -1, axis=0)
-        nxt2 = np.roll(verts, -2, axis=0)
+        nxt = np.concatenate((verts[1:], verts[:1]))
+        nxt2 = np.concatenate((verts[2:], verts[:2]))
         cross = (nxt[:, 0] - verts[:, 0]) * (nxt2[:, 1] - nxt[:, 1]) - (
             nxt[:, 1] - verts[:, 1]
         ) * (nxt2[:, 0] - nxt[:, 0])
@@ -327,7 +327,7 @@ def _half_hull(pts: list[list[float]]) -> list[list[float]]:
 def polygon_area_perimeter(poly: ConvexPolygon) -> tuple[float, float]:
     """Shoelace area (positive for CCW) and edge-length sum."""
     v = poly.vertices
-    nxt = np.roll(v, -1, axis=0)
+    nxt = np.concatenate((v[1:], v[:1]))
     area = 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
     perimeter = float(np.sum(np.hypot(nxt[:, 0] - v[:, 0], nxt[:, 1] - v[:, 1])))
     return area, perimeter
@@ -337,10 +337,9 @@ def contour_perimeter(cloud: PointCloud2D) -> float:
     """Perimeter of the closed polyline through the points in stored order."""
     if cloud.n < 2:
         raise EmptyCloudError("need at least 2 points for a contour")
-    nxt = np.roll(cloud.points, -1, axis=0)
-    return float(
-        np.sum(np.hypot(nxt[:, 0] - cloud.points[:, 0], nxt[:, 1] - cloud.points[:, 1]))
-    )
+    pts = cloud.points
+    nxt = np.concatenate((pts[1:], pts[:1]))
+    return float(np.sum(np.hypot(nxt[:, 0] - pts[:, 0], nxt[:, 1] - pts[:, 1])))
 
 
 def shape_descriptors(cloud: PointCloud2D) -> ShapeFeatures:

@@ -97,6 +97,7 @@ def parse_record(
 
     Data lines hold exactly two numeric fields (real part, imaginary
     part) separated by whitespace or commas; file order is preserved.
+    A field is any string Python's ``float()`` accepts.
 
     Raises
     ------
@@ -106,6 +107,49 @@ def parse_record(
         A field parsed to NaN or infinity.
     EmptyRecordError
         No data lines at all.
+    """
+    samples = _parse_block(text)
+    if samples is None:
+        samples = _parse_lines(text, record_id)
+    return ImpedanceRecord(record_id=record_id, samples=samples, label=label)
+
+
+# a token float() rejects, put between the data lines
+_BREAK = "|"
+
+
+def _parse_block(text: str) -> Optional[np.ndarray]:
+    """Samples of a valid record in one pass over its text, else None.
+
+    Splits the joined data lines once and converts every field with
+    float(). Anything the line loop would reject (a wrong field count, a
+    field float() refuses, a non-finite value, no data lines) returns
+    None, so that :func:`_parse_lines` raises with the line number.
+    """
+    # a comment is decided on the stripped raw line, before the comma
+    # replacement, as in iter_data_lines
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    tokens = f"\n{_BREAK}\n".join(lines).replace(",", " ").split()
+    # n lines of two fields give 3n - 1 tokens with a break at every third;
+    # a break token left among the fields makes float() raise below
+    if not lines or len(tokens) != 3 * len(lines) - 1:
+        return None
+    if tokens[2::3].count(_BREAK) != len(lines) - 1:
+        return None
+    del tokens[2::3]
+    try:
+        samples = np.array(list(map(float, tokens)), dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(samples).all():
+        return None
+    return samples.reshape(-1, 2)
+
+
+def _parse_lines(text: str, record_id: str) -> np.ndarray:
+    """Samples of a record, one line at a time; the rules of a valid record.
+
+    Raises the error of the first bad line, with its line number.
     """
     rows: list[tuple[float, float]] = []
     for line_no, line in iter_data_lines(text):
@@ -125,8 +169,7 @@ def parse_record(
         rows.append((re_part, im_part))
     if not rows:
         raise EmptyRecordError(f"record {record_id!r} has no data lines")
-    samples = np.array(rows, dtype=np.float64)
-    return ImpedanceRecord(record_id=record_id, samples=samples, label=label)
+    return np.array(rows, dtype=np.float64)
 
 
 def record_to_text(record: ImpedanceRecord) -> str:

@@ -89,8 +89,7 @@ def trim_noise(cloud: PointCloud2D, policy: TrimPolicy) -> PointCloud2D:
     if policy.mode == "none":
         return cloud
     if policy.mode == "both_axes":
-        tx = float(np.quantile(cloud.x, policy.quantile_q))
-        ty = float(np.quantile(cloud.y, policy.quantile_q))
+        tx, ty = np.quantile(cloud.points, policy.quantile_q, axis=0).tolist()
         keep = ~((cloud.x > tx) & (cloud.y > ty))
     else:  # radial
         center = cloud.points.mean(axis=0)

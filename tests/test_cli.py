@@ -612,6 +612,7 @@ def test_non_utf8_input_file_exits_2_with_one_line(
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert str(bad) in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 

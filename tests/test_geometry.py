@@ -392,6 +392,60 @@ def test_contour_perimeter_depends_on_order():
     assert contour_perimeter(crossing) == pytest.approx(2.0 + 2.0 * math.sqrt(2))
 
 
+def reference_area_perimeter(vertices):
+    nxt = np.roll(vertices, -1, axis=0)
+    area = 0.5 * float(np.sum(vertices[:, 0] * nxt[:, 1] - nxt[:, 0] * vertices[:, 1]))
+    edges = np.hypot(nxt[:, 0] - vertices[:, 0], nxt[:, 1] - vertices[:, 1])
+    return area, float(np.sum(edges))
+
+
+def reference_contour_perimeter(points):
+    nxt = np.roll(points, -1, axis=0)
+    return float(np.sum(np.hypot(nxt[:, 0] - points[:, 0], nxt[:, 1] - points[:, 1])))
+
+
+def reference_strictly_convex_ccw(vertices):
+    nxt = np.roll(vertices, -1, axis=0)
+    nxt2 = np.roll(vertices, -2, axis=0)
+    cross = (nxt[:, 0] - vertices[:, 0]) * (nxt2[:, 1] - nxt[:, 1]) - (
+        nxt[:, 1] - vertices[:, 1]
+    ) * (nxt2[:, 0] - nxt[:, 0])
+    return bool((cross > 0).all())
+
+
+def float_bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed,family",
+    enumerate(["grid", "lines", "extremes", "1e300", "1e-300", "1e-320"]),
+)
+def test_polygon_measures_match_roll_reference_bits(seed, family):
+    rng = np.random.default_rng(100 + seed)
+    with np.errstate(all="ignore"):
+        for _ in range(250):
+            pts = oracle_cloud(rng, family)
+            cloud = PointCloud2D(points=pts)
+            assert float_bits(contour_perimeter(cloud)) == float_bits(
+                reference_contour_perimeter(pts)
+            )
+            try:
+                verts = convex_hull(cloud).vertices
+            except (CollinearCloudError, ValueError):  # as in hull_outcome
+                continue
+            assert float_bits(*polygon_area_perimeter(ConvexPolygon(verts))) == (
+                float_bits(*reference_area_perimeter(verts))
+            )
+            shuffled = verts[rng.permutation(verts.shape[0])]
+            try:
+                ConvexPolygon(shuffled)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == reference_strictly_convex_ccw(shuffled)
+
+
 # --- full descriptor set -----------------------------------------------------
 
 def test_descriptors_rectangle():

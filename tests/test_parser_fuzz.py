@@ -3,11 +3,13 @@
 Every parser behind a CLI input (record, manifest, feature CSV, model file,
 synth spec) is fed small generated texts, some of them mutations of a valid
 file. Any exception that is not an EctShapeError would escape the CLI as a
-traceback instead of exit code 2 or 3. Generated inputs stay small: no
+traceback instead of exit code 2 or 3. The record parser is also held to
+the per-line reference parser kept here. Generated inputs stay small: no
 large counts, no deep nesting.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +19,12 @@ from hypothesis import strategies as st
 from ectshape.classifiers import train_model
 from ectshape.classifiers.serialize import load_model, save_model
 from ectshape.dataset import FEATURE_CSV_HEADER, LabeledDataset, parse_feature_csv
-from ectshape.errors import EctShapeError
+from ectshape.errors import (
+    EctShapeError,
+    EmptyRecordError,
+    MalformedLineError,
+    NonFiniteSampleError,
+)
 from ectshape.ingest import load_manifest, parse_record
 from ectshape.synthetic import parse_synth_spec
 
@@ -52,6 +59,126 @@ def raises_only_ectshape_errors(parse, text):
 @given(st.one_of(st.text(max_size=200), lines_of(TOKENS)))
 def test_parse_record_raises_only_ectshape_errors(text):
     raises_only_ectshape_errors(lambda t: parse_record(t, "r"), text)
+
+
+# --- the record parser against the per-line reference -----------------------
+
+def reference_parse_record(text, record_id):
+    """The per-line record parser: the definition of a valid record."""
+    rows = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.replace(",", " ").split()
+        if len(fields) != 2:
+            raise MalformedLineError(
+                line_no, f"line {line_no}: expected 2 fields, got {len(fields)}"
+            )
+        try:
+            re_part, im_part = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise MalformedLineError(
+                line_no, f"line {line_no}: non-numeric field"
+            ) from None
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise NonFiniteSampleError(line_no)
+        rows.append((re_part, im_part))
+    if not rows:
+        raise EmptyRecordError(f"record {record_id!r} has no data lines")
+    return np.array(rows, dtype=np.float64)
+
+
+def parse_outcome(parse, text):
+    """Sample bytes and shape, or the error's class, message and line."""
+    try:
+        samples = parse(text)
+    except EctShapeError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return samples.tobytes(), samples.shape
+
+
+def assert_parsers_agree(text):
+    expected = parse_outcome(lambda t: reference_parse_record(t, "r"), text)
+    assert parse_outcome(lambda t: parse_record(t, "r").samples, text) == expected
+
+
+# Tokens that split, join, comment out or break lines, and strings at the
+# edge of what float() accepts.
+RECORD_TOKENS = st.sampled_from([
+    ",#", "#", " # ", ",", ",,", "\x00", "\x1f", "\x1c", "\x85", "\x0b", "\x0c",
+    " ", "　", "\xa0", "\r\n", "\r", "\n", "\n\n", "\t", " ", "|", ";",
+    "1_0", "1__0", "_1", "١", "٣.٥", "infinity", "-Infinity", "1e400", "-1e400",
+    "1e-400", "nan", "-nan", "inf", "0x10", "1d5", "1e", ".", "+", "-", "--1",
+    "5e-324", "-0", "0", "1", "2.5", "1e308", "x",
+])
+
+
+def record_line(a, b, sep):
+    return f"{a!r}{sep}{b!r}"
+
+
+@st.composite
+def mutated_records(draw):
+    """A valid record text, then up to four token insertions or replacements
+    at random character positions or as whole lines."""
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    sep = st.sampled_from([" ", ",", "\t", " , ", ",  ", "  "])
+    lines = [
+        record_line(draw(finite), draw(finite), draw(sep))
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "# note", "   ", "#1 2"])))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    text += draw(st.sampled_from(["", "\n", "\r\n"]))
+    for _ in range(draw(st.integers(0, 4))):
+        token = draw(RECORD_TOKENS)
+        op = draw(st.sampled_from(["insert", "replace", "line"]))
+        i = draw(st.integers(0, len(text)))
+        if op == "insert":
+            text = text[:i] + token + text[i:]
+        elif op == "replace":
+            text = text[:i] + token + text[i + draw(st.integers(1, 4)):]
+        else:
+            tokens = draw(st.lists(st.one_of(RECORD_TOKENS, finite.map(repr)),
+                                   min_size=1, max_size=4))
+            j = text.rfind("\n", 0, i) + 1
+            text = text[:j] + " ".join(tokens) + "\n" + text[j:]
+    return text
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(mutated_records(), lines_of(RECORD_TOKENS, max_fields=3),
+                 st.text(max_size=80)))
+def test_parse_record_matches_per_line_reference(text):
+    assert_parsers_agree(text)
+
+
+LONG_RECORD = "# 256 samples\n" + "".join(
+    record_line(0.5 * i, -1.0 / (i + 1), " ,"[i % 2]) + "\n" for i in range(255)
+)
+
+
+@pytest.mark.parametrize("last", [
+    "1.5 -2.25", "1,,2", "1\x1f2", "1\x852", "1_0 ١", "# 1 2", "", "1 2\r\n3 4",
+])
+def test_parse_record_accepts_a_late_line_as_the_reference_does(last):
+    assert_parsers_agree(LONG_RECORD + last + "\n")
+
+
+@pytest.mark.parametrize("last", [
+    ",# 1 2", "1.5,# 2", "1 2 3", "1", "1 x", "1 nan", "1e400 0", "0 -infinity",
+    "1\x00 2", "1 2 #",
+])
+def test_parse_record_reports_a_late_bad_line(last):
+    text = LONG_RECORD + last + "\n"
+    assert_parsers_agree(text)
+    with pytest.raises((MalformedLineError, NonFiniteSampleError)) as exc:
+        parse_record(text, "r")
+    assert exc.value.line_no == 257
 
 
 @FUZZ

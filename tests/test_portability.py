@@ -1,11 +1,14 @@
-"""An MLP's and a tree's bits do not depend on the CPU kernels their process
-picks.
+"""An MLP's and a tree's bits, and the extracted features, do not depend on
+the CPU kernels their process picks.
 
 Each case trains in a child interpreter whose environment differs from an
 unchanged child's in one setting that moves OpenBLAS, numpy or glibc to other
 CPU kernels, and compares the digests of what the two children produced. The
 tree child also runs the split-search oracle of tests/test_classifiers.py,
-since the vectorised split search takes np.log2 over whole blocks.
+since the vectorised split search takes np.log2 over whole blocks. The
+extract child parses, trims and measures record texts that this process
+writes once, so that the synthetic generator, whose output is not portable,
+plays no part.
 Nothing is set in this process. A setting that this CPU, numpy build or glibc
 does not honour is skipped, and the skip says why.
 """
@@ -19,6 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TESTS = Path(__file__).resolve().parent
@@ -26,10 +30,12 @@ SRC = str(TESTS.parent / "src")
 SETTINGS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES")
 DISABLED_NUMPY_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
 
-# Trains one model and one 3-fold evaluation of the kind named by its argument
-# (mlp, or tree on tie-heavy lattice data, which also runs the split oracle),
-# then prints the sha256 of the model file and metrics CSV, the oracle's
-# failure if any, the OpenBLAS core in use and numpy's CPU features.
+# For the kind named by its argument: extract (the features of the record
+# texts in the JSON file named by the second argument, in every trim mode), or
+# one model and one 3-fold evaluation (mlp, or tree on tie-heavy lattice data,
+# which also runs the split oracle). Prints the sha256 of the feature bytes or
+# of the model file and metrics CSV, the oracle's failure if any, the OpenBLAS
+# core in use and numpy's CPU features.
 CHILD = r"""
 import ctypes, glob, hashlib, json, os, sys
 import numpy as np
@@ -37,12 +43,23 @@ from ectshape.classifiers import train_model
 from ectshape.classifiers.serialize import save_model
 from ectshape.dataset import LabeledDataset
 from ectshape.evaluation import cross_validate, metrics_csv_lines
+from ectshape.geometry import shape_descriptors
+from ectshape.ingest import parse_record
+from ectshape.preprocess import TRIM_MODES, TrimPolicy, to_point_cloud, trim_noise
 from ectshape.rng import SplitMix64
 
 kind = sys.argv[1]
 g = SplitMix64(2024)
 rows, labels = [], []
-if kind == "mlp":
+if kind == "extract":
+    with open(sys.argv[2], encoding="utf-8") as handle:
+        texts = json.load(handle)
+    for mode in TRIM_MODES:
+        for i, text in enumerate(texts):
+            cloud = to_point_cloud(parse_record(text, f"r{i}"))
+            feats = shape_descriptors(trim_noise(cloud, TrimPolicy(mode=mode)))
+            rows.append(feats.as_vector(extended=True))
+elif kind == "mlp":
     for c, center in enumerate(((0, 0, 1), (3, 1, 2), (1, 4, 0), (4, 4, 3))):
         for _ in range(15):
             rows.append([v + 0.6 * g.normal() for v in center])
@@ -55,11 +72,14 @@ else:
             rows.append([round(2.0 * (v + 0.7 * g.normal())) / 4.0 for v in center])
             labels.append(c)
     params = cv_params = {"min_leaf": 1}
-data = LabeledDataset(features=np.array(rows), labels=np.array(labels),
-                      num_classes=len(set(labels)), feature_names=("L", "W", "alpha_deg"))
-model = save_model(train_model(kind, data, params, seed=5))
-report = metrics_csv_lines(cross_validate(data, kind, cv_params, k=3, seed=5))
-digest = hashlib.sha256((model + "\n".join(report)).encode()).hexdigest()
+if kind == "extract":
+    digest = hashlib.sha256(np.array(rows).tobytes()).hexdigest()
+else:
+    data = LabeledDataset(features=np.array(rows), labels=np.array(labels),
+                          num_classes=len(set(labels)), feature_names=("L", "W", "alpha_deg"))
+    model = save_model(train_model(kind, data, params, seed=5))
+    report = metrics_csv_lines(cross_validate(data, kind, cv_params, k=3, seed=5))
+    digest = hashlib.sha256((model + "\n".join(report)).encode()).hexdigest()
 oracle = None
 if kind == "tree":
     from test_classifiers import assert_split_search_matches_oracle
@@ -102,15 +122,15 @@ def base_env() -> dict[str, str]:
     return env
 
 
-def run_child(kind: str, extra: dict[str, str]) -> subprocess.CompletedProcess:
+def run_child(kind: str, extra: dict[str, str], *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", CHILD, kind], env={**base_env(), **extra},
+        [sys.executable, "-c", CHILD, kind, *args], env={**base_env(), **extra},
         capture_output=True, text=True, timeout=300,
     )
 
 
-def run_baseline(kind: str) -> dict:
-    proc = run_child(kind, {})
+def run_baseline(kind: str, *args: str) -> dict:
+    proc = run_child(kind, {}, *args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -123,6 +143,37 @@ def baseline() -> dict:
 @pytest.fixture(scope="module")
 def tree_baseline() -> dict:
     return run_baseline("tree")
+
+
+def fixed_record_texts() -> list[str]:
+    """Record texts of traces-256-like shapes: 256 and 32 noisy points on
+    three ellipses, and one record with commas and comment lines."""
+    rng = np.random.default_rng(9)
+    texts = []
+    for a, b, rot in ((5.0, 1.0, 30.0), (3.0, 2.5, 60.0), (6.0, 3.0, -20.0)):
+        for n in (256, 256, 32):
+            t = 2.0 * np.pi * np.arange(n) / n
+            phi = np.deg2rad(rot)
+            x, y = a * np.cos(t), b * np.sin(t)
+            pts = np.column_stack((x * np.cos(phi) - y * np.sin(phi),
+                                   x * np.sin(phi) + y * np.cos(phi)))
+            pts = pts + 0.1 * rng.normal(size=pts.shape)
+            texts.append("".join(f"{u!r} {v!r}\n" for u, v in pts.tolist()))
+    texts.append("# comment\n" + texts[-1].replace(" ", ",").replace("\n", "\n\n"))
+    return texts
+
+
+@pytest.fixture(scope="module")
+def record_texts(tmp_path_factory) -> str:
+    """Path of a JSON list of record texts, written once for every child."""
+    path = tmp_path_factory.mktemp("extract") / "records.json"
+    path.write_text(json.dumps(fixed_record_texts()), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def extract_baseline(record_texts) -> dict:
+    return run_baseline("extract", record_texts)
 
 
 def glibc_active_features(extra: dict[str, str]) -> set[str] | None:
@@ -180,8 +231,10 @@ SETTING_CASES = [
 ]
 
 
-def assert_same_under_setting(kind: str, baseline: dict, name: str, value: str) -> None:
-    proc = run_child(kind, {name: value})
+def assert_same_under_setting(
+    kind: str, baseline: dict, name: str, value: str, *args: str
+) -> None:
+    proc = run_child(kind, {name: value}, *args)
     if proc.returncode != 0:
         lines = proc.stderr.strip().splitlines()
         pytest.skip(f"child failed under {name}: {lines[-1] if lines else proc.returncode}")
@@ -212,3 +265,12 @@ def test_tree_digest_and_split_oracle_same_under_cpu_kernel_setting(
 def test_tree_digest_pinned_and_split_oracle_holds(tree_baseline):
     assert tree_baseline["oracle"] is None, tree_baseline["oracle"]
     assert tree_baseline["digest"] == PINNED_TREE_DIGEST
+
+
+@pytest.mark.parametrize("name,value", SETTING_CASES)
+def test_extract_digest_same_under_cpu_kernel_setting(
+    extract_baseline, record_texts, name, value
+):
+    # no pinned digest: extraction calls libm atan2, cos and hypot, which
+    # differ between machines
+    assert_same_under_setting("extract", extract_baseline, name, value, record_texts)

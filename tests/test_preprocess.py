@@ -106,3 +106,49 @@ def test_trim_preserves_order():
     pts = [(5.0, 0.0), (1.0, 1.0), (4.0, 2.0), (100.0, 100.0), (2.0, 0.5)]
     out = trim_noise(cloud_of(*pts), TrimPolicy(quantile_q=0.8, mode="both_axes"))
     assert list(out.x) == [5.0, 1.0, 4.0, 2.0]
+
+
+# --- both-axes trim against two 1-D quantiles -------------------------------
+
+def reference_trim_both_axes(points, q):
+    """Both-axes trim with one np.quantile call per axis."""
+    tx = float(np.quantile(points[:, 0], q))
+    ty = float(np.quantile(points[:, 1], q))
+    survivors = points[~((points[:, 0] > tx) & (points[:, 1] > ty))]
+    if survivors.shape[0] < 3:
+        return DegenerateAfterTrimError
+    return survivors
+
+
+def trim_fuzz_cloud(rng, family):
+    n = int(rng.integers(3, 70))
+    if family == "lattice":  # ties at the quantile's interpolation points
+        pts = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    elif family == "tiny":  # subnormals and zeros
+        pts = rng.choice([0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e-300], size=(n, 2))
+    elif family == "huge":  # interpolation across +-1e308 overflows
+        pts = rng.choice([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+                          0.0, 1.0], size=(n, 2))
+    else:
+        pts = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-5, 6)
+    pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    return pts
+
+
+@pytest.mark.parametrize("family", ["lattice", "tiny", "huge", "normal"])
+def test_both_axes_trim_matches_per_axis_quantile_bits(family):
+    rng = np.random.default_rng(len(family))
+    with np.errstate(all="ignore"):
+        for _ in range(400):
+            pts = trim_fuzz_cloud(rng, family)
+            q = float(rng.choice([1e-9, 0.5, 0.98, 1.0, rng.uniform(1e-9, 1.0)]))
+            want = reference_trim_both_axes(pts, q)
+            try:
+                got = trim_noise(PointCloud2D(points=pts), TrimPolicy(q, "both_axes")).points
+            except DegenerateAfterTrimError:
+                got = DegenerateAfterTrimError
+            if isinstance(want, type) or isinstance(got, type):
+                assert got is want
+            else:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
