@@ -8,4 +8,5 @@ three from-scratch classifiers, cross-validated evaluation, synthetic
 data generation, and SVG plots, plus the `ect-shape` command.
 """
 
-from .artifacts import TOOL_VERSION as __version__
+# pyproject.toml holds the same string; a test pins the two equal
+__version__ = "0.1.0"

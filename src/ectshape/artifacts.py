@@ -5,12 +5,8 @@ from __future__ import annotations
 import os
 import tempfile
 from datetime import datetime, timezone
-from importlib import metadata
 
-try:
-    TOOL_VERSION = metadata.version("ectshape")
-except metadata.PackageNotFoundError:
-    TOOL_VERSION = "0.0.0"
+from . import __version__ as TOOL_VERSION
 
 TIMESTAMP_PREFIX = "# timestamp:"
 

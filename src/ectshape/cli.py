@@ -440,6 +440,15 @@ def cmd_synth(args: argparse.Namespace, policy: None) -> int:
     return EXIT_OK
 
 
+def _xml_comment(line: str) -> str:
+    """A `# ` header line as an XML comment. XML forbids `--` inside a
+    comment, so a space goes between every two adjacent hyphens."""
+    text = line.removeprefix("# ")
+    while "--" in text:
+        text = text.replace("--", "- -")
+    return f"<!-- {text} -->\n"
+
+
 def cmd_plot(args: argparse.Namespace, policy: TrimPolicy) -> int:
     if args.record:
         rid = record_id_from_path(args.record)
@@ -454,10 +463,7 @@ def cmd_plot(args: argparse.Namespace, policy: TrimPolicy) -> int:
         out_name = "features.svg"
     os.makedirs(args.out_dir, exist_ok=True)
     # the artifact header as XML comments, legal before the <svg> root
-    header = "".join(
-        f"<!-- {line.removeprefix('# ')} -->\n"
-        for line in artifact_header(_config_of(args))
-    )
+    header = "".join(_xml_comment(line) for line in artifact_header(_config_of(args)))
     atomic_write_text(os.path.join(args.out_dir, out_name), header + svg)
     return EXIT_OK
 

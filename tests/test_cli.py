@@ -1,6 +1,9 @@
 import json
 import math
 import re
+from pathlib import Path
+from xml.etree import ElementTree
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -62,9 +65,20 @@ def good_points(phase=0.0):
 
 # --- global flags ------------------------------------------------------------
 
+def pyproject_version():
+    # a regex, not tomllib: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    return re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
-    assert "ect-shape" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"ect-shape {pyproject_version()}\n"
+
+
+def test_artifact_header_names_the_pyproject_version(synth_dir):
+    first = (synth_dir / "round_00.csv").read_text().splitlines()[0]
+    assert first == f"# ectshape {pyproject_version()}"
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -670,25 +684,37 @@ def test_plot_record_structure(tmp_path, synth_dir):
 
 
 def test_plot_svg_header_is_the_artifact_header_as_comments(tmp_path, synth_dir):
-    out_dir = tmp_path / "plots"
-    record = synth_dir / "round_00.csv"
-    assert main(["plot", "--record", str(record),
-                 "--out-dir", str(out_dir)]) == 0
-    svg = (out_dir / "round_00.svg").read_text()
-    config = {"command": "plot", "features_csv": "", "out_dir": str(out_dir),
-              "record": str(record), "trim_mode": "both-axes",
-              "trim_quantile": 0.98}
-    cloud = trim_noise(
-        to_point_cloud(parse_record(record.read_text(), "round_00")), TrimPolicy()
-    )
-    expected = (
-        f"<!-- ectshape {TOOL_VERSION} -->\n"
-        "<!-- timestamp: 2000-01-01T00:00:00+00:00 -->\n"
-        f"<!-- config: {config_echo(config)} -->\n"
-        + record_svg(cloud, "round_00")
-    )
-    assert comparable_artifact(svg) == comparable_artifact(expected)
-    assert re.fullmatch(r"<!-- timestamp: \S+ -->", svg.splitlines()[1])
+    # the second name needs the comment's "--" rule and the title's escapes
+    for name in ("round_00.csv", "a--b&c<d>.csv"):
+        out_dir = tmp_path / "plots"
+        record = tmp_path / name
+        record.write_text((synth_dir / "round_00.csv").read_text())
+        rid = name.removesuffix(".csv")
+        assert main(["plot", "--record", str(record),
+                     "--out-dir", str(out_dir)]) == 0
+        svg = (out_dir / f"{rid}.svg").read_text()
+        config = {"command": "plot", "features_csv": "", "out_dir": str(out_dir),
+                  "record": str(record), "trim_mode": "both-axes",
+                  "trim_quantile": 0.98}
+        cloud = trim_noise(
+            to_point_cloud(parse_record(record.read_text(), rid)), TrimPolicy()
+        )
+        # XML forbids "--" inside a comment: a hyphen followed by another
+        # gets a space after it
+        echo = re.sub(r"-(?=-)", "- ", config_echo(config))
+        expected = (
+            f"<!-- ectshape {TOOL_VERSION} -->\n"
+            "<!-- timestamp: 2000-01-01T00:00:00+00:00 -->\n"
+            f"<!-- config: {echo} -->\n"
+            + record_svg(cloud, rid)
+        )
+        assert comparable_artifact(svg) == comparable_artifact(expected)
+        assert re.fullmatch(r"<!-- timestamp: \S+ -->", svg.splitlines()[1])
+        # well-formed XML, and the title is the record id, escaped
+        root = ElementTree.parse(out_dir / f"{rid}.svg").getroot()
+        titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert rid in titles
+        assert escape(rid) in svg
 
 
 def test_plot_collinear_record_still_draws(tmp_path):
