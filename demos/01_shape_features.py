@@ -35,7 +35,7 @@ def main():
     base = ellipse_cloud(a=4.0, b=1.5, rotation_deg=25.0, center=(1.2, 0.4))
     feats = shape_descriptors(base)
     print("full descriptor vector (extended order):")
-    for name, value in zip(FEATURE_NAMES_EXTENDED, feats.as_vector(extended=True)):
+    for name, value in zip(FEATURE_NAMES_EXTENDED, feats):
         print(f"  {name:<16} {value: .6f}")
     print()
 

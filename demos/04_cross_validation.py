@@ -33,7 +33,7 @@ def main() -> None:
     spec = parse_synth_spec(SPEC)
     records = generate_synthetic(spec, seed=21)
 
-    rows = [shape_descriptors(cloud).as_vector() for cloud, _ in records]
+    rows = [shape_descriptors(cloud)[:3] for cloud, _ in records]
     data = LabeledDataset(
         features=np.array(rows),
         labels=np.array([label.index for _, label in records]),

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
 import os
-import tempfile
 from datetime import datetime, timezone
 
 from . import __version__ as TOOL_VERSION
@@ -12,7 +12,17 @@ TIMESTAMP_PREFIX = "# timestamp:"
 
 
 def config_echo(config: dict) -> str:
-    return " ".join(f"{key}={config[key]}" for key in sorted(config))
+    """`key=value` pairs on one line, with every character that is not
+    printable (a newline, a tab, any other control or line-separator
+    character) escaped as Python writes it in a string literal, `\\n` for a
+    newline. A value of printable characters keeps its bytes."""
+    echo = " ".join(f"{key}={config[key]}" for key in sorted(config))
+    if echo.isprintable():
+        return echo
+    return "".join(
+        c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
+        for c in echo
+    )
 
 
 def artifact_header(config: dict, seed: int | None = None) -> list[str]:
@@ -47,12 +57,28 @@ def comparable_artifact(text: str) -> str:
     )
 
 
+# numbers the temp files of this process
+_tmp_serial = itertools.count()
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file + rename so readers never see a torn file."""
+    """Write via a sibling temp file + rename so readers never see a torn file.
+
+    The temp file is created with mode 0o666 less the umask, as `open()`
+    would create it, and the rename keeps that mode.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".ectshape-")
+    while True:
+        tmp_path = os.path.join(
+            directory, f".ectshape-{os.getpid()}-{next(_tmp_serial)}.tmp"
+        )
+        try:
+            fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # left by an earlier process with this pid
+            continue
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:

@@ -37,7 +37,6 @@ from .evaluation import cross_validate, metrics_csv_lines, report_text
 from .geometry import FEATURE_NAMES_EXTENDED, shape_descriptors
 from .ingest import (
     DatasetManifest,
-    ImpedanceRecord,
     load_manifest,
     parse_record,
     record_id_from_path,
@@ -247,16 +246,14 @@ def extract_table(
     for path, label_name in manifest.entries:
         rid = record_id_from_path(path)
         try:
-            record = parse_record(
-                reader(path), record_id=rid, label=manifest.label_for(label_name)
-            )
-            feats = shape_descriptors(trim_noise(to_point_cloud(record), policy))
+            samples = parse_record(reader(path), rid)
+            feats = shape_descriptors(trim_noise(to_point_cloud(samples, rid), policy))
         except (EctShapeError, OSError, UnicodeDecodeError) as exc:
             skipped.append((path, exc))
             continue
         ids.append(rid)
         labels.append(label_name)
-        rows.append(feats.as_vector(extended=True))
+        rows.append(feats)
     values = np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES_EXTENDED)))
     table = FeatureTable(record_ids=tuple(ids), label_names=tuple(labels), values=values)
     return table, skipped
@@ -415,14 +412,9 @@ def cmd_synth(args: argparse.Namespace, policy: None) -> int:
         i = counters.get(label.name, 0)
         counters[label.name] = i + 1
         stem = f"{label.name}_{i:02d}"
-        record = ImpedanceRecord(
-            record_id=stem,
-            samples=np.column_stack((cloud.x, cloud.y)),
-            label=label,
-        )
         write_artifact(
             os.path.join(args.out_dir, f"{stem}.csv"),
-            record_to_text(record).splitlines(),
+            record_to_text(cloud.points).splitlines(),
             config,
             seed=args.seed,
         )
@@ -452,8 +444,8 @@ def _xml_comment(line: str) -> str:
 def cmd_plot(args: argparse.Namespace, policy: TrimPolicy) -> int:
     if args.record:
         rid = record_id_from_path(args.record)
-        record = parse_record(_read(args.record), record_id=rid)
-        svg = record_svg(trim_noise(to_point_cloud(record), policy), rid)
+        samples = parse_record(_read(args.record), rid)
+        svg = record_svg(trim_noise(to_point_cloud(samples, rid), policy), rid)
         out_name = f"{rid}.svg"
     else:
         table = parse_feature_csv(_read(args.features_csv))

@@ -59,7 +59,9 @@ class EmptyCloudError(EctShapeError):
 
 
 class DegenerateCloudError(EctShapeError):
-    """All points identical; second moments are all zero."""
+    """The cloud cannot be measured: all points are identical (second moments
+    all zero), a coordinate exceeds 2**500 in magnitude, or rounding makes
+    the hull's compactness exceed the isoperimetric bound."""
 
 
 class CollinearCloudError(EctShapeError):

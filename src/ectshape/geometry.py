@@ -14,7 +14,7 @@ degrees in (-90, 90] because an undirected axis is only defined modulo
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .preprocess import PointCloud2D
 _ZERO_WIDTH_REL = 1e-12
 # absolute moment magnitude below which the axis direction is a tie
 _ISOTROPY_TOL = 1e-12
+# largest coordinate magnitude measured: below it no moment, hull cross
+# product, area or squared perimeter overflows for fewer than 2**20 points
+_MAX_COORD = 2.0**500
 
 FEATURE_NAMES_BASIC = ("L", "W", "alpha_deg")
 FEATURE_NAMES_EXTENDED = (
@@ -46,8 +49,7 @@ FEATURE_NAMES_EXTENDED = (
 )
 
 
-@dataclass(frozen=True)
-class CentralMoments2:
+class CentralMoments2(NamedTuple):
     """Second-order central moments and the centroid they are taken about."""
 
     mu20: float
@@ -55,17 +57,8 @@ class CentralMoments2:
     mu11: float
     centroid: tuple[float, float]
 
-    def __post_init__(self) -> None:
-        if self.mu20 < 0 or self.mu02 < 0:
-            raise ValueError("diagonal moments must be non-negative")
-        # Cauchy-Schwarz with a float-rounding allowance
-        bound = math.sqrt(self.mu20 * self.mu02) + 1e-12 * (1.0 + self.mu20 + self.mu02)
-        if abs(self.mu11) > bound:
-            raise ValueError("mu11 exceeds the Cauchy-Schwarz bound")
 
-
-@dataclass(frozen=True)
-class PrincipalAxes:
+class PrincipalAxes(NamedTuple):
     """Eigenstructure of the covariance matrix, major axis first.
 
     alpha_deg is the angle from the +x axis to the major axis, in
@@ -78,48 +71,22 @@ class PrincipalAxes:
     lambda_major: float
     lambda_minor: float
 
-    def __post_init__(self) -> None:
-        if not (-90.0 < self.alpha_deg <= 90.0):
-            raise ValueError("alpha_deg must lie in (-90, 90]")
-        if self.lambda_major < self.lambda_minor or self.lambda_minor < 0:
-            raise ValueError("eigenvalues must satisfy lambda_major >= lambda_minor >= 0")
-        for vec in (self.major, self.minor):
-            if abs(math.hypot(*vec) - 1.0) > 1e-12:
-                raise ValueError("axis vectors must be unit length")
-        dot = self.major[0] * self.minor[0] + self.major[1] * self.minor[1]
-        if abs(dot) > 1e-12:
-            raise ValueError("axes must be orthogonal")
 
-
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Strictly convex polygon, vertices counter-clockwise."""
+class ConvexPolygon(NamedTuple):
+    """Strictly convex polygon, (m, 2) vertices counter-clockwise."""
 
     vertices: np.ndarray
-
-    def __post_init__(self) -> None:
-        verts = np.asarray(self.vertices, dtype=np.float64)
-        if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-            raise ValueError("need at least 3 vertices as an (m, 2) array")
-        nxt = np.concatenate((verts[1:], verts[:1]))
-        nxt2 = np.concatenate((verts[2:], verts[:2]))
-        cross = (nxt[:, 0] - verts[:, 0]) * (nxt2[:, 1] - nxt[:, 1]) - (
-            nxt[:, 1] - verts[:, 1]
-        ) * (nxt2[:, 0] - nxt[:, 0])
-        if not (cross > 0).all():
-            raise ValueError("vertices must make strictly convex CCW turns")
-        verts.setflags(write=False)
-        object.__setattr__(self, "vertices", verts)
 
     @property
     def n_vertices(self) -> int:
         return int(self.vertices.shape[0])
 
 
-@dataclass(frozen=True)
-class ShapeFeatures:
+class ShapeFeatures(NamedTuple):
     """The full geometric signature of one impedance shape.
 
+    The fields are the ten values in FEATURE_NAMES_EXTENDED order, so
+    ``np.array(feats)`` is a feature row and ``feats[:3]`` its basic part.
     length/width are the extents of the inertia-aligned bounding box
     (length >= width); area/perimeter come from the convex hull.
     """
@@ -135,35 +102,6 @@ class ShapeFeatures:
     eccentricity: float
     convexity: float
 
-    def __post_init__(self) -> None:
-        if self.length < self.width:
-            raise ValueError("length must be >= width")
-        if not (-90.0 < self.alpha_deg <= 90.0):
-            raise ValueError("alpha_deg must lie in (-90, 90]")
-        if not (0.0 <= self.eccentricity <= 1.0 + 1e-12):
-            raise ValueError("eccentricity must lie in [0, 1]")
-        if self.compactness > 1.0 + 1e-9:
-            raise ValueError("compactness exceeds the isoperimetric bound")
-
-    def as_vector(self, extended: bool = False) -> np.ndarray:
-        """Feature vector: (L, W, alpha) or all ten values."""
-        basic = (self.length, self.width, self.alpha_deg)
-        if not extended:
-            return np.array(basic, dtype=np.float64)
-        return np.array(
-            basic
-            + (
-                self.area,
-                self.perimeter,
-                self.compactness,
-                self.elongation,
-                self.rectangularity,
-                self.eccentricity,
-                self.convexity,
-            ),
-            dtype=np.float64,
-        )
-
 
 def centroid(cloud: PointCloud2D) -> tuple[float, float]:
     """Arithmetic mean of the point coordinates."""
@@ -174,9 +112,15 @@ def centroid(cloud: PointCloud2D) -> tuple[float, float]:
 
 
 def central_moments(cloud: PointCloud2D) -> CentralMoments2:
-    """Population (1/n) second moments about the centroid."""
+    """Population (1/n) second moments about the centroid.
+
+    Raises DegenerateCloudError for a coordinate beyond 2**500 in
+    magnitude, where the measures downstream could overflow.
+    """
     if cloud.n == 0:
         raise EmptyCloudError("cannot take moments of an empty cloud")
+    if np.abs(cloud.points).max() > _MAX_COORD:
+        raise DegenerateCloudError("a coordinate exceeds 2**500 in magnitude")
     gx, gy = centroid(cloud)
     dx = cloud.x - gx
     dy = cloud.y - gy
@@ -350,7 +294,8 @@ def shape_descriptors(cloud: PointCloud2D) -> ShapeFeatures:
     perimeter against the closed acquisition-order polyline.
 
     Raises ZeroWidthError for (numerically) collinear clouds, where
-    elongation is undefined.
+    elongation is undefined, and DegenerateCloudError where rounding makes
+    the hull's compactness exceed the isoperimetric bound of 1.
     """
     moments = central_moments(cloud)
     axes = principal_axes(moments)
@@ -361,6 +306,8 @@ def shape_descriptors(cloud: PointCloud2D) -> ShapeFeatures:
     hull = convex_hull(cloud)
     area, hull_perimeter = polygon_area_perimeter(hull)
     compactness = 4.0 * math.pi * area / hull_perimeter**2
+    if compactness > 1.0 + 1e-9:
+        raise DegenerateCloudError("hull compactness exceeds the isoperimetric bound")
     elongation = length / width
     rectangularity = area / (length * width)
     eccentricity = math.sqrt(axes.lambda_minor / axes.lambda_major)

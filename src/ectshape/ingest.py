@@ -3,15 +3,14 @@
 A record file holds one acquisition: one "RE IM" (or "RE,IM") pair per
 line, in ohms, in acquisition order. A manifest maps record files to
 class labels, one "path,label" per line. Both formats skip blank lines
-and '#' comments. Records and manifests are immutable once built and
-safe to share across workers.
+and '#' comments. Parsed samples and manifests are read-only once built
+and safe to share across workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,76 +23,27 @@ from .errors import (
 from .textio import iter_data_lines
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(NamedTuple):
     """A defect class: human-readable name plus dense index."""
 
     name: str
     index: int
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("class name must be non-empty")
-        if self.index < 0:
-            raise ValueError("class index must be non-negative")
 
-
-@dataclass(frozen=True)
-class ImpedanceRecord:
-    """One acquisition: complex impedance samples plus metadata.
-
-    samples is an (n, 2) float64 array of (resistance, reactance) pairs
-    in acquisition order.
-    """
-
-    record_id: str
-    samples: np.ndarray
-    label: Optional[ClassLabel] = None
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] == 0:
-            raise ValueError("samples must be a non-empty (n, 2) array")
-        if not np.isfinite(samples).all():
-            raise ValueError("samples must be finite")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.samples.shape[0])
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
+class DatasetManifest(NamedTuple):
     """Ordered (path, label_name) entries plus the sorted class names."""
 
     entries: tuple[tuple[str, str], ...]
     class_names: tuple[str, ...]
-    _index_of: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index_of", {name: i for i, name in enumerate(self.class_names)}
-        )
-        for _, label_name in self.entries:
-            if label_name not in self._index_of:
-                raise ValueError(f"label {label_name!r} missing from class_names")
-
-    def label_for(self, name: str) -> ClassLabel:
-        return ClassLabel(name=name, index=self._index_of[name])
 
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
 
 
-def parse_record(
-    text: str,
-    record_id: str,
-    label: Optional[ClassLabel] = None,
-) -> ImpedanceRecord:
-    """Parse record text into an :class:`ImpedanceRecord`.
+def parse_record(text: str, record_id: str) -> np.ndarray:
+    """Parse record text into its read-only (n, 2) float64 samples of
+    (resistance, reactance) pairs.
 
     Data lines hold exactly two numeric fields (real part, imaginary
     part) separated by whitespace or commas; file order is preserved.
@@ -111,7 +61,8 @@ def parse_record(
     samples = _parse_block(text)
     if samples is None:
         samples = _parse_lines(text, record_id)
-    return ImpedanceRecord(record_id=record_id, samples=samples, label=label)
+    samples.setflags(write=False)
+    return samples
 
 
 # a token float() rejects, put between the data lines
@@ -172,13 +123,13 @@ def _parse_lines(text: str, record_id: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def record_to_text(record: ImpedanceRecord) -> str:
-    """Serialize a record to the canonical format at full precision.
+def record_to_text(samples: np.ndarray) -> str:
+    """Serialize (n, 2) samples to the canonical record format at full
+    precision.
 
     Re-parsing the output yields bitwise-equal sample values.
     """
     # "%.17g" is format_float's format, applied in one pass over the record
-    samples = record.samples
     return ("%.17g %.17g\n" * samples.shape[0]) % tuple(samples.ravel().tolist())
 
 

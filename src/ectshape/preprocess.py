@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAfterTrimError, TooFewSamplesError
-from .ingest import ImpedanceRecord
 
 TRIM_MODES = ("both_axes", "radial", "none")
 
@@ -70,13 +69,15 @@ class TrimPolicy:
             raise ValueError(f"mode must be one of {TRIM_MODES}")
 
 
-def to_point_cloud(record: ImpedanceRecord) -> PointCloud2D:
-    """Map samples to impedance-plane points (re, im), order preserved."""
-    if record.n_samples < 3:
-        raise TooFewSamplesError(
-            f"record {record.record_id!r} has {record.n_samples} samples; need >= 3"
-        )
-    return PointCloud2D(points=record.samples.copy())
+def to_point_cloud(samples: np.ndarray, record_id: str) -> PointCloud2D:
+    """Map (n, 2) samples to impedance-plane points (re, im), order preserved.
+
+    The cloud wraps `samples` without a copy, and makes the array read-only.
+    """
+    n = samples.shape[0]
+    if n < 3:
+        raise TooFewSamplesError(f"record {record_id!r} has {n} samples; need >= 3")
+    return PointCloud2D(points=samples)
 
 
 def trim_noise(cloud: PointCloud2D, policy: TrimPolicy) -> PointCloud2D:

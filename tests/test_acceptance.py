@@ -238,7 +238,7 @@ def test_criterion_4_synthetic_end_to_end():
     pairs = generate_synthetic(defect_grid_spec(), seed=42)
     assert len(pairs) == 240
     features = np.array(
-        [shape_descriptors(cloud).as_vector(extended=False) for cloud, _ in pairs]
+        [shape_descriptors(cloud)[:3] for cloud, _ in pairs]
     )
     labels = np.array([lab.index for _, lab in pairs])
     data = LabeledDataset(

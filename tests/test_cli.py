@@ -1,22 +1,36 @@
 import json
 import math
+import os
 import re
+import stat
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tree_depth
-from ectshape.artifacts import TOOL_VERSION, comparable_artifact, config_echo
+from ectshape.artifacts import (
+    TOOL_VERSION,
+    artifact_header,
+    comparable_artifact,
+    config_echo,
+)
 from ectshape.classifiers import predict
 from ectshape.classifiers.serialize import load_model
-from ectshape.cli import main
+from ectshape.cli import _xml_comment, main
 from ectshape.dataset import FEATURE_CSV_HEADER, parse_feature_csv
 from ectshape.ingest import parse_record
 from ectshape.plots import record_svg
 from ectshape.preprocess import TrimPolicy, to_point_cloud, trim_noise
-from ectshape.textio import format_float
+from ectshape.textio import format_float, iter_data_lines
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def data_lines(text):
@@ -251,6 +265,60 @@ def test_extract_prints_no_skip_summary_without_skips(tmp_path, capsys):
     assert main(["extract", "--manifest", str(manifest),
                  "--out", str(tmp_path / "f.csv")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def ellipse_points(n, a, b, scale=1.0):
+    return [
+        (scale * a * math.cos(2 * math.pi * i / n),
+         scale * b * math.sin(2 * math.pi * i / n))
+        for i in range(n)
+    ]
+
+
+def write_overflow_records(tmp_path):
+    """A good ellipse, then five valid, finite records whose measures would
+    overflow or lose the hull area; returns the manifest."""
+    records = {
+        "good": ellipse_points(64, 3.0, 1.0),
+        "x1e153": ellipse_points(64, 3.0, 1.0, 1e153),
+        "x5e153": ellipse_points(64, 3.0, 1.0, 5e153),
+        "x1e300": ellipse_points(64, 3.0, 1.0, 1e300),
+        "octagon": ellipse_points(8, 1.0, 0.9, 6e153),
+        # a sliver far from the origin: the shoelace sum loses its area
+        "sliver": [
+            (1e6 + 1e-3 * i / 23, 1e6 + 1e-3 * i / 23 + 2.5e-10 * (-1) ** i)
+            for i in range(24)
+        ],
+    }
+    for name, points in records.items():
+        (tmp_path / f"{name}.csv").write_text(
+            "".join("%.17g %.17g\n" % p for p in points)
+        )
+    return make_manifest(tmp_path, [(f"{name}.csv", "x") for name in records])
+
+
+@pytest.mark.parametrize("trim", [["--trim-mode", "none"], []])
+def test_extract_skips_records_whose_measures_overflow(tmp_path, capsys, trim):
+    manifest = write_overflow_records(tmp_path)
+    out = tmp_path / "features.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["extract", "--manifest", str(manifest), "--out", str(out), *trim])
+    assert code == 0
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("warning: skipping ") for line in err[:5])
+    assert err[5:] == ["skipped 5/6: DegenerateCloudError×5"]
+    assert [row.split(",")[0] for row in data_lines(out.read_text())[1:]] == ["good"]
+
+
+def test_plot_overflowing_record_exits_3_with_one_line(tmp_path, capsys):
+    write_overflow_records(tmp_path)
+    code = main(["plot", "--record", str(tmp_path / "x1e300.csv"),
+                 "--out-dir", str(tmp_path / "plots")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 MANIFEST_COMMANDS = ["extract", "evaluate", "train", "classify"]
@@ -697,7 +765,7 @@ def test_plot_svg_header_is_the_artifact_header_as_comments(tmp_path, synth_dir)
                   "record": str(record), "trim_mode": "both-axes",
                   "trim_quantile": 0.98}
         cloud = trim_noise(
-            to_point_cloud(parse_record(record.read_text(), rid)), TrimPolicy()
+            to_point_cloud(parse_record(record.read_text(), rid), rid), TrimPolicy()
         )
         # XML forbids "--" inside a comment: a hyphen followed by another
         # gets a space after it
@@ -763,3 +831,103 @@ def test_plot_features_legend_per_class(tmp_path):
     assert svg.count('class="legend-entry"') == 12
     for c in range(12):
         assert f"type{c:02d}" in svg
+
+
+# --- artifact headers and file modes ------------------------------------------
+
+def comment_header(path):
+    """The leading comment lines of an artifact: `#` lines, or the XML
+    comments before a plot's <svg> root."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    marker = "<!--" if path.suffix == ".svg" else "#"
+    n = next(i for i, line in enumerate(lines) if not line.startswith(marker))
+    return lines[:n]
+
+
+def test_out_dir_with_a_newline_keeps_every_header_a_comment(tmp_path):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, n_records=4)
+    out = tmp_path / "nl\ndir"
+    manifest, feats, model = out / "manifest.csv", out / "f.csv", out / "tree.model"
+    assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 0
+    assert main(["extract", "--manifest", str(manifest), "--out", str(feats)]) == 0
+    assert len(data_lines(feats.read_text())) == 1 + 12
+    assert main(["train", "--features-csv", str(feats), "--classifier", "tree",
+                 "--model-out", str(model)]) == 0
+    assert main(["classify", "--model", str(model), "--manifest", str(manifest),
+                 "--out", str(out / "p.csv")]) == 0
+    assert main(["evaluate", "--features-csv", str(feats), "--classifier", "nb",
+                 "--k", "2", "--out-dir", str(out / "eval")]) == 0
+    assert main(["plot", "--record", str(out / "round_00.csv"),
+                 "--out-dir", str(out / "plots")]) == 0
+    assert main(["plot", "--features-csv", str(feats),
+                 "--out-dir", str(out / "plots")]) == 0
+    artifacts = sorted(p for p in out.rglob("*") if p.is_file())
+    assert {p.suffix for p in artifacts} == {".csv", ".model", ".txt", ".svg"}
+    for path in artifacts:
+        header = comment_header(path)
+        # the config line closes the header and holds the whole path
+        config = "<!-- config:" if path.suffix == ".svg" else "# config:"
+        assert header[-1].startswith(config), path
+        assert "nl\\ndir" in header[-1], path
+    ElementTree.parse(out / "plots" / "round_00.svg")
+
+
+config_values = st.one_of(st.text(), st.integers(), st.floats(), st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(min_size=1, max_size=12), config_values, max_size=4),
+       st.one_of(st.none(), st.integers(0, 2**31)))
+def test_every_header_line_is_a_comment(config, seed):
+    lines = artifact_header(config, seed)
+    # text artifacts: as the readers split and skip lines
+    text = "\n".join(lines + ["1 2"]) + "\n"
+    assert text.splitlines() == lines + ["1 2"]
+    assert list(iter_data_lines(text)) == [(len(lines) + 1, "1 2")]
+    # plots: one well-formed XML comment per header line
+    comments = "".join(_xml_comment(line) for line in lines)
+    assert len(comments.splitlines()) == len(lines)
+    for line in comments.splitlines():
+        assert line.startswith("<!-- ") and line.endswith(" -->")
+        assert "--" not in line[4:-3]
+    ElementTree.fromstring(comments + "<svg/>")
+    # printable values keep their bytes
+    plain = " ".join(f"{key}={config[key]}" for key in sorted(config))
+    if plain.isprintable():
+        assert config_echo(config) == plain
+
+
+UMASK_CHILD = """
+import os, sys
+os.umask(int(sys.argv[1], 8))
+from ectshape.cli import main
+spec, out = sys.argv[2], sys.argv[3]
+for argv in (
+    ["synth", "--spec", spec, "--out-dir", out],
+    ["extract", "--manifest", f"{out}/manifest.csv", "--out", f"{out}/f.csv"],
+    ["train", "--features-csv", f"{out}/f.csv", "--classifier", "nb",
+     "--model-out", f"{out}/nb.model"],
+    ["plot", "--record", f"{out}/round_00.csv", "--out-dir", out],
+):
+    assert main(argv) == 0, argv
+"""
+
+
+@pytest.mark.parametrize("umask,mode", [("022", 0o644), ("077", 0o600)])
+def test_artifact_mode_follows_the_umask(tmp_path, umask, mode):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, n_records=2)
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", UMASK_CHILD, umask, str(spec), str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # a record, the manifest, a feature CSV, a model and a plot
+    names = ["round_00.csv", "manifest.csv", "f.csv", "nb.model", "round_00.svg"]
+    modes = {name: stat.S_IMODE((out / name).stat().st_mode) for name in names}
+    assert modes == dict.fromkeys(names, mode)
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".ectshape-")]

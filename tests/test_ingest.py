@@ -16,8 +16,6 @@ from ectshape.errors import (
 )
 from ectshape.geometry import FEATURE_NAMES_EXTENDED
 from ectshape.ingest import (
-    ClassLabel,
-    ImpedanceRecord,
     load_manifest,
     manifest_to_text,
     parse_record,
@@ -48,13 +46,13 @@ def test_iter_data_lines_skips_comments_and_blanks():
 def test_parse_record_whitespace_and_comma_agree():
     a = parse_record("1.5 -2.25\n3 4\n", "a")
     b = parse_record("1.5,-2.25\n3,4\n", "b")
-    assert np.array_equal(a.samples, b.samples)
-    assert a.samples.shape == (2, 2)
+    assert np.array_equal(a, b)
+    assert a.shape == (2, 2)
 
 
 def test_parse_record_preserves_order():
-    rec = parse_record("3 0\n1 0\n2 0\n", "r")
-    assert list(rec.samples[:, 0]) == [3.0, 1.0, 2.0]
+    samples = parse_record("3 0\n1 0\n2 0\n", "r")
+    assert list(samples[:, 0]) == [3.0, 1.0, 2.0]
 
 
 def test_parse_record_reports_true_line_number():
@@ -84,21 +82,21 @@ def test_parse_record_empty():
 
 @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=30))
 def test_record_text_round_trip(pairs):
-    rec = ImpedanceRecord(record_id="r", samples=np.array(pairs))
-    back = parse_record(record_to_text(rec), "r")
-    assert np.array_equal(back.samples, rec.samples)
+    samples = np.array(pairs)
+    back = parse_record(record_to_text(samples), "r")
+    assert np.array_equal(back, samples)
 
 
 @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=30))
 def test_record_text_equals_per_line_format_float(pairs):
-    rec = ImpedanceRecord(record_id="r", samples=np.array(pairs))
-    lines = [f"{format_float(re)} {format_float(im)}" for re, im in rec.samples]
-    assert record_to_text(rec) == "\n".join(lines) + "\n"
+    samples = np.array(pairs)
+    lines = [f"{format_float(re)} {format_float(im)}" for re, im in samples]
+    assert record_to_text(samples) == "\n".join(lines) + "\n"
 
 
 def test_record_text_keeps_extreme_values_and_zero_signs():
     samples = np.array([[-0.0, 0.0], [5e-324, -1.7976931348623157e308], [1 / 3, 2.0]])
-    text = record_to_text(ImpedanceRecord(record_id="r", samples=samples))
+    text = record_to_text(samples)
     assert text == (
         "-0 0\n"
         "4.9406564584124654e-324 -1.7976931348623157e+308\n"
@@ -107,23 +105,15 @@ def test_record_text_keeps_extreme_values_and_zero_signs():
 
 
 def test_record_samples_immutable():
-    rec = parse_record("1 2\n3 4\n", "r")
+    samples = parse_record("1 2\n3 4\n", "r")
     with pytest.raises(ValueError):
-        rec.samples[0, 0] = 9.0
-
-
-def test_class_label_validation():
-    with pytest.raises(ValueError):
-        ClassLabel(name="", index=0)
-    with pytest.raises(ValueError):
-        ClassLabel(name="ok", index=-1)
+        samples[0, 0] = 9.0
 
 
 def test_load_manifest_sorted_class_names():
     m = load_manifest("a.csv,perp_d1.0\nb.csv,ang30_d0.7\n")
     assert len(m.entries) == 2
     assert m.class_names == ("ang30_d0.7", "perp_d1.0")
-    assert m.label_for("perp_d1.0").index == 1
     assert m.num_classes == 2
 
 

@@ -100,7 +100,7 @@ def parse_outcome(parse, text):
 
 def assert_parsers_agree(text):
     expected = parse_outcome(lambda t: reference_parse_record(t, "r"), text)
-    assert parse_outcome(lambda t: parse_record(t, "r").samples, text) == expected
+    assert parse_outcome(lambda t: parse_record(t, "r"), text) == expected
 
 
 # Tokens that split, join, comment out or break lines, and strings at the

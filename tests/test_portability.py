@@ -56,9 +56,8 @@ if kind == "extract":
         texts = json.load(handle)
     for mode in TRIM_MODES:
         for i, text in enumerate(texts):
-            cloud = to_point_cloud(parse_record(text, f"r{i}"))
-            feats = shape_descriptors(trim_noise(cloud, TrimPolicy(mode=mode)))
-            rows.append(feats.as_vector(extended=True))
+            cloud = to_point_cloud(parse_record(text, f"r{i}"), f"r{i}")
+            rows.append(shape_descriptors(trim_noise(cloud, TrimPolicy(mode=mode))))
 elif kind == "mlp":
     for c, center in enumerate(((0, 0, 1), (3, 1, 2), (1, 4, 0), (4, 4, 3))):
         for _ in range(15):

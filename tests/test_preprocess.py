@@ -31,8 +31,8 @@ def test_point_cloud_immutable():
 
 def test_to_point_cloud_needs_three_samples():
     with pytest.raises(TooFewSamplesError):
-        to_point_cloud(parse_record("1 2\n3 4\n", "r"))
-    cloud = to_point_cloud(parse_record("1 2\n3 4\n5 6\n", "r"))
+        to_point_cloud(parse_record("1 2\n3 4\n", "r"), "r")
+    cloud = to_point_cloud(parse_record("1 2\n3 4\n5 6\n", "r"), "r")
     assert cloud.n == 3
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from ectshape.errors import BadSpecError
 from ectshape.geometry import shape_descriptors
-from ectshape.ingest import ClassLabel, ImpedanceRecord, record_to_text
+from ectshape.ingest import ClassLabel, record_to_text
 from ectshape.rng import SplitMix64
 from ectshape.synthetic import (
     SynthClassSpec,
@@ -219,8 +219,7 @@ PINNED_BODIES_SHA256 = "1e743ed08096c626e0b95bef98c6fce89db9c6242a59ebfdb145ac0c
 def test_record_bodies_digest_pinned():
     pairs = generate_synthetic(two_class_spec(), seed=42)
     bodies = "".join(
-        record_to_text(ImpedanceRecord(record_id=f"r{i}", samples=cloud.points))
-        for i, (cloud, _) in enumerate(pairs)
+        record_to_text(cloud.points) for cloud, _ in pairs
     )
     assert hashlib.sha256(bodies.encode()).hexdigest() == PINNED_BODIES_SHA256
 
