@@ -44,21 +44,34 @@ def train_gnb(data: LabeledDataset) -> GnbModel:
 
     Variances are clamped below by a floor scaled with the squared global
     feature range; priors are the class frequencies.
+
+    Classes with the same row count are fitted together from one
+    `(classes, count, d)` block of their rows in file order, summed over its
+    middle axis. numpy then adds each class's rows in the order that
+    `mean`/`var(axis=0)` of that class alone would (row by row, or pairwise
+    when d is 1), so the bits are the same. Each row is copied once, with
+    no padding, however skewed the classes are.
     """
     n, d = data.features.shape
-    k = data.num_classes
     counts = data.class_counts()
-    for c in range(k):
-        if counts[c] == 0:
-            raise EmptyClassError(c)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise EmptyClassError(int(empty[0]))
     feature_range = data.features.max(axis=0) - data.features.min(axis=0)
     floor = _VAR_FLOOR_REL * feature_range**2 + _VAR_FLOOR_ABS
-    means = np.empty((k, d))
-    variances = np.empty((k, d))
-    for c in range(k):
-        rows = data.features[data.labels == c]
-        means[c] = rows.mean(axis=0)
-        variances[c] = np.maximum(rows.var(axis=0), floor)
+    # row indices grouped by class, each class's rows in file order
+    by_class = np.argsort(data.labels, kind="stable")
+    starts = np.cumsum(counts) - counts
+    means = np.empty((data.num_classes, d))
+    variances = np.empty((data.num_classes, d))
+    for count in np.unique(counts).tolist():
+        classes = np.flatnonzero(counts == count)
+        rows = data.features[by_class[starts[classes, None] + np.arange(count)]]
+        mean = rows.sum(axis=1) / count
+        rows -= mean[:, None, :]
+        rows *= rows
+        means[classes] = mean
+        variances[classes] = np.maximum(rows.sum(axis=1) / count, floor)
     priors = counts.astype(np.float64) / n
     return GnbModel(means=means, variances=variances, priors=priors)
 

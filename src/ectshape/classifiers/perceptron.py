@@ -386,30 +386,32 @@ def train_mlp_stack(
     ts = np.empty((n_max, k, n_out))
     errs = np.empty((n_max, k, n_out))
     first_bad_loss: list[float | None] = [None] * k
-    for _ in range(params.epochs):
-        for j, rng in enumerate(rngs):
-            rng.shuffle(orders[j])
-            rows[: sizes[j], j] = orders[j]
-            rows[: sizes[j], j] += offsets[j]
-        np.take(x_all, rows, axis=0, out=xs)
-        np.equal(labels[rows][:, :, None], np.arange(n_out), out=ts, casting="unsafe")
-        for x, target, err in zip(xs[:-1], ts[:-1], errs[:-1]):
-            backward(x, target, err)
+    # a diverging fit overflows to inf/NaN; NonFiniteLossError reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.epochs):
+            for j, rng in enumerate(rngs):
+                rng.shuffle(orders[j])
+                rows[: sizes[j], j] = orders[j]
+                rows[: sizes[j], j] += offsets[j]
+            np.take(x_all, rows, axis=0, out=xs)
+            np.equal(labels[rows][:, :, None], np.arange(n_out), out=ts, casting="unsafe")
+            for x, target, err in zip(xs[:-1], ts[:-1], errs[:-1]):
+                backward(x, target, err)
+                step(lr, momentum)
+            held = stack.theta[short], stack.vel[short]
+            backward(xs[-1], ts[-1], errs[-1])
             step(lr, momentum)
-        held = stack.theta[short], stack.vel[short]
-        backward(xs[-1], ts[-1], errs[-1])
-        step(lr, momentum)
-        stack.theta[short], stack.vel[short] = held
-        errs[-1, short] = 0.0
-        # epoch loss: sum over steps of 0.5 * sum(err**2), in place
-        np.multiply(errs, errs, out=errs)
-        np.add.accumulate(errs, axis=2, out=errs)
-        losses = _fixed_sum(0.5 * errs[:, :, -1], axis=0)
-        for j, loss in enumerate(losses.tolist()):
-            if first_bad_loss[j] is None and not math.isfinite(loss):
-                first_bad_loss[j] = loss
-        if all(loss is not None for loss in first_bad_loss):
-            break
+            stack.theta[short], stack.vel[short] = held
+            errs[-1, short] = 0.0
+            # epoch loss: sum over steps of 0.5 * sum(err**2), in place
+            np.multiply(errs, errs, out=errs)
+            np.add.accumulate(errs, axis=2, out=errs)
+            losses = _fixed_sum(0.5 * errs[:, :, -1], axis=0)
+            for j, loss in enumerate(losses.tolist()):
+                if first_bad_loss[j] is None and not math.isfinite(loss):
+                    first_bad_loss[j] = loss
+            if all(loss is not None for loss in first_bad_loss):
+                break
 
     for j, i in enumerate(live):
         if first_bad_loss[j] is not None:

@@ -55,6 +55,7 @@ PREDICTIONS_CSV_HEADER = "record_id,predicted_label,confidence"
 
 # inclusive (low, high) of each integer hyperparameter flag, None unbounded
 _PARAM_RANGES = {
+    "k": (2, None),
     "mlp_hidden": (1, None),
     "mlp_epochs": (1, None),
     "tree_max_depth": (1, MAX_DEPTH),

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,9 +79,8 @@ def stratified_k_fold(data: LabeledDataset, k: int, seed: int) -> FoldAssignment
     for c in range(data.num_classes):
         members = np.flatnonzero(data.labels == c)
         rng.shuffle(members)
-        for idx in members:
-            fold_of_row[idx] = cursor % k
-            cursor += 1
+        fold_of_row[members] = (cursor + np.arange(members.shape[0])) % k
+        cursor += members.shape[0]
     return FoldAssignment(fold_of_row=fold_of_row, k=k)
 
 
@@ -130,8 +131,7 @@ def confusion_matrix(
     return ConfusionMatrix(counts=counts)
 
 
-@dataclass(frozen=True)
-class MetricSet:
+class MetricSet(NamedTuple):
     accuracy: float
     sensitivity: float
     specificity: float
@@ -139,56 +139,62 @@ class MetricSet:
     mcc: float
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (
-            self.accuracy,
-            self.sensitivity,
-            self.specificity,
-            self.precision,
-            self.mcc,
-        )
+        return tuple(self)
 
 
-def _ratio(num: float, den: float) -> float:
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     # zero-denominator convention: score 0, not NaN
-    return num / den if den > 0 else 0.0
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def metric_table(counts: np.ndarray) -> np.ndarray:
+    """One-vs-rest metrics of every class of a stack of confusion matrices.
+
+    `counts` is `(..., K, K)`; the result is `(..., K, 5)`, one row per
+    class in METRIC_NAMES order. Each value is what the scalar formula
+    gives in double precision: the cell sums are exact integers, every
+    operation keeps the scalar order, and a zero denominator scores 0.
+    """
+    counts = np.asarray(counts)
+    tp = np.diagonal(counts, axis1=-2, axis2=-1).astype(np.float64)
+    fn = counts.sum(axis=-1) - tp
+    fp = counts.sum(axis=-2) - tp
+    tn = counts.sum(axis=(-2, -1))[..., None] - tp - fn - fp
+    mcc_den_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    return np.stack(
+        (
+            _ratio(tp + tn, tp + tn + fp + fn),
+            _ratio(tp, tp + fn),
+            _ratio(tn, tn + fp),
+            _ratio(tp, tp + fp),
+            _ratio(tp * tn - fp * fn, np.sqrt(mcc_den_sq)),
+        ),
+        axis=-1,
+    )
+
+
+def _metric_sets(table: np.ndarray) -> tuple[MetricSet, ...]:
+    return tuple(MetricSet(*row) for row in table.tolist())
 
 
 def one_vs_rest_metrics(cm: ConfusionMatrix, class_index: int) -> MetricSet:
     """Binary metrics treating `class_index` as positive, everything else negative."""
-    if cm.total == 0:
-        raise EmptyMatrixError("confusion matrix is empty")
     if not 0 <= class_index < cm.num_classes:
         raise LabelOutOfRangeError(f"class index {class_index} out of range")
-    counts = cm.counts
-    tp = float(counts[class_index, class_index])
-    fn = float(counts[class_index].sum() - tp)
-    fp = float(counts[:, class_index].sum() - tp)
-    tn = float(cm.total - tp - fn - fp)
-    accuracy = _ratio(tp + tn, tp + tn + fp + fn)
-    sensitivity = _ratio(tp, tp + fn)
-    specificity = _ratio(tn, tn + fp)
-    precision = _ratio(tp, tp + fp)
-    mcc_den_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    mcc = (tp * tn - fp * fn) / np.sqrt(mcc_den_sq) if mcc_den_sq > 0 else 0.0
-    return MetricSet(
-        accuracy=accuracy,
-        sensitivity=sensitivity,
-        specificity=specificity,
-        precision=precision,
-        mcc=float(mcc),
-    )
+    return per_class_metrics(cm)[class_index]
 
 
 def per_class_metrics(cm: ConfusionMatrix) -> tuple[MetricSet, ...]:
-    return tuple(one_vs_rest_metrics(cm, c) for c in range(cm.num_classes))
+    if cm.total == 0:
+        raise EmptyMatrixError("confusion matrix is empty")
+    return _metric_sets(metric_table(cm.counts))
 
 
 def macro_metrics(per_class: tuple[MetricSet, ...]) -> MetricSet:
     """Unweighted arithmetic mean of each field over classes."""
     if len(per_class) == 0:
         raise ValueError("need at least one class")
-    arr = np.array([m.as_tuple() for m in per_class])
-    return MetricSet(*(float(v) for v in arr.mean(axis=0)))
+    return MetricSet(*np.array(per_class).mean(axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,8 @@ class EvalReport:
 
     With metrics_mode "pooled" the per_class/macro metrics come from the
     summed confusion matrix; with "fold_mean" they are unweighted means of
-    the per-fold metrics.
+    the per-fold metrics. fold_metrics is the `(k, K, 5)` metric_table of
+    per_fold, which the metrics CSV reads.
     """
 
     classifier_kind: str
@@ -210,6 +217,7 @@ class EvalReport:
     pooled: ConfusionMatrix
     per_class: tuple[MetricSet, ...]
     macro: MetricSet
+    fold_metrics: np.ndarray
 
     def __post_init__(self) -> None:
         summed = self.per_fold[0]
@@ -272,20 +280,17 @@ def cross_validate(
         test_idx = assignment.test_indices(f)
         preds, _ = predict(trained, data.features[test_idx])
         per_fold.append(confusion_matrix(data.labels[test_idx], preds, data.num_classes))
-    pooled = per_fold[0]
-    for m in per_fold[1:]:
-        pooled = pooled + m
+    counts = np.stack([m.counts for m in per_fold])
+    pooled = ConfusionMatrix(counts=counts.sum(axis=0))
+    # one pass over the k fold matrices and the pooled one: (k + 1, K, 5)
+    table = metric_table(np.concatenate((counts, pooled.counts[None])))
+    macros = table.mean(axis=1)
     if per_fold_mean:
-        by_fold = [per_class_metrics(m) for m in per_fold]
-        per_class = tuple(
-            macro_metrics(tuple(fold[c] for fold in by_fold))
-            for c in range(data.num_classes)
-        )
-        macro = macro_metrics(tuple(macro_metrics(fold) for fold in by_fold))
+        per_class_table = table[:k].mean(axis=0)
+        macro_row = macros[:k].mean(axis=0)
         mode = "fold_mean"
     else:
-        per_class = per_class_metrics(pooled)
-        macro = macro_metrics(per_class)
+        per_class_table, macro_row = table[k], macros[k]
         mode = "pooled"
     return EvalReport(
         classifier_kind=classifier_kind,
@@ -296,24 +301,26 @@ def cross_validate(
         class_names=names,
         per_fold=tuple(per_fold),
         pooled=pooled,
-        per_class=per_class,
-        macro=macro,
+        per_class=_metric_sets(per_class_table),
+        macro=MetricSet(*macro_row.tolist()),
+        fold_metrics=table[:k],
     )
 
 
-def _metric_fields(m: MetricSet) -> str:
-    return ",".join(format_float(v) for v in m.as_tuple())
+def _metric_fields(values: Iterable[float]) -> str:
+    return ",".join(format_float(v) for v in values)
 
 
 def metrics_csv_lines(report: EvalReport) -> list[str]:
     """Rows per fold and class; fold -1 = summary, class -1 = macro average."""
     lines = [METRICS_CSV_HEADER]
     kind = report.classifier_kind
-    for f, cm in enumerate(report.per_fold):
-        fold_sets = per_class_metrics(cm)
-        for c, metrics in enumerate(fold_sets):
-            lines.append(f"{kind},{f},{c},{_metric_fields(metrics)}")
-        lines.append(f"{kind},{f},-1,{_metric_fields(macro_metrics(fold_sets))}")
+    fold_metrics = report.fold_metrics
+    macros = fold_metrics.mean(axis=1).tolist()
+    for f, (rows, macro) in enumerate(zip(fold_metrics.tolist(), macros)):
+        for c, values in enumerate(rows):
+            lines.append(f"{kind},{f},{c},{_metric_fields(values)}")
+        lines.append(f"{kind},{f},-1,{_metric_fields(macro)}")
     for c, metrics in enumerate(report.per_class):
         lines.append(f"{kind},-1,{c},{_metric_fields(metrics)}")
     lines.append(f"{kind},-1,-1,{_metric_fields(report.macro)}")

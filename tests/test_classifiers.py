@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tree_depth
 from ectshape.classifiers import (
@@ -19,7 +21,7 @@ from ectshape.classifiers import (
     train_tree,
     tree_posterior,
 )
-from ectshape.classifiers import decision_tree
+from ectshape.classifiers import decision_tree, naive_bayes
 from ectshape.classifiers.perceptron import (
     _Sigmoid,
     _Stack,
@@ -153,6 +155,55 @@ def test_gnb_dimension_mismatch():
     trained = train_model("nb", blob_dataset())
     with pytest.raises(DimensionMismatchError):
         predict(trained, np.array([[1.0, 2.0, 3.0]]))
+
+
+def train_gnb_oracle(data):
+    """train_gnb one class at a time, with numpy's mean and var of the
+    class's rows: the fit's bit oracle."""
+    counts = data.class_counts()
+    feature_range = data.features.max(axis=0) - data.features.min(axis=0)
+    floor = naive_bayes._VAR_FLOOR_REL * feature_range**2 + naive_bayes._VAR_FLOOR_ABS
+    means = np.empty((data.num_classes, data.n_features))
+    variances = np.empty((data.num_classes, data.n_features))
+    for c in range(data.num_classes):
+        rows = data.features[data.labels == c]
+        means[c] = rows.mean(axis=0)
+        variances[c] = np.maximum(rows.var(axis=0), floor)
+    return means, variances, counts.astype(np.float64) / data.n_rows
+
+
+# values whose sums depend on the order of the adds, plus signed zeros,
+# subnormals and ties
+GNB_VALUES = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1.0, 1.0 + 2**-52, -3.0, 1e6, 0.1])
+
+
+@given(
+    sizes=st.lists(st.one_of(st.just(1), st.integers(1, 9), st.integers(10, 70)),
+                   min_size=2, max_size=6),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+    fortran=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_gnb_fit_matches_per_class_oracle_bits(sizes, d, seed, fortran):
+    # skewed class sizes with single-row classes, rows of a class scattered
+    # through the file; d = 1 makes numpy sum each class pairwise
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n = labels.shape[0]
+    features = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 7, size=(n, d))
+    special = rng.random((n, d)) < 0.3
+    features[special] = rng.choice(GNB_VALUES, size=int(special.sum()))
+    constant = rng.random(d) < 0.25
+    features[:, constant] = rng.choice(GNB_VALUES, size=int(constant.sum()))
+    if fortran:
+        features = np.asfortranarray(features)
+    data = LabeledDataset(features=features, labels=labels, num_classes=len(sizes),
+                          feature_names=tuple(f"f{j}" for j in range(d)))
+    model = train_gnb(data)
+    for got, want in zip((model.means, model.variances, model.priors),
+                         train_gnb_oracle(data)):
+        assert got.tobytes() == want.tobytes()
 
 
 # --- decision tree -----------------------------------------------------------

@@ -641,6 +641,47 @@ def test_out_of_range_hyperparameter_exits_2_with_one_line(
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_k_below_two_exits_2_before_reading_input(tmp_path, capsys, value):
+    code = main(["evaluate", "--features-csv", str(tmp_path / "absent.csv"),
+                 "--classifier", "nb", "--k", value, "--out-dir", str(tmp_path / "eval")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --k must be at least 2, got {value}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_k_above_row_count_exits_3(tmp_path, capsys):
+    csv = tmp_path / "features.csv"
+    rows = [f"r{i},{'ab'[i % 2]}," + ",".join([str(1.5 + i)] * 10) for i in range(6)]
+    csv.write_text(FEATURE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    code = main(["evaluate", "--features-csv", str(csv), "--classifier", "nb",
+                 "--k", "7", "--out-dir", str(tmp_path / "d")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: nb: k must satisfy 2 <= k <= 6, got 7\n"
+
+
+# runs the installed entry point's function in a child, so that stderr holds
+# everything the process prints, warnings included
+CLI_CHILD = "import sys; from ectshape.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_diverging_mlp_prints_one_error_line(tmp_path, synth_dir, command):
+    out = ["--model-out", str(tmp_path / "m.txt")] if command == "train" else [
+        "--k", "3", "--out-dir", str(tmp_path / "eval")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_CHILD, command,
+         "--manifest", str(synth_dir / "manifest.csv"), "--classifier", "mlp",
+         "--mlp-lr", "1e308", "--mlp-momentum", "1e308", "--mlp-epochs", "3"] + out,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert re.fullmatch(r"error: (mlp: fold \d+: )?training diverged .*\n", proc.stderr)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_evaluate_non_finite_feature_exits_with_line(tmp_path, capsys, value):
     csv = tmp_path / "features.csv"

@@ -24,6 +24,7 @@ from ectshape.evaluation import (
     confusion_matrix,
     cross_validate,
     macro_metrics,
+    metric_table,
     metrics_csv_lines,
     one_vs_rest_metrics,
     per_class_metrics,
@@ -33,6 +34,7 @@ from ectshape.evaluation import (
 from ectshape.geometry import shape_descriptors
 from ectshape.rng import SplitMix64
 from ectshape.synthetic import SynthClassSpec, SynthSpec, generate_synthetic
+from ectshape.textio import format_float
 
 
 def toy_dataset(labels, num_classes=None):
@@ -123,6 +125,33 @@ def test_leave_one_out():
     fa = stratified_k_fold(data, k=4, seed=0)
     sizes = np.bincount(fa.fold_of_row, minlength=4)
     assert list(sizes) == [1, 1, 1, 1]
+
+
+def deal_folds_oracle(data, k, seed):
+    """stratified_k_fold dealing one row at a time: the dealing's oracle."""
+    rng = SplitMix64(seed)
+    fold_of_row = np.empty(data.n_rows, dtype=np.intp)
+    cursor = rng.randbelow(k)
+    for c in range(data.num_classes):
+        members = np.flatnonzero(data.labels == c)
+        rng.shuffle(members)
+        for idx in members:
+            fold_of_row[idx] = cursor % k
+            cursor += 1
+    return fold_of_row
+
+
+@given(
+    labels=st.lists(st.integers(0, 5), min_size=2, max_size=120),
+    k=st.integers(2, 40),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_stratified_dealing_matches_row_oracle(labels, k, seed):
+    data = toy_dataset(np.array(labels), num_classes=6)
+    k = min(k, data.n_rows)
+    got = stratified_k_fold(data, k=k, seed=seed).fold_of_row
+    assert got.tobytes() == deal_folds_oracle(data, k, seed).tobytes()
 
 
 def test_bad_k():
@@ -224,6 +253,79 @@ def test_macro_twelve_class_brute_force():
     macro = macro_metrics(per_class_metrics(cm))
     stack = np.array([one_vs_rest_metrics(cm, c).as_tuple() for c in range(12)])
     assert np.allclose(macro.as_tuple(), stack.mean(axis=0), atol=1e-15)
+
+
+def one_vs_rest_oracle(counts, c):
+    """The metrics of class c in scalar Python floats, one class at a time:
+    the bit oracle of metric_table."""
+    def ratio(num, den):
+        return num / den if den > 0 else 0.0
+
+    tp = float(counts[c, c])
+    fn = float(counts[c].sum() - tp)
+    fp = float(counts[:, c].sum() - tp)
+    tn = float(int(counts.sum()) - tp - fn - fp)
+    mcc_den_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    mcc = (tp * tn - fp * fn) / np.sqrt(mcc_den_sq) if mcc_den_sq > 0 else 0.0
+    return (ratio(tp + tn, tp + tn + fp + fn), ratio(tp, tp + fn),
+            ratio(tn, tn + fp), ratio(tp, tp + fp), float(mcc))
+
+
+@given(
+    num_matrices=st.integers(1, 5),
+    num_classes=st.integers(2, 7),
+    top=st.sampled_from([1, 3, 40, 10**6]),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_metric_table_matches_scalar_oracle_bits(num_matrices, num_classes, top, seed):
+    # zero rows and columns hit the zero-denominator convention; counts up
+    # to 10**6 make MCC's denominator products round
+    rng = np.random.default_rng(seed)
+    shape = (num_matrices, num_classes, num_classes)
+    counts = rng.integers(0, top + 1, size=shape) * (rng.random(shape) < 0.7)
+    counts[rng.random((num_matrices, num_classes)) < 0.25] = 0
+    for m, c in zip(*np.nonzero(rng.random((num_matrices, num_classes)) < 0.25)):
+        counts[m, :, c] = 0
+    table = metric_table(counts)
+    assert table.shape == shape[:2] + (5,)
+    for m in range(num_matrices):
+        for c in range(num_classes):
+            want = np.array(one_vs_rest_oracle(counts[m], c))
+            assert table[m, c].tobytes() == want.tobytes()
+            if counts[m].sum() > 0:
+                got = one_vs_rest_metrics(ConfusionMatrix(counts=counts[m]), c)
+                assert np.array(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("per_fold_mean", [False, True])
+def test_summary_and_csv_match_metrics_of_each_matrix(per_fold_mean):
+    # cross_validate scores all folds and the pooled matrix in one pass and
+    # the CSV reads it; every row must be what per_class_metrics and
+    # macro_metrics give for its own matrix, in the summary's convention
+    # overlapping blobs, so that the metrics are not all 0 or 1
+    data = blob_dataset(seed=31, n_per=9, centers=((0.0, 0.0), (0.8, 0.0), (0.0, 0.8)))
+    report = cross_validate(data, "nb", None, k=4, seed=6, per_fold_mean=per_fold_mean)
+    by_fold = [per_class_metrics(cm) for cm in report.per_fold]
+    if per_fold_mean:
+        per_class = tuple(macro_metrics(tuple(fold[c] for fold in by_fold))
+                          for c in range(3))
+        macro = macro_metrics(tuple(macro_metrics(fold) for fold in by_fold))
+    else:
+        per_class = per_class_metrics(report.pooled)
+        macro = macro_metrics(per_class)
+    assert report.per_class == per_class and report.macro == macro
+
+    def row(f, c, m):
+        return f"nb,{f},{c}," + ",".join(format_float(v) for v in m)
+
+    want = [METRICS_CSV_HEADER]
+    for f, fold in enumerate(by_fold):
+        want += [row(f, c, m) for c, m in enumerate(fold)]
+        want.append(row(f, -1, macro_metrics(fold)))
+    want += [row(-1, c, m) for c, m in enumerate(per_class)]
+    want.append(row(-1, -1, macro))
+    assert metrics_csv_lines(report) == want
 
 
 def direct_pair_metrics(truths, preds, c):
@@ -389,6 +491,7 @@ def test_eval_report_checks_pooled_sum():
             metrics_mode="pooled", class_names=("a", "b"),
             per_fold=(cm,), pooled=bad_pooled,
             per_class=m, macro=macro_metrics(m),
+            fold_metrics=metric_table(cm.counts[None]),
         )
 
 

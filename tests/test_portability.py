@@ -10,11 +10,13 @@ extract child parses, trims and measures record texts that this process
 writes once, so that the synthetic generator, whose output is not portable,
 plays no part.
 Nothing is set in this process. A setting that this CPU, numpy build or glibc
-does not honour is skipped, and the skip says why.
+does not honour is skipped, and the skip says why. A naive-Bayes fit takes
+only + - * / and max/min, so its model digest is pinned in this process.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -111,6 +113,9 @@ print(json.dumps({"digest": digest, "oracle": oracle, "corename": corename(),
 # training arithmetic does
 PINNED_DIGEST = "130bb588ced83fe4b3ae8f25e0806b4e771151d0fcb3a595becd144deab39eff"
 PINNED_TREE_DIGEST = "0a7acf2a143e85f2ddf16cd5715242cc2f090c3804fe98fa8ff14c4e91703340"
+# sha256 of the body of an `ect-shape train --classifier nb` model file; the
+# fit takes only + - * / and max/min, so no setting can move it
+PINNED_NB_DIGEST = "d89cb4ddf313ed851f1aa0145d18c48ae08ad628845c053f1203080794759b60"
 
 
 def base_env() -> dict[str, str]:
@@ -273,3 +278,23 @@ def test_extract_digest_same_under_cpu_kernel_setting(
     # no pinned digest: extraction calls libm atan2, cos and hypot, which
     # differ between machines
     assert_same_under_setting("extract", extract_baseline, name, value, record_texts)
+
+
+def test_nb_model_digest_pinned(tmp_path):
+    from ectshape.cli import main
+    from ectshape.dataset import FEATURE_CSV_HEADER, feature_csv_row
+    from ectshape.rng import SplitMix64
+
+    # skewed classes, one of a single row, of SplitMix64 uniforms
+    g = SplitMix64(4242)
+    rows = [FEATURE_CSV_HEADER]
+    for c, (name, n) in enumerate((("crack", 23), ("pit", 9), ("loss", 1), ("dent", 40))):
+        for i in range(n):
+            values = [g.uniform_in(-1.0 - c, 2.0 + c) for _ in range(10)]
+            rows.append(feature_csv_row(f"{name}{i}", name, values))
+    (tmp_path / "f.csv").write_text("\n".join(rows) + "\n")
+    assert main(["train", "--features-csv", str(tmp_path / "f.csv"), "--classifier", "nb",
+                 "--features", "extended", "--model-out", str(tmp_path / "m.txt")]) == 0
+    text = (tmp_path / "m.txt").read_text()
+    body = "\n".join(line for line in text.splitlines() if not line.startswith("#"))
+    assert hashlib.sha256(body.encode()).hexdigest() == PINNED_NB_DIGEST
