@@ -9,18 +9,23 @@ One kernel runs a stack of networks in lockstep: it trains the k folds of
 a cross-validation, or a single network (k = 1) for ``train_mlp``, and
 ``mlp_posterior`` runs one copy of a network per query row. Its arithmetic
 has a fixed order. Every dot product is an elementwise multiply followed by
-a left-to-right ``np.add.accumulate`` (never BLAS, never a pairwise
-``np.sum``), and the sigmoid's exponential is a fixed sequence of
-IEEE ``+ - * /`` operations rather than a libm or SIMD ``exp``. Each of those
-operations is correctly rounded on every CPU, so a network's bits depend
-only on its data, hyperparameters and seed: not on k, not on its place in
-the stack, and not on the kernels numpy, BLAS or libm pick at run time.
+``np.add.reduce`` over the leading axis of a term-major array whose other
+axes hold at least two elements; numpy then adds the terms one at a time,
+left to right (never BLAS, and never the pairwise sum numpy falls back to
+when only the reduced axis is left). Other sums take a left-to-right
+``np.add.accumulate``. The sigmoid's exponential is a fixed
+sequence of IEEE ``+ - * /`` operations rather than a libm or SIMD
+``exp``. Each of those operations is correctly rounded on every CPU, so
+a network's bits depend only on its data, hyperparameters and seed: not
+on k, not on its place in the stack, and not on the kernels numpy, BLAS
+or libm pick at run time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence, Union
 
 import numpy as np
@@ -30,6 +35,8 @@ from ..errors import EmptyClassError, NonFiniteLossError
 from ..rng import SplitMix64
 
 _INIT_HALF_RANGE = 0.5
+# at most this many float64s of broadcast inputs are gathered at a time
+_INPUT_BLOCK = 1 << 17
 
 
 def _const(value) -> np.ndarray:
@@ -116,8 +123,8 @@ def _min_max_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def _fixed_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum along one axis strictly left to right."""
+def _fixed_sum(values: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along one axis strictly left to right, whatever the shape."""
     return np.take(np.add.accumulate(values, axis=axis), -1, axis=axis)
 
 
@@ -168,48 +175,68 @@ class _Sigmoid:
 class _Stack:
     """k networks of one shape, run side by side.
 
-    Network f's parameters are row f of one flat (k, P) buffer, laid out
-    as [w1^T ; b1] (d + 1, h) then [w2^T ; b2] (h + 1, K). Inputs carry a
-    trailing 1 (as does the hidden layer), so one multiply and one
-    left-to-right accumulate over the inputs give w x + b with the bias
-    added last. Network f only ever touches row f. Scratch space and views
-    are made once here.
+    The buffers are term-major and network-minor. The parameters are one
+    (P, lanes) buffer whose rows run [w1^T ; b1] as (d + 1, h), then
+    [w2^T ; b2] as (h + 1, K); network f is lane [..., f] and only ever
+    touches that lane. A forward pass takes its inputs with a trailing 1,
+    already broadcast to layer 1's (d + 1, h, lanes) shape, and gives the
+    hidden layer its trailing 1 the same way. So each dot product is one
+    multiply of two arrays of one shape and one np.add.reduce over axis 0:
+    with at least two elements in the other axes numpy adds that axis term
+    by term, left to right with the bias last. With a single element left
+    it would sum pairwise, so one network with one hidden unit (or one
+    output) gets a spare second lane. Scratch space and views are made
+    once here.
     """
 
     def __init__(self, k: int, d: int, h: int, n_out: int) -> None:
-        self.theta = np.zeros((k, (d + 1) * h + (h + 1) * n_out))
+        self.lanes = lanes = max(k, 1 if min(h, n_out) > 1 else 2)
+        self.theta = np.zeros(((d + 1) * h + (h + 1) * n_out, lanes))
         self.layer1, self.layer2 = _layers(self.theta, d, h, n_out)
-        # [hidden | 1 | output] per network; [hidden | 1] is layer 2's input
-        self.acts = np.ones((k, h + 1 + n_out))
-        self.act_col = self.acts[:, : h + 1, None]
-        self.hidden = self.acts[:, :h]
-        self.output = self.acts[:, h + 1 :]
-        self.prod2 = np.empty((k, h + 1, n_out))
-        prod1 = np.empty((k, d + 1, h))
+        # [hidden ; 1 ; output] per lane
+        self.acts = np.ones((h + 1 + n_out, lanes))
+        self.hidden = self.acts[:h]
+        self.output = self.acts[h + 1 :]
+        # [hidden ; 1], layer 2's input, broadcast over the outputs
+        self.act_wide = np.ones((h + 1, n_out, lanes))
+        z1, z2 = np.empty((h, lanes)), np.empty((n_out, lanes))
         self._forward_bufs = (
-            self.layer1, self.layer2, self.act_col, self.hidden, self.output,
-            prod1, prod1[:, -1, :], self.prod2, self.prod2[:, -1, :],
-            _Sigmoid((k, h)), _Sigmoid((k, n_out)),
+            self.layer1, self.layer2, self.hidden, self.hidden[:, None],
+            self.output, self.act_wide, self.act_wide[:h],
+            np.empty_like(self.layer1), z1, np.empty_like(self.layer2), z2,
+            _Sigmoid(z1.shape), _Sigmoid(z2.shape),
         )  # fmt: skip
 
     def params(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Copies of network f's w1, b1, w2, b2."""
-        return _split(self.layer1[f], self.layer2[f])
+        return _split(self.layer1[..., f], self.layer2[..., f])
 
     def set_params(self, f: int | slice, w1, b1, w2, b2) -> None:
         """Give network f (or every network in slice f) these parameters."""
-        self.layer1[f, :-1], self.layer1[f, -1] = np.transpose(w1), b1
-        self.layer2[f, :-1], self.layer2[f, -1] = np.transpose(w2), b2
+        lanes = slice(f, f + 1) if isinstance(f, int) else f
+        self.layer1[:-1, :, lanes] = np.transpose(w1)[..., None]
+        self.layer1[-1, :, lanes] = np.reshape(b1, (-1, 1))
+        self.layer2[:-1, :, lanes] = np.transpose(w2)[..., None]
+        self.layer2[-1, :, lanes] = np.reshape(b2, (-1, 1))
+
+    def inputs(self, x: np.ndarray) -> np.ndarray:
+        """Rows x (m <= lanes, d) with a trailing 1, as a read-only input
+        of forward: lane f gets row f, and a lane past the rows gets zeros."""
+        cols = np.zeros((x.shape[1] + 1, self.lanes))
+        cols[:-1, : x.shape[0]] = x.T
+        cols[-1] = 1.0
+        return np.broadcast_to(cols[:, None], self.layer1.shape)
 
     def forward(self, x: np.ndarray) -> None:
-        """Fill hidden and output for inputs x of shape (k, d + 1, 1)."""
-        (layer1, layer2, act_col, hidden, output, prod1, z1, prod2, z2,
-         sigmoid_hidden, sigmoid_out) = self._forward_bufs  # fmt: skip
+        """Fill hidden and output for inputs x of shape (d + 1, h, lanes)."""
+        (layer1, layer2, hidden, hidden_row, output, act_wide, act_wide_hidden,
+         prod1, z1, prod2, z2, sigmoid_hidden, sigmoid_out) = self._forward_bufs  # fmt: skip
         np.multiply(layer1, x, out=prod1)
-        np.add.accumulate(prod1, axis=1, out=prod1)
+        np.add.reduce(prod1, axis=0, out=z1)
         sigmoid_hidden(z1, hidden)
-        np.multiply(layer2, act_col, out=prod2)
-        np.add.accumulate(prod2, axis=1, out=prod2)
+        np.copyto(act_wide_hidden, hidden_row)
+        np.multiply(layer2, act_wide, out=prod2)
+        np.add.reduce(prod2, axis=0, out=z2)
         sigmoid_out(z2, output)
 
 
@@ -227,38 +254,39 @@ class _TrainingStack(_Stack):
         self.grad = np.zeros_like(self.theta)
         self._g_layer1, self._g_layer2 = _layers(self.grad, d, h, n_out)
         slopes = np.empty_like(self.acts)  # acts * (1 - acts)
-        delta_hidden = np.empty((k, 1, h))
-        delta_out = np.empty((k, 1, n_out))
+        delta_out = np.empty_like(self.output)
+        # w2^T delta_out term by term, outputs leading
+        back_terms = np.empty((n_out, h, self.lanes))
         self._backward_bufs = (
-            self.layer2, self.act_col, self.output, self.acts,
-            slopes, slopes[:, :h], slopes[:, h + 1 :],
-            self.prod2, self.prod2[:, :h, -1],
-            delta_hidden, delta_hidden[:, 0, :], delta_out, delta_out[:, 0, :],
+            self.act_wide, self.output, self.acts,
+            slopes, slopes[:h], slopes[h + 1 :],
+            self.layer2[:h].transpose(1, 0, 2), back_terms, np.empty_like(self.hidden),
+            np.empty_like(self.hidden), delta_out, delta_out[:, None],
             self._g_layer1, self._g_layer2,
         )  # fmt: skip
 
     def gradients(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the last backward pass's gradients for network f."""
-        return _split(self._g_layer1[f], self._g_layer2[f])
+        return _split(self._g_layer1[..., f], self._g_layer2[..., f])
 
     def backward(self, x: np.ndarray, target: np.ndarray, err: np.ndarray) -> None:
-        """Forward pass, err = output - target, and the gradient of
-        0.5 * sum(err**2) in the gradient buffer."""
+        """Forward pass, err = output - target (both (K, lanes)), and the
+        gradient of 0.5 * sum(err**2) in the gradient buffer."""
         self.forward(x)
-        (layer2, act_col, output, acts, slopes, slope_hidden, slope_out, prod2,
-         back, delta_hidden_row, delta_hidden, delta_out_row, delta_out,
+        (act_wide, output, acts, slopes, slope_hidden, slope_out, w2_t,
+         back_terms, back, delta_hidden, delta_out, delta_out_col,
          g_layer1, g_layer2) = self._backward_bufs  # fmt: skip
         np.subtract(output, target, out=err)
         # sigmoid slopes s * (1 - s) of both layers at once
         np.subtract(_ONE, acts, out=slopes)
         np.multiply(slopes, acts, out=slopes)
         np.multiply(err, slope_out, out=delta_out)
-        np.multiply(act_col, delta_out_row, out=g_layer2)
+        np.multiply(act_wide, delta_out, out=g_layer2)
         # back = w2^T delta_out, summed over the outputs left to right
-        np.multiply(layer2, delta_out_row, out=prod2)
-        np.add.accumulate(prod2, axis=2, out=prod2)
+        np.multiply(w2_t, delta_out_col, out=back_terms)
+        np.add.reduce(back_terms, axis=0, out=back)
         np.multiply(back, slope_hidden, out=delta_hidden)
-        np.multiply(x, delta_hidden_row, out=g_layer1)
+        np.multiply(x, delta_hidden, out=g_layer1)
 
     def step(self, lr: np.ndarray, momentum: np.ndarray) -> None:
         """vel = momentum * vel - lr * grad; theta += vel."""
@@ -272,13 +300,13 @@ class _TrainingStack(_Stack):
 def _layers(
     flat: np.ndarray, d: int, h: int, n_out: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Views [w1^T ; b1] (k, d + 1, h) and [w2^T ; b2] (k, h + 1, K) of a
-    (k, P) buffer."""
-    k = flat.shape[0]
+    """Views [w1^T ; b1] (d + 1, h, lanes) and [w2^T ; b2] (h + 1, K, lanes)
+    of a (P, lanes) buffer."""
+    lanes = flat.shape[1]
     split = (d + 1) * h
     return (
-        flat[:, :split].reshape(k, d + 1, h),
-        flat[:, split:].reshape(k, h + 1, n_out),
+        flat[:split].reshape(d + 1, h, lanes),
+        flat[split:].reshape(h + 1, n_out, lanes),
     )
 
 
@@ -294,11 +322,6 @@ def _split(
     )
 
 
-def _with_bias_input(x: np.ndarray) -> np.ndarray:
-    """Rows of x with a trailing 1 appended."""
-    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
-
-
 def example_loss_and_gradients(
     w1: np.ndarray,
     b1: np.ndarray,
@@ -312,11 +335,20 @@ def example_loss_and_gradients(
     (h, d), n_out = w1.shape, w2.shape[0]
     stack = _TrainingStack(1, d, h, n_out)
     stack.set_params(0, w1, b1, w2, b2)
-    err = np.empty((1, n_out))
-    x_col = _with_bias_input(x).reshape(1, d + 1, 1)
-    stack.backward(x_col, target.reshape(1, n_out), err)
-    loss = 0.5 * float(_fixed_sum(err * err)[0])
+    err = np.empty_like(stack.output)
+    stack.backward(stack.inputs(x[None]), target[:, None], err)
+    loss = 0.5 * float(_fixed_sum(err * err, axis=0)[0])
     return (loss, *stack.gradients(0))
+
+
+def _epoch_inputs(x_cols: np.ndarray, rows: np.ndarray, block: np.ndarray):
+    """Each step's (d + 1, h, lanes) input, lane f holding column rows[t, f]
+    of x_cols; broadcast a block of steps at a time into block."""
+    for start in range(0, rows.shape[0], block.shape[0]):
+        chunk = rows[start : start + block.shape[0]]
+        wide = block[: chunk.shape[0]]
+        np.copyto(wide, x_cols[:, chunk].transpose(1, 0, 2)[:, :, None])
+        yield from wide
 
 
 def _scaled(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,15 +392,20 @@ def train_mlp_stack(
     k = len(live)
     h = params.resolve_hidden(d, n_out)
     stack = _TrainingStack(k, d, h, n_out)
+    lanes = stack.lanes
 
     scaled = [_scaled(datasets[i]) for i in live]
-    x_all = _with_bias_input(np.concatenate([s[0] for s in scaled]))[:, :, None]
+    # every row with a trailing 1, one column per row
+    x_cols = np.ones((d + 1, sum(sizes)))
+    x_cols[:d] = np.concatenate([s[0] for s in scaled]).T
     labels = np.concatenate([datasets[i].labels for i in live])
-    offsets = np.cumsum([0] + sizes[:-1])
+    # a spare lane sees the first row at every step
+    offsets = np.zeros(lanes, dtype=np.intp)
+    offsets[:k] = np.cumsum([0] + sizes[:-1])
 
     # init draws run w1, b1, w2, b2, each row-major
     rngs = [SplitMix64(seeds[i]) for i in live]
-    n_params = stack.theta.shape[1]
+    n_params = stack.theta.shape[0]
     for j, rng in enumerate(rngs):
         draws = rng.uniforms_in(-_INIT_HALF_RANGE, _INIT_HALF_RANGE, n_params)
         ends = np.cumsum([h * d, h, n_out * h])
@@ -382,9 +419,11 @@ def train_mlp_stack(
     # entry is a placeholder whose step is undone
     rows = np.tile(offsets, (n_max, 1))
     short = np.array([j for j, n in enumerate(sizes) if n < n_max], dtype=np.intp)
-    xs = np.empty((n_max, k, d + 1, 1))
-    ts = np.empty((n_max, k, n_out))
-    errs = np.empty((n_max, k, n_out))
+    step_size = (d + 1) * h * lanes
+    block = np.empty((min(n_max, max(1, _INPUT_BLOCK // step_size)), d + 1, h, lanes))
+    classes = np.arange(n_out)[:, None]
+    ts = np.empty((n_max, n_out, lanes))
+    errs = np.empty((n_max, n_out, lanes))
     first_bad_loss: list[float | None] = [None] * k
     # a diverging fit overflows to inf/NaN; NonFiniteLossError reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -393,21 +432,21 @@ def train_mlp_stack(
                 rng.shuffle(orders[j])
                 rows[: sizes[j], j] = orders[j]
                 rows[: sizes[j], j] += offsets[j]
-            np.take(x_all, rows, axis=0, out=xs)
-            np.equal(labels[rows][:, :, None], np.arange(n_out), out=ts, casting="unsafe")
-            for x, target, err in zip(xs[:-1], ts[:-1], errs[:-1]):
+            np.equal(labels[rows][:, None], classes, out=ts, casting="unsafe")
+            inputs = _epoch_inputs(x_cols, rows, block)
+            for x, target, err in zip(islice(inputs, n_max - 1), ts, errs):
                 backward(x, target, err)
                 step(lr, momentum)
-            held = stack.theta[short], stack.vel[short]
-            backward(xs[-1], ts[-1], errs[-1])
+            held = stack.theta[:, short], stack.vel[:, short]
+            backward(next(inputs), ts[-1], errs[-1])
             step(lr, momentum)
-            stack.theta[short], stack.vel[short] = held
-            errs[-1, short] = 0.0
+            stack.theta[:, short], stack.vel[:, short] = held
+            errs[-1, :, short] = 0.0
             # epoch loss: sum over steps of 0.5 * sum(err**2), in place
             np.multiply(errs, errs, out=errs)
-            np.add.accumulate(errs, axis=2, out=errs)
-            losses = _fixed_sum(0.5 * errs[:, :, -1], axis=0)
-            for j, loss in enumerate(losses.tolist()):
+            np.add.accumulate(errs, axis=1, out=errs)
+            losses = _fixed_sum(0.5 * errs[:, -1], axis=0)
+            for j, loss in enumerate(losses[:k].tolist()):
                 if first_bad_loss[j] is None and not math.isfinite(loss):
                     first_bad_loss[j] = loss
             if all(loss is not None for loss in first_bad_loss):
@@ -443,15 +482,15 @@ def mlp_posterior(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Forward pass on the scaled rows of x (n, d), each row's outputs
     normalized to sum 1 (uniform where their sum is not positive and finite).
 
-    Row i runs as network i of a stack whose networks all hold the model's
+    Row i runs in lane i of a stack whose networks all hold the model's
     parameters; the kernel gives each the bits of a lone network.
     """
     h, d = model.w1.shape
-    n_out = model.num_classes
-    stack = _Stack(x.shape[0], d, h, n_out)
+    n, n_out = x.shape[0], model.num_classes
+    stack = _Stack(n, d, h, n_out)
     stack.set_params(slice(None), model.w1, model.b1, model.w2, model.b2)
-    stack.forward(_with_bias_input(scale_features(model, x))[:, :, None])
-    output = stack.output
-    total = _fixed_sum(output)[:, None]
+    stack.forward(stack.inputs(scale_features(model, x)))
+    output = stack.output[:, :n].T
+    total = _fixed_sum(stack.output, axis=0)[:n, None]
     usable = (total > 0.0) & np.isfinite(total)
-    return np.divide(output, total, out=np.full_like(output, 1.0 / n_out), where=usable)
+    return np.divide(output, total, out=np.full((n, n_out), 1.0 / n_out), where=usable)

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from typing import NoReturn
 
 import numpy as np
@@ -64,8 +64,12 @@ _PARAM_RANGES = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # the first token that is not an option names the subcommand; only that
+    # one gets its arguments
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser({named}).parse_args(argv)
     except SystemExit as exc:  # --help, --version or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     for name, (low, high) in _PARAM_RANGES.items():
@@ -91,6 +95,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail_config(str(exc))
     except (EctShapeError, ValueError) as exc:
         return _fail_data(str(exc))
+    except MemoryError as exc:  # numpy's message names the size it wanted
+        return _fail_data(str(exc) or "out of memory")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +106,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands: Container[str]) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with arguments for those in commands.
+
+    Every subcommand is listed, so top-level help and errors are complete;
+    one without its arguments can only be named, not parsed.
+    """
     parser = _Parser(
         prog="ect-shape",
         description="Shape-based classification of eddy-current impedance records.",
@@ -109,8 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"ect-shape {TOOL_VERSION}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        chosen = name in commands
+        p = sub.add_parser(name, help=help_text, add_help=chosen)
+        if chosen:
+            add_arguments(p)
+    return parser
 
-    p = sub.add_parser("extract", help="manifest -> geometric feature CSV")
+
+def _extract_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     _add_trim_flags(p)
@@ -119,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("evaluate", help="k-fold cross-validation report")
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     _add_input_group(p)
     p.add_argument("--classifier", required=True, choices=CLASSIFIER_KINDS + ("all",))
     p.add_argument("--k", type=int, default=10)
@@ -135,7 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("train", help="fit one classifier on every record")
+
+def _train_arguments(p: argparse.ArgumentParser) -> None:
     _add_input_group(p)
     p.add_argument("--classifier", required=True, choices=CLASSIFIER_KINDS)
     p.add_argument("--seed", type=int, default=0)
@@ -145,20 +165,23 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("classify", help="predict labels with a saved model")
+
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     _add_trim_flags(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("synth", help="generate synthetic records + manifest")
+
+def _synth_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("plot", help="static SVG views of records or features")
+
+def _plot_arguments(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--record")
     group.add_argument("--features-csv")
@@ -166,7 +189,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_trim_flags(p)
     p.set_defaults(func=cmd_plot)
 
-    return parser
+
+# name: (help line, the function that adds its arguments), in help order
+_SUBCOMMANDS = {
+    "extract": ("manifest -> geometric feature CSV", _extract_arguments),
+    "evaluate": ("k-fold cross-validation report", _evaluate_arguments),
+    "train": ("fit one classifier on every record", _train_arguments),
+    "classify": ("predict labels with a saved model", _classify_arguments),
+    "synth": ("generate synthetic records + manifest", _synth_arguments),
+    "plot": ("static SVG views of records or features", _plot_arguments),
+}
 
 
 def _add_input_group(p: argparse.ArgumentParser) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -125,6 +126,58 @@ def parse_feature_csv(text: str) -> FeatureTable:
 
     A non-numeric or non-finite feature value raises MalformedLineError.
     """
+    table = _parse_block(text)
+    return table if table is not None else _parse_lines(text)
+
+
+_N_FIELDS = 2 + len(FEATURE_NAMES_EXTENDED)
+# a field of its own between the data lines; no line holds a newline
+_BREAK = "\n"
+
+
+def _parse_block(text: str) -> Optional[FeatureTable]:
+    """The table of a valid feature CSV in one pass over its text, else None.
+
+    Splits the joined data rows once and converts every feature with
+    float(). Anything the line loop would reject (no header, a wrong field
+    count, a value float() refuses or a non-finite one) returns None, so
+    that :func:`_parse_lines` raises with the line number.
+    """
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    if not lines or lines[0] != FEATURE_CSV_HEADER:
+        return None
+    rows = lines[1:]
+    if not rows:
+        return FeatureTable((), (), np.empty((0, len(FEATURE_NAMES_EXTENDED))))
+    fields = f",{_BREAK},".join(rows).split(",")
+    # n rows of 12 fields give 13n - 1 fields with a break at every 13th
+    if len(fields) != (_N_FIELDS + 1) * len(rows) - 1:
+        return None
+    if fields[_N_FIELDS :: _N_FIELDS + 1].count(_BREAK) != len(rows) - 1:
+        return None
+    del fields[_N_FIELDS :: _N_FIELDS + 1]
+    record_ids, label_names = fields[0::_N_FIELDS], fields[1::_N_FIELDS]
+    del fields[0::_N_FIELDS]
+    del fields[0 :: _N_FIELDS - 1]
+    try:
+        values = np.array(list(map(float, fields)), dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return FeatureTable(
+        record_ids=tuple(record_ids),
+        label_names=tuple(label_names),
+        values=values.reshape(len(rows), len(FEATURE_NAMES_EXTENDED)),
+    )
+
+
+def _parse_lines(text: str) -> FeatureTable:
+    """The table of a feature CSV, one line at a time; the rules of a valid
+    feature CSV.
+
+    Raises the error of the first bad line, with its line number.
+    """
     record_ids: list[str] = []
     label_names: list[str] = []
     rows: list[list[float]] = []
@@ -138,11 +191,8 @@ def parse_feature_csv(text: str) -> FeatureTable:
             header_seen = True
             continue
         parts = line.split(",")
-        if len(parts) != 2 + len(FEATURE_NAMES_EXTENDED):
-            raise MalformedLineError(
-                line_no,
-                f"line {line_no}: expected {2 + len(FEATURE_NAMES_EXTENDED)} fields",
-            )
+        if len(parts) != _N_FIELDS:
+            raise MalformedLineError(line_no, f"line {line_no}: expected {_N_FIELDS} fields")
         try:
             values = [float(v) for v in parts[2:]]
         except ValueError:

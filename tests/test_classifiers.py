@@ -25,7 +25,9 @@ from ectshape.classifiers import decision_tree, naive_bayes
 from ectshape.classifiers.perceptron import (
     _Sigmoid,
     _Stack,
+    _TrainingStack,
     example_loss_and_gradients,
+    mlp_posterior,
     scale_features,
     train_mlp_stack,
 )
@@ -621,6 +623,118 @@ def test_sigmoid_accuracy():
     assert np.max(np.abs(out[0] - want) / want) < 4e-15
 
 
+# The kernel's arithmetic in Python floats: every operation in the kernel's
+# order, each sum a plain left-to-right loop with the bias last.
+
+def oracle_sigmoid(z):
+    c = min(max(z, -709.0), 746.0)
+    m = round(c * -1.44269504088896338700e00)  # round half to even, as rint
+    r = m * -6.93147180369123816490e-01 - c
+    r = r - m * 1.90821492927058770002e-10
+    t = r * r
+    even = ((t * (1 / 1008) + 1 / 9) * t) + 1.0
+    odd = (((t * (1 / 30240) + 1 / 72) * t) + 1 / 2) * r
+    return (even - odd) / (math.ldexp(even + odd, m) + (even - odd))
+
+
+def oracle_dot(weights, inputs, bias):
+    total = weights[0] * inputs[0]
+    for w, v in zip(weights[1:], inputs[1:]):
+        total = total + w * v
+    return total + bias * 1.0
+
+
+def oracle_backward(w1, b1, w2, b2, x, target):
+    """hidden, output, err and (g_w1, g_b1, g_w2, g_b2) as nested lists."""
+    hidden = [oracle_sigmoid(oracle_dot(row, x, b)) for row, b in zip(w1, b1)]
+    output = [oracle_sigmoid(oracle_dot(row, hidden, b)) for row, b in zip(w2, b2)]
+    err = [o - t for o, t in zip(output, target)]
+    delta_out = [e * ((1.0 - o) * o) for e, o in zip(err, output)]
+    g_w2 = [[a * dlt for a in hidden] for dlt in delta_out]
+    g_b2 = [1.0 * dlt for dlt in delta_out]
+    back = []
+    for j in range(len(hidden)):
+        total = w2[0][j] * delta_out[0]
+        for o in range(1, len(w2)):
+            total = total + w2[o][j] * delta_out[o]
+        back.append(total)
+    delta_hidden = [b * ((1.0 - a) * a) for b, a in zip(back, hidden)]
+    g_w1 = [[v * dlt for v in x] for dlt in delta_hidden]
+    g_b1 = [1.0 * dlt for dlt in delta_hidden]
+    return hidden, output, err, (g_w1, g_b1, g_w2, g_b2)
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+# k = 1 with h = 1, d + 1 >= 8 and K >= 8: a reduce of 8 or more terms with
+# one element left beside them would sum pairwise, not left to right
+@pytest.mark.parametrize(
+    "k,d,h,n_out",
+    [(1, 1, 1, 2), (1, 9, 1, 12), (2, 7, 1, 8), (1, 3, 8, 12), (3, 10, 11, 12),
+     (10, 3, 8, 12), (10, 8, 3, 9), (4, 2, 5, 3)],
+)  # fmt: skip
+def test_mlp_kernel_matches_python_oracle(k, d, h, n_out):
+    rng = np.random.default_rng(k * 1000 + d * 100 + h * 10 + n_out)
+    stack = _TrainingStack(k, d, h, n_out)
+    nets = []
+    for f in range(k):
+        # the last network's weights are large enough to clamp the sigmoid
+        scale = 300.0 if f == k - 1 and k > 1 else 1.5
+        w1, b1 = rng.normal(size=(h, d)) * scale, rng.normal(size=h) * scale
+        w2, b2 = rng.normal(size=(n_out, h)) * scale, rng.normal(size=n_out) * scale
+        stack.set_params(f, w1, b1, w2, b2)
+        nets.append((w1, b1, w2, b2))
+    x = rng.uniform(-0.5, 1.5, size=(k, d))
+    labels = rng.integers(0, n_out, size=k)
+    target = np.zeros(stack.output.shape)
+    target[labels, np.arange(k)] = 1.0
+    stack.vel[...] = rng.normal(size=stack.vel.shape) * 0.1
+    theta0, vel0 = stack.theta.copy(), stack.vel.copy()
+    err = np.empty_like(target)
+    with np.errstate(over="ignore"):
+        stack.backward(stack.inputs(x), target, err)
+    grad = stack.grad.copy()
+    for f, (w1, b1, w2, b2) in enumerate(nets):
+        hidden, output, want_err, grads = oracle_backward(
+            w1.tolist(), b1.tolist(), w2.tolist(), b2.tolist(),
+            x[f].tolist(), target[:, f].tolist(),
+        )  # fmt: skip
+        assert bits(stack.hidden[:, f]) == bits(hidden)
+        assert bits(stack.output[:, f]) == bits(output)
+        assert bits(err[:, f]) == bits(want_err)
+        for got, want in zip(stack.gradients(f), grads):
+            assert bits(got) == bits(want)
+    lr, momentum = 0.3, 0.2
+    stack.step(np.array(lr), np.array(momentum))
+    for f in range(k):
+        vel = [v * momentum - g * lr for v, g in zip(vel0[:, f], grad[:, f])]
+        assert bits(stack.vel[:, f]) == bits(vel)
+        assert bits(stack.theta[:, f]) == bits([t + v for t, v in zip(theta0[:, f], vel)])
+
+
+def test_mlp_predict_on_no_rows_and_one_row_with_one_hidden_unit():
+    # one row, one hidden unit, ten inputs: a reduce with one element left
+    # beside the inputs would sum them pairwise
+    rng = np.random.default_rng(8)
+    data = oracle_dataset(rng, 9, 12, ties=False)
+    trained = train_model("mlp", data, {"hidden": 1, "epochs": 2}, seed=4)
+    labels, posteriors = predict(trained, data.features[:0])
+    assert labels.shape == (0,) and posteriors.shape == (0, 12)
+    model = trained.model
+    for row in data.features:
+        _, output, _, _ = oracle_backward(
+            model.w1.tolist(), model.b1.tolist(), model.w2.tolist(),
+            model.b2.tolist(), scale_features(model, row).tolist(), [0.0] * 12,
+        )  # fmt: skip
+        total = output[0]
+        for v in output[1:]:
+            total = total + v
+        assert bits(mlp_posterior(model, row[None])) == bits([v / total for v in output])
+        assert predict(trained, row[None])[0].tolist() == [int(np.argmax(output))]
+
+
 # --- uniform contract --------------------------------------------------------
 
 def test_predict_posteriors_are_distributions():
@@ -682,10 +796,8 @@ def reference_mlp_posterior(model, x):
     h, d = model.w1.shape
     stack = _Stack(1, d, h, model.num_classes)
     stack.set_params(0, model.w1, model.b1, model.w2, model.b2)
-    x_col = np.ones((1, d + 1, 1))
-    x_col[0, :d, 0] = scale_features(model, x)
-    stack.forward(x_col)
-    output = stack.output[0]
+    stack.forward(stack.inputs(scale_features(model, x)[None]))
+    output = stack.output[:, 0]
     total = float(np.add.accumulate(output)[-1])
     if total <= 0.0 or not math.isfinite(total):
         return np.full(model.num_classes, 1.0 / model.num_classes)

@@ -23,7 +23,7 @@ from ectshape.artifacts import (
 )
 from ectshape.classifiers import predict
 from ectshape.classifiers.serialize import load_model
-from ectshape.cli import _xml_comment, main
+from ectshape.cli import _SUBCOMMANDS, _build_parser, _xml_comment, main
 from ectshape.dataset import FEATURE_CSV_HEADER, parse_feature_csv
 from ectshape.ingest import parse_record
 from ectshape.plots import record_svg
@@ -129,6 +129,26 @@ def test_help_prints_full_usage(capsys, argv):
     out = capsys.readouterr().out
     assert out.startswith("usage: ect-shape")
     assert len(out.splitlines()) > 10
+
+
+# argvs that end in argparse: help, the version and usage errors
+PARSER_EXITS = [[], ["--help"], ["-h"], ["--version"], ["bogus"], ["--bogus"]] + [
+    [name, *flags] for name in _SUBCOMMANDS for flags in ([], ["--help"], ["--bogus"])
+] + [["evaluate", "--features-csv", "x", "--classifier", "svm", "--out-dir", "d"],
+     ["train", "--features-csv", "x", "--manifest", "m"], ["--help", "extract"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda argv: " ".join(argv) or "none")
+def test_parser_of_the_named_subcommand_prints_what_the_full_parser_prints(
+    capsys, argv
+):
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _build_parser(_SUBCOMMANDS).parse_args(argv)
+    want = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    assert code == (0 if exc.value.code == 0 else 2)
 
 
 def test_bad_trim_quantile_exits_2(tmp_path, capsys):
@@ -693,6 +713,21 @@ def test_evaluate_non_finite_feature_exits_with_line(tmp_path, capsys, value):
     assert code in (2, 3)
     err = capsys.readouterr().err
     assert err == "error: line 5: non-finite feature value\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_mlp_too_large_to_allocate_exits_3_with_one_line(tmp_path, capsys, command):
+    csv = tmp_path / "features.csv"
+    rows = [f"r{i},{'ab'[i % 2]}," + ",".join([f"{i}.5"] * 10) for i in range(6)]
+    csv.write_text(FEATURE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    out = ["--model-out", str(tmp_path / "m")] if command == "train" else [
+        "--k", "2", "--out-dir", str(tmp_path / "d")]
+    # 10**15 hidden units: no 64-bit address space holds the weights
+    code = main([command, "--features-csv", str(csv), "--classifier", "mlp",
+                 "--mlp-hidden", "1000000000000000"] + out)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_train_on_unreadable_manifest_exits_2(tmp_path):

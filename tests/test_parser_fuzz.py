@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from ectshape.classifiers import train_model
 from ectshape.classifiers.serialize import load_model, save_model
+from ectshape import dataset
 from ectshape.dataset import FEATURE_CSV_HEADER, LabeledDataset, parse_feature_csv
 from ectshape.errors import (
     EctShapeError,
@@ -203,6 +204,74 @@ def test_load_manifest_raises_only_ectshape_errors(text):
 def test_parse_feature_csv_raises_only_ectshape_errors(with_header, rows, tail):
     lines = ([FEATURE_CSV_HEADER] if with_header else []) + rows + [tail]
     raises_only_ectshape_errors(parse_feature_csv, "\n".join(lines))
+
+
+# --- the feature CSV's block path against its line path ---------------------
+
+def table_outcome(parse, text):
+    """The table's ids, labels and value bits, or the error's class, message
+    and line."""
+    try:
+        table = parse(text)
+    except EctShapeError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return table.record_ids, table.label_names, table.values.tobytes(), table.values.shape
+
+
+def feature_row(draw, i):
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    values = [repr(draw(finite)) for _ in range(10)]
+    return ",".join([f"r{i}", draw(st.sampled_from(["a", "b", "c d"]))] + values)
+
+
+@st.composite
+def mutated_feature_csvs(draw):
+    """A valid feature CSV, then up to three token insertions or
+    replacements at random character positions."""
+    lines = [FEATURE_CSV_HEADER] + [
+        feature_row(draw, i) for i in range(draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "# note", "   ", "#1,2"])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    text += draw(st.sampled_from(["", "\n"]))
+    for _ in range(draw(st.integers(0, 3))):
+        token = draw(RECORD_TOKENS)
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.sampled_from([0, 1, 4]))
+        text = text[:i] + token + text[i + cut:]
+    return text
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_feature_csvs())
+def test_parse_feature_csv_block_and_line_paths_agree(text):
+    expected = table_outcome(dataset._parse_lines, text)
+    assert table_outcome(parse_feature_csv, text) == expected
+    block = dataset._parse_block(text)
+    if block is not None:
+        assert table_outcome(lambda t: block, text) == expected
+
+
+@pytest.mark.parametrize("last", [
+    "r9,a," + ",".join(["1.5"] * 10),
+    "r9,a," + ",".join(["1.5"] * 9),
+    "r9,a," + ",".join(["1.5"] * 11),
+    "r9,a," + ",".join(["1.5"] * 9 + ["x"]),
+    "r9,a," + ",".join(["1.5"] * 9 + ["-inf"]),
+    "r9,a,,",
+    "# r9",
+    # 13 fields, then 11 with a numeric label: the field count adds up
+    "r9,1," + ",".join(["1.5"] * 11) + "\nr10,2," + ",".join(["1.5"] * 9),
+])
+def test_parse_feature_csv_late_line_agrees(last):
+    rows = [f"r{i},a," + ",".join([repr(0.5 * i)] * 10) for i in range(8)]
+    text = "\n".join([FEATURE_CSV_HEADER] + rows + [last]) + "\n"
+    assert table_outcome(parse_feature_csv, text) == table_outcome(
+        dataset._parse_lines, text
+    )
 
 
 # --- model files ------------------------------------------------------------
