@@ -37,6 +37,10 @@ from ..rng import SplitMix64
 _INIT_HALF_RANGE = 0.5
 # at most this many float64s of broadcast inputs are gathered at a time
 _INPUT_BLOCK = 1 << 17
+# mlp_posterior's rows per block: a lane of the crossval model (d = 3,
+# h = 8, K = 12) holds about 6 KB of buffers, and a block of them stays
+# in cache
+_POSTERIOR_LANES = 256
 
 
 def _const(value) -> np.ndarray:
@@ -482,15 +486,23 @@ def mlp_posterior(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Forward pass on the scaled rows of x (n, d), each row's outputs
     normalized to sum 1 (uniform where their sum is not positive and finite).
 
-    Row i runs in lane i of a stack whose networks all hold the model's
-    parameters; the kernel gives each the bits of a lone network.
+    Each row runs in its own lane of a stack whose networks all hold the
+    model's parameters, and the kernel gives each the bits of a lone
+    network. The rows go through in blocks of at most _POSTERIOR_LANES, so
+    the stack's memory does not grow with n.
     """
     h, d = model.w1.shape
     n, n_out = x.shape[0], model.num_classes
-    stack = _Stack(n, d, h, n_out)
+    stack = _Stack(min(n, _POSTERIOR_LANES), d, h, n_out)
     stack.set_params(slice(None), model.w1, model.b1, model.w2, model.b2)
-    stack.forward(stack.inputs(scale_features(model, x)))
-    output = stack.output[:, :n].T
-    total = _fixed_sum(stack.output, axis=0)[:n, None]
-    usable = (total > 0.0) & np.isfinite(total)
-    return np.divide(output, total, out=np.full((n, n_out), 1.0 / n_out), where=usable)
+    scaled = scale_features(model, x)
+    posterior = np.full((n, n_out), 1.0 / n_out)
+    for start in range(0, n, _POSTERIOR_LANES):
+        rows = scaled[start : start + _POSTERIOR_LANES]
+        m = rows.shape[0]
+        stack.forward(stack.inputs(rows))
+        total = _fixed_sum(stack.output, axis=0)[:m, None]
+        usable = (total > 0.0) & np.isfinite(total)
+        block = posterior[start : start + m]
+        np.divide(stack.output[:, :m].T, total, out=block, where=usable)
+    return posterior

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import MalformedLineError
 from .geometry import FEATURE_NAMES_BASIC, FEATURE_NAMES_EXTENDED
-from .textio import format_float, iter_data_lines
+from .textio import iter_data_lines
 
 FEATURE_CSV_HEADER = "record_id,label," + ",".join(FEATURE_NAMES_EXTENDED)
 
@@ -116,9 +116,15 @@ class FeatureTable:
         )
 
 
-def feature_csv_row(record_id: str, label_name: str, values: np.ndarray) -> str:
+# "%.17g" is format_float's format, applied to a whole row at once
+_ROW_FORMAT = "%s,%s" + ",%.17g" * len(FEATURE_NAMES_EXTENDED)
+
+
+def feature_csv_row(
+    record_id: str, label_name: str, values: np.ndarray | Sequence[float]
+) -> str:
     """One CSV data line; values are the ten features in header order."""
-    return ",".join([record_id, label_name] + [format_float(v) for v in values])
+    return _ROW_FORMAT % (record_id, label_name, *np.asarray(values).tolist())
 
 
 def parse_feature_csv(text: str) -> FeatureTable:

@@ -107,26 +107,33 @@ def centroid(cloud: PointCloud2D) -> tuple[float, float]:
     """Arithmetic mean of the point coordinates."""
     if cloud.n == 0:
         raise EmptyCloudError("cannot take the centroid of an empty cloud")
-    g = cloud.points.mean(axis=0)
-    return float(g[0]), float(g[1])
+    gx, gy = (np.add.reduce(cloud.points, axis=0) / cloud.n).tolist()
+    return gx, gy
 
 
 def central_moments(cloud: PointCloud2D) -> CentralMoments2:
     """Population (1/n) second moments about the centroid.
 
+    The centroid is the column sum over n, and the three moments are the
+    row sums over n of one C-contiguous (3, n) block of products dx*dx,
+    dy*dy and dx*dy: numpy sums each contiguous row pairwise, as
+    ``np.mean`` sums a 1-D array, so these are the bits of ``np.mean``.
+
     Raises DegenerateCloudError for a coordinate beyond 2**500 in
     magnitude, where the measures downstream could overflow.
     """
-    if cloud.n == 0:
+    n = cloud.n
+    if n == 0:
         raise EmptyCloudError("cannot take moments of an empty cloud")
     if np.abs(cloud.points).max() > _MAX_COORD:
         raise DegenerateCloudError("a coordinate exceeds 2**500 in magnitude")
     gx, gy = centroid(cloud)
-    dx = cloud.x - gx
-    dy = cloud.y - gy
-    mu20 = float(np.mean(dx * dx))
-    mu02 = float(np.mean(dy * dy))
-    mu11 = float(np.mean(dx * dy))
+    products = np.empty((3, n))
+    deltas = products[:2]
+    np.subtract(cloud.points.T, ((gx,), (gy,)), out=deltas)
+    np.multiply(deltas[0], deltas[1], out=products[2])
+    np.multiply(deltas, deltas, out=deltas)
+    mu20, mu02, mu11 = (np.add.reduce(products, axis=1) / n).tolist()
     if mu20 == 0.0 and mu02 == 0.0 and mu11 == 0.0:
         raise DegenerateCloudError("all points identical; moments are zero")
     return CentralMoments2(mu20=mu20, mu02=mu02, mu11=mu11, centroid=(gx, gy))
@@ -197,10 +204,10 @@ def _oriented_box(
     """
     if cloud.n == 0:
         raise EmptyCloudError("cannot take extents of an empty cloud")
-    proj_major = cloud.x * axes.major[0] + cloud.y * axes.major[1]
-    proj_minor = cloud.x * axes.minor[0] + cloud.y * axes.minor[1]
-    ext_major = float(proj_major.max() - proj_major.min())
-    ext_minor = float(proj_minor.max() - proj_minor.min())
+    # row 0 projects onto the major axis, row 1 onto the minor one
+    (ux, uy), (vx, vy) = axes.major, axes.minor
+    proj = cloud.x * ((ux,), (vx,)) + cloud.y * ((uy,), (vy,))
+    ext_major, ext_minor = (proj.max(axis=1) - proj.min(axis=1)).tolist()
     scale = max(ext_major, ext_minor)
     if ext_minor <= _ZERO_WIDTH_REL * scale:
         ext_minor = 0.0
@@ -272,8 +279,9 @@ def polygon_area_perimeter(poly: ConvexPolygon) -> tuple[float, float]:
     """Shoelace area (positive for CCW) and edge-length sum."""
     v = poly.vertices
     nxt = np.concatenate((v[1:], v[:1]))
-    area = 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
-    perimeter = float(np.sum(np.hypot(nxt[:, 0] - v[:, 0], nxt[:, 1] - v[:, 1])))
+    edges = nxt - v
+    area = 0.5 * float(np.add.reduce(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
+    perimeter = float(np.add.reduce(np.hypot(edges[:, 0], edges[:, 1])))
     return area, perimeter
 
 
@@ -282,8 +290,8 @@ def contour_perimeter(cloud: PointCloud2D) -> float:
     if cloud.n < 2:
         raise EmptyCloudError("need at least 2 points for a contour")
     pts = cloud.points
-    nxt = np.concatenate((pts[1:], pts[:1]))
-    return float(np.sum(np.hypot(nxt[:, 0] - pts[:, 0], nxt[:, 1] - pts[:, 1])))
+    edges = np.concatenate((pts[1:], pts[:1])) - pts
+    return float(np.add.reduce(np.hypot(edges[:, 0], edges[:, 1])))
 
 
 def shape_descriptors(cloud: PointCloud2D) -> ShapeFeatures:

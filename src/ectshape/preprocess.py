@@ -8,6 +8,7 @@ A radial variant and a no-op mode are provided as alternatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,21 +85,52 @@ def trim_noise(cloud: PointCloud2D, policy: TrimPolicy) -> PointCloud2D:
     """Remove the noise region selected by `policy`, preserving order.
 
     Quantiles are linear-interpolation order statistics (numpy's default,
-    the "type 7" convention), so survivors are implementation-independent.
+    the "type 7" convention), so survivors are implementation-independent:
+    :func:`column_quantiles` takes them with one partition and numpy's own
+    interpolation on Python floats, bit for bit as ``np.quantile``.
     Survivor coordinates are never modified.
     """
     if policy.mode == "none":
         return cloud
     if policy.mode == "both_axes":
-        tx, ty = np.quantile(cloud.points, policy.quantile_q, axis=0).tolist()
+        tx, ty = column_quantiles(cloud.points, policy.quantile_q)
         keep = ~((cloud.x > tx) & (cloud.y > ty))
     else:  # radial
         center = cloud.points.mean(axis=0)
         dist = np.hypot(cloud.x - center[0], cloud.y - center[1])
-        keep = dist <= float(np.quantile(dist, policy.quantile_q))
+        (t,) = column_quantiles(dist[:, None], policy.quantile_q)
+        keep = dist <= t
     survivors = cloud.points[keep]
     if survivors.shape[0] < 3:
         raise DegenerateAfterTrimError(
             f"{survivors.shape[0]} points survive trimming; need >= 3"
         )
     return PointCloud2D(points=survivors)
+
+
+def column_quantiles(values: np.ndarray, q: float) -> list[float]:
+    """Type-7 q-quantile of each column of (n, m) values, n >= 1, q in [0, 1].
+
+    The same floats as ``np.quantile(values, q, axis=0)``: the virtual
+    index v = (n - 1) * q falls between the order statistics a and b at
+    floor(v) and floor(v) + 1, which one ``np.partition`` puts in place,
+    and with t = v - floor(v) the value is numpy's lerp, b - (b - a)(1 - t)
+    for t >= 0.5 and a + (b - a) t below. From v = n - 1 on, numpy lerps
+    the column maximum with itself at t = v + 1 (which turns a -0.0
+    maximum into +0.0 when n > 1); so does this. The partition is given
+    numpy's own kth set, first and last included, so that of equal values
+    (-0.0 and +0.0) the same one lands at floor(v).
+    """
+    n = values.shape[0]
+    v = (n - 1) * q
+    if v >= n - 1:
+        t = v + 1
+        a = b = values.max(axis=0).tolist()
+    else:
+        lo = math.floor(v)
+        t = v - lo
+        part = np.partition(values, (-1, 0, lo, lo + 1), axis=0)
+        a, b = part[lo].tolist(), part[lo + 1].tolist()
+    if t >= 0.5:
+        return [bj - (bj - aj) * (1 - t) for aj, bj in zip(a, b)]
+    return [aj + (bj - aj) * t for aj, bj in zip(a, b)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from ectshape.classifiers import (
 )
 from ectshape.classifiers import decision_tree, naive_bayes
 from ectshape.classifiers.perceptron import (
+    _POSTERIOR_LANES,
     _Sigmoid,
     _Stack,
     _TrainingStack,
@@ -879,3 +881,32 @@ def test_batch_mlp_falls_back_to_uniform_per_row():
         posteriors = predict(trained, x)[1]
     assert posteriors[1].tolist() == [1 / 3] * 3
     assert posteriors[2].tolist() == [1 / 3] * 3
+
+
+@pytest.mark.parametrize("hidden", [1, 3])
+def test_mlp_posterior_blocks_match_per_row_oracle(hidden):
+    # two full blocks and a last block of one row; with one hidden unit the
+    # one-row block is the spare-lane case of a lone network
+    rng = np.random.default_rng(11 + hidden)
+    data = oracle_dataset(rng, 3, 12, ties=False)
+    model = train_model("mlp", data, {"hidden": hidden, "epochs": 2}, seed=5).model
+    x = oracle_queries(rng, data, 2 * _POSTERIOR_LANES + 1, ties=False)
+    want = np.array([reference_mlp_posterior(model, row) for row in x])
+    assert mlp_posterior(model, x).tobytes() == want.tobytes()
+    assert mlp_posterior(model, x[-1:]).tobytes() == want[-1:].tobytes()
+
+
+def test_mlp_posterior_memory_does_not_grow_with_rows():
+    # one copy of the network per row would take about 6 KB a row (127 MB
+    # here); in blocks the peak is the input, the output and one block
+    rng = np.random.default_rng(12)
+    data = oracle_dataset(rng, 3, 12, ties=False)
+    trained = train_model("mlp", data, {"hidden": 8, "epochs": 1}, seed=6)
+    x = rng.normal(size=(20_000, 3))
+    tracemalloc.start()
+    try:
+        predict(trained, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -200,6 +200,63 @@ def test_extent_swap_when_spread_disagrees_with_variance():
     assert feats.alpha_deg == 90.0
 
 
+# --- moments and extents against one array per measure ----------------------
+
+def reference_central_moments(points):
+    """The moments as np.mean of each 1-D product array."""
+    gx, gy = (float(g) for g in points.mean(axis=0))
+    dx, dy = points[:, 0] - gx, points[:, 1] - gy
+    return (float(np.mean(dx * dx)), float(np.mean(dy * dy)), float(np.mean(dx * dy)),
+            (gx, gy))  # fmt: skip
+
+
+def reference_oriented_extents(points, axes):
+    """(L, W) from one 1-D projection array per axis."""
+    proj_major = points[:, 0] * axes.major[0] + points[:, 1] * axes.major[1]
+    proj_minor = points[:, 0] * axes.minor[0] + points[:, 1] * axes.minor[1]
+    ext_major = float(proj_major.max() - proj_major.min())
+    ext_minor = float(proj_minor.max() - proj_minor.min())
+    scale = max(ext_major, ext_minor)
+    if ext_minor <= 1e-12 * scale:
+        ext_minor = 0.0
+    if ext_major <= 1e-12 * scale:
+        ext_major = 0.0
+    return max(ext_major, ext_minor), min(ext_major, ext_minor)
+
+
+def moment_cloud(rng, family):
+    # n < 8 and n > 128 take numpy's pairwise sum through its short loop
+    # and through a regrouping of 128-element blocks
+    n = int(rng.integers(3, 8)) if family == "short" else int(rng.integers(8, 400))
+    if family == "lattice":  # ties everywhere, exact moments
+        return rng.integers(-3, 4, size=(n, 2)).astype(float)
+    pts = rng.normal(size=(n, 2)) @ rng.normal(size=(2, 2))
+    if family == "offset":  # small spread far from the origin
+        pts = pts * 1e-3 + rng.choice([-1e6, 1e6], size=2)
+    return pts
+
+
+@pytest.mark.parametrize("family", ["short", "long", "lattice", "offset"])
+def test_moments_and_extents_match_per_measure_reference_bits(family):
+    rng = np.random.default_rng(len(family))
+    for _ in range(300):
+        pts = moment_cloud(rng, family)
+        cloud = PointCloud2D(points=pts)
+        try:
+            moments = central_moments(cloud)
+        except DegenerateCloudError:
+            assert reference_central_moments(pts)[:3] == (0.0, 0.0, 0.0)
+            continue
+        want = reference_central_moments(pts)
+        assert float_bits(*moments[:3], *moments.centroid) == float_bits(
+            *want[:3], *want[3]
+        )
+        axes = principal_axes(moments)
+        assert float_bits(*oriented_extents(cloud, axes)) == float_bits(
+            *reference_oriented_extents(pts, axes)
+        )
+
+
 # --- convex hull -------------------------------------------------------------
 
 def brute_force_hull_vertices(points: np.ndarray) -> set:

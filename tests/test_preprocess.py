@@ -7,6 +7,7 @@ from ectshape.preprocess import (
     TRIM_MODES,
     PointCloud2D,
     TrimPolicy,
+    column_quantiles,
     to_point_cloud,
     trim_noise,
 )
@@ -152,3 +153,48 @@ def test_both_axes_trim_matches_per_axis_quantile_bits(family):
             else:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+def reference_trim_radial(points, q):
+    """Radial trim with one np.quantile call on the distances."""
+    center = points.mean(axis=0)
+    dist = np.hypot(points[:, 0] - center[0], points[:, 1] - center[1])
+    survivors = points[dist <= float(np.quantile(dist, q))]
+    if survivors.shape[0] < 3:
+        return DegenerateAfterTrimError
+    return survivors
+
+
+@pytest.mark.parametrize("family", ["lattice", "tiny", "huge", "normal"])
+def test_radial_trim_matches_quantile_bits(family):
+    rng = np.random.default_rng(10 + len(family))
+    with np.errstate(all="ignore"):
+        for _ in range(400):
+            pts = trim_fuzz_cloud(rng, family)
+            q = float(rng.choice([1e-9, 0.5, 0.98, 1.0, rng.uniform(1e-9, 1.0)]))
+            want = reference_trim_radial(pts, q)
+            try:
+                got = trim_noise(PointCloud2D(points=pts), TrimPolicy(q, "radial")).points
+            except DegenerateAfterTrimError:
+                got = DegenerateAfterTrimError
+            if isinstance(want, type) or isinstance(got, type):
+                assert got is want
+            else:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", ["lattice", "tiny", "huge", "normal"])
+def test_column_quantiles_match_np_quantile_bits(family):
+    # signed zeros included: the partition leaves the same zero at floor(v)
+    rng = np.random.default_rng(20 + len(family))
+    with np.errstate(all="ignore"):
+        for _ in range(400):
+            pts = trim_fuzz_cloud(rng, family)
+            values = pts[: int(rng.integers(1, pts.shape[0] + 1))]
+            if rng.random() < 0.25:
+                values = values[:, :1]
+            q = float(rng.choice([0.0, 1e-9, 0.5, 0.98, 1.0, 1.0 - 2.0**-53,
+                                  rng.uniform(0.0, 1.0)]))  # fmt: skip
+            got = np.array(column_quantiles(values, q))
+            assert got.tobytes() == np.quantile(values, q, axis=0).tobytes()
