@@ -88,7 +88,7 @@ def train_model(
 ) -> TrainedModel:
     """Train one classifier kind from a parameter dict.
 
-    Recognized params: tree -> max_depth, min_leaf, use_gain_ratio;
+    Recognized params: tree -> max_depth, min_leaf;
     mlp -> hidden, lr, momentum, epochs. nb takes none. The seed only
     affects the perceptron.
     """

@@ -8,8 +8,8 @@ distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -51,7 +51,6 @@ TreeNode = Union[TreeLeaf, TreeSplit]
 class TreeParams:
     max_depth: int = 25
     min_leaf: int = 2
-    use_gain_ratio: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_depth <= MAX_DEPTH:
@@ -95,13 +94,12 @@ def _entropies(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class _Candidate:
+class _Candidate(NamedTuple):
     feature: int
     threshold: float
     gain: float
     score: float
-    left_mask: np.ndarray = field(repr=False)
+    left_mask: np.ndarray
 
 
 def _best_split(
@@ -133,9 +131,7 @@ def _best_split(
     p_right = (n - rows_left) / n
     gain = entropy[0] - (p_left * entropy[1 : c + 1] + p_right * entropy[c + 1 :])
     split_info = -(p_left * np.log2(p_left) + p_right * np.log2(p_right))
-    score = gain
-    if params.use_gain_ratio:
-        score = np.divide(gain, split_info, out=gain.copy(), where=split_info >= _GAIN_EPS)
+    score = np.divide(gain, split_info, out=gain.copy(), where=split_info >= _GAIN_EPS)
     best = int(np.argmax(score))  # first maximum
     j, b = int(feature[best]), int(i[best])
     threshold = 0.5 * (v[j, b] + v[j, b + 1])

@@ -326,25 +326,6 @@ def _split(
     )
 
 
-def example_loss_and_gradients(
-    w1: np.ndarray,
-    b1: np.ndarray,
-    w2: np.ndarray,
-    b2: np.ndarray,
-    x: np.ndarray,
-    target: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Squared-error loss 0.5*sum((out-target)^2) and its exact gradients,
-    from the training kernel with one network."""
-    (h, d), n_out = w1.shape, w2.shape[0]
-    stack = _TrainingStack(1, d, h, n_out)
-    stack.set_params(0, w1, b1, w2, b2)
-    err = np.empty_like(stack.output)
-    stack.backward(stack.inputs(x[None]), target[:, None], err)
-    loss = 0.5 * float(_fixed_sum(err * err, axis=0)[0])
-    return (loss, *stack.gradients(0))
-
-
 def _epoch_inputs(x_cols: np.ndarray, rows: np.ndarray, block: np.ndarray):
     """Each step's (d + 1, h, lanes) input, lane f holding column rows[t, f]
     of x_cols; broadcast a block of steps at a time into block."""

@@ -100,18 +100,6 @@ class BadKError(EctShapeError):
     """Fold count k is below 2 or above the number of rows."""
 
 
-class LengthMismatchError(EctShapeError):
-    """Truth and prediction sequences differ in length."""
-
-
-class LabelOutOfRangeError(EctShapeError):
-    """A label index falls outside [0, num_classes)."""
-
-
-class EmptyMatrixError(EctShapeError):
-    """Confusion matrix holds zero counts in total."""
-
-
 class BadSpecError(EctShapeError):
     """Synthetic-data specification violates its preconditions."""
 

@@ -1,9 +1,9 @@
-"""Cross-validated evaluation: folds, confusion matrices, per-class metrics."""
+"""Cross-validated evaluation: stratified folds, per-fold confusion counts,
+one-vs-rest metrics."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -11,12 +11,7 @@ import numpy as np
 from .classifiers import MlpParams, TrainedModel, predict, train_model
 from .classifiers.perceptron import train_mlp_stack
 from .dataset import LabeledDataset
-from .errors import (
-    BadKError,
-    EmptyMatrixError,
-    LabelOutOfRangeError,
-    LengthMismatchError,
-)
+from .errors import BadKError
 from .rng import SplitMix64, derive_seed
 from .textio import format_float
 
@@ -25,50 +20,14 @@ METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "precision", "mcc")
 METRICS_CSV_HEADER = "classifier,fold,class,accuracy,sensitivity,specificity,precision,mcc"
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Maps each record index to a test fold in [0, k).
+def stratified_k_fold(data: LabeledDataset, k: int, seed: int) -> np.ndarray:
+    """The test fold in [0, k) of each record, as a read-only (n,) intp array.
 
-    Fold sizes differ by at most one; with stratified construction the same
-    holds within every class.
-    """
-
-    fold_of_row: np.ndarray
-    k: int
-
-    def __post_init__(self) -> None:
-        fold_of_row = np.asarray(self.fold_of_row, dtype=np.intp)
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if fold_of_row.ndim != 1:
-            raise ValueError("fold_of_row must be 1-D")
-        if fold_of_row.min(initial=0) < 0 or fold_of_row.max(initial=0) >= self.k:
-            raise ValueError("fold index outside [0, k)")
-        sizes = np.bincount(fold_of_row, minlength=self.k)
-        if sizes.max() - sizes.min() > 1:
-            raise ValueError("fold sizes differ by more than one")
-        object.__setattr__(self, "fold_of_row", fold_of_row)
-        fold_of_row.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.fold_of_row.shape[0]
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of_row == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of_row != fold)
-
-
-def stratified_k_fold(data: LabeledDataset, k: int, seed: int) -> FoldAssignment:
-    """Deal each class's records round-robin into k folds.
-
-    Records are shuffled within their class, then dealt in ascending class
-    order. The dealing cursor starts at a seeded random fold and carries over
-    between classes, so per-class counts and overall fold sizes both stay
-    within one of each other (a per-class restart could stack small classes
-    into the same fold and break the overall balance).
+    Each class's records are shuffled, then dealt round-robin in ascending
+    class order. The dealing cursor starts at a seeded random fold and
+    carries over between classes, so per-class counts and overall fold
+    sizes both stay within one of each other (a per-class restart could
+    stack small classes into the same fold and break the overall balance).
     """
     n = data.n_rows
     if k < 2 or k > n:
@@ -81,54 +40,8 @@ def stratified_k_fold(data: LabeledDataset, k: int, seed: int) -> FoldAssignment
         rng.shuffle(members)
         fold_of_row[members] = (cursor + np.arange(members.shape[0])) % k
         cursor += members.shape[0]
-    return FoldAssignment(fold_of_row=fold_of_row, k=k)
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[t][p] = number of records of true class t predicted as p."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-            raise ValueError("confusion matrix must be square")
-        if (counts < 0).any():
-            raise ValueError("negative count")
-        object.__setattr__(self, "counts", counts)
-        counts.setflags(write=False)
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(counts=self.counts + other.counts)
-
-
-def confusion_matrix(
-    truths: np.ndarray, preds: np.ndarray, num_classes: int
-) -> ConfusionMatrix:
-    truths = np.asarray(truths)
-    preds = np.asarray(preds)
-    if truths.shape != preds.shape:
-        raise LengthMismatchError(
-            f"true/predicted lengths differ: {truths.shape} vs {preds.shape}"
-        )
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    if truths.shape[0] > 0:
-        for arr, name in ((truths, "true"), (preds, "predicted")):
-            if arr.min() < 0 or arr.max() >= num_classes:
-                raise LabelOutOfRangeError(
-                    f"{name} label outside 0..{num_classes - 1}"
-                )
-        np.add.at(counts, (truths, preds), 1)
-    return ConfusionMatrix(counts=counts)
+    fold_of_row.setflags(write=False)
+    return fold_of_row
 
 
 class MetricSet(NamedTuple):
@@ -137,9 +50,6 @@ class MetricSet(NamedTuple):
     specificity: float
     precision: float
     mcc: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return tuple(self)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -177,32 +87,13 @@ def _metric_sets(table: np.ndarray) -> tuple[MetricSet, ...]:
     return tuple(MetricSet(*row) for row in table.tolist())
 
 
-def one_vs_rest_metrics(cm: ConfusionMatrix, class_index: int) -> MetricSet:
-    """Binary metrics treating `class_index` as positive, everything else negative."""
-    if not 0 <= class_index < cm.num_classes:
-        raise LabelOutOfRangeError(f"class index {class_index} out of range")
-    return per_class_metrics(cm)[class_index]
-
-
-def per_class_metrics(cm: ConfusionMatrix) -> tuple[MetricSet, ...]:
-    if cm.total == 0:
-        raise EmptyMatrixError("confusion matrix is empty")
-    return _metric_sets(metric_table(cm.counts))
-
-
-def macro_metrics(per_class: tuple[MetricSet, ...]) -> MetricSet:
-    """Unweighted arithmetic mean of each field over classes."""
-    if len(per_class) == 0:
-        raise ValueError("need at least one class")
-    return MetricSet(*np.array(per_class).mean(axis=0).tolist())
-
-
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Everything a k-fold run produced, plus the summary the caller asked for.
 
-    With metrics_mode "pooled" the per_class/macro metrics come from the
-    summed confusion matrix; with "fold_mean" they are unweighted means of
+    per_fold is the `(k, K, K)` int64 count block, per_fold[f, t, p] being
+    the test records of fold f with true class t predicted as p; pooled is
+    its sum over folds. With metrics_mode "pooled" the per_class/macro
+    metrics come from pooled; with "fold_mean" they are unweighted means of
     the per-fold metrics. fold_metrics is the `(k, K, 5)` metric_table of
     per_fold, which the metrics CSV reads.
     """
@@ -213,18 +104,11 @@ class EvalReport:
     seed: int
     metrics_mode: str
     class_names: tuple[str, ...]
-    per_fold: tuple[ConfusionMatrix, ...]
-    pooled: ConfusionMatrix
+    per_fold: np.ndarray
+    pooled: np.ndarray
     per_class: tuple[MetricSet, ...]
     macro: MetricSet
     fold_metrics: np.ndarray
-
-    def __post_init__(self) -> None:
-        summed = self.per_fold[0]
-        for m in self.per_fold[1:]:
-            summed = summed + m
-        if not np.array_equal(summed.counts, self.pooled.counts):
-            raise ValueError("pooled matrix is not the sum of the fold matrices")
 
 
 def cross_validate(
@@ -243,16 +127,16 @@ def cross_validate(
     stream f+1, so classifiers never share generator state with the splitter
     or each other.
     """
-    assignment = stratified_k_fold(data, k, derive_seed(seed, 0))
+    fold_of_row = stratified_k_fold(data, k, derive_seed(seed, 0))
     names = class_names if class_names is not None else tuple(
         str(c) for c in range(data.num_classes)
     )
-    train_sets = [data.subset(assignment.train_indices(f)) for f in range(k)]
+    train_sets = [data.subset(np.flatnonzero(fold_of_row != f)) for f in range(k)]
     seeds = [derive_seed(seed, f + 1) for f in range(k)]
     if classifier_kind == "mlp":
         # the k networks train in lockstep; each fit is model or error
         mlp_fits = train_mlp_stack(train_sets, MlpParams(**(params or {})), seeds)
-    per_fold = []
+    preds = np.empty(data.n_rows, dtype=np.intp)
     for f in range(k):
         try:
             if classifier_kind == "mlp":
@@ -277,13 +161,14 @@ def cross_validate(
             detail = exc.args[0] if exc.args else repr(exc)
             exc.args = (f"fold {f}: {detail}",)
             raise
-        test_idx = assignment.test_indices(f)
-        preds, _ = predict(trained, data.features[test_idx])
-        per_fold.append(confusion_matrix(data.labels[test_idx], preds, data.num_classes))
-    counts = np.stack([m.counts for m in per_fold])
-    pooled = ConfusionMatrix(counts=counts.sum(axis=0))
+        test_idx = np.flatnonzero(fold_of_row == f)
+        preds[test_idx], _ = predict(trained, data.features[test_idx])
+    num_classes = data.num_classes
+    per_fold = np.zeros((k, num_classes, num_classes), dtype=np.int64)
+    np.add.at(per_fold, (fold_of_row, data.labels, preds), 1)
+    pooled = per_fold.sum(axis=0)
     # one pass over the k fold matrices and the pooled one: (k + 1, K, 5)
-    table = metric_table(np.concatenate((counts, pooled.counts[None])))
+    table = metric_table(np.concatenate((per_fold, pooled[None])))
     macros = table.mean(axis=1)
     if per_fold_mean:
         per_class_table = table[:k].mean(axis=0)
@@ -299,7 +184,7 @@ def cross_validate(
         seed=seed,
         metrics_mode=mode,
         class_names=names,
-        per_fold=tuple(per_fold),
+        per_fold=per_fold,
         pooled=pooled,
         per_class=_metric_sets(per_class_table),
         macro=MetricSet(*macro_row.tolist()),
@@ -335,7 +220,7 @@ def report_text(report: EvalReport) -> str:
         "",
         "pooled confusion matrix (rows = true, columns = predicted):",
     ]
-    counts = report.pooled.counts
+    counts = report.pooled
     width = max(len(str(counts.max())), *(len(n) for n in report.class_names))
     header = " " * (width + 2) + " ".join(f"{n:>{width}}" for n in report.class_names)
     lines.append(header)

@@ -181,19 +181,6 @@ def principal_axes(moments: CentralMoments2) -> PrincipalAxes:
     )
 
 
-def oriented_extents(cloud: PointCloud2D, axes: PrincipalAxes) -> tuple[float, float]:
-    """Min-max extents of the projections onto the principal axes.
-
-    Returns (L, W) with L >= W. A relative minor extent below 1e-12 is
-    snapped to exactly 0. When the projection extents disagree with the
-    eigenvalue ordering (possible for cross-like or near-isotropic
-    clouds) the pair is swapped; see :func:`_oriented_box` for the angle
-    that goes with the swapped pair.
-    """
-    length, width, _ = _oriented_box(cloud, axes)
-    return length, width
-
-
 def _oriented_box(
     cloud: PointCloud2D, axes: PrincipalAxes
 ) -> tuple[float, float, float]:

@@ -156,10 +156,6 @@ def load_manifest(text: str) -> DatasetManifest:
     return DatasetManifest(entries=tuple(entries), class_names=class_names)
 
 
-def manifest_to_text(manifest: DatasetManifest) -> str:
-    return "\n".join(f"{path},{label}" for path, label in manifest.entries) + "\n"
-
-
 def record_id_from_path(path: str) -> str:
     """Record id of a manifest path: the file name without its extension."""
     name = path.replace("\\", "/").rsplit("/", 1)[-1]

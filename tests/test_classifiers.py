@@ -28,7 +28,6 @@ from ectshape.classifiers.perceptron import (
     _Sigmoid,
     _Stack,
     _TrainingStack,
-    example_loss_and_gradients,
     mlp_posterior,
     scale_features,
     train_mlp_stack,
@@ -43,6 +42,7 @@ from ectshape.errors import (
 )
 from ectshape.evaluation import stratified_k_fold
 from ectshape.rng import SplitMix64, derive_seed
+from reference import example_loss_and_gradients
 
 
 def dataset_1d(values, labels, num_classes=2):
@@ -332,7 +332,7 @@ def reference_best_split(features, labels, num_classes, params):
                 + p_right * reference_entropy_bits(right_counts)
             )
             split_info = -(p_left * np.log2(p_left) + p_right * np.log2(p_right))
-            if params.use_gain_ratio and split_info >= decision_tree._GAIN_EPS:
+            if split_info >= decision_tree._GAIN_EPS:
                 score = gain / split_info
             else:
                 score = gain
@@ -359,7 +359,6 @@ def candidate_bits(candidate):
 
 SPLIT_PARAMS = (
     TreeParams(), TreeParams(min_leaf=1), TreeParams(min_leaf=5),
-    TreeParams(use_gain_ratio=False),
 )
 
 
@@ -570,8 +569,8 @@ def test_mlp_lockstep_folds_match_training_alone():
     # 180 rows in 7 stratified folds: training sets of 154 and 155 rows, so
     # the shorter networks sit out the last step of every epoch
     data = blob_dataset(seed=12, n_per=60)
-    assignment = stratified_k_fold(data, 7, seed=3)
-    train_sets = [data.subset(assignment.train_indices(f)) for f in range(7)]
+    fold_of_row = stratified_k_fold(data, 7, seed=3)
+    train_sets = [data.subset(np.flatnonzero(fold_of_row != f)) for f in range(7)]
     assert sorted({s.n_rows for s in train_sets}) == [154, 155]
     seeds = [derive_seed(11, f + 1) for f in range(7)]
     stacked = train_mlp_stack(train_sets, MlpParams(epochs=3), seeds)

