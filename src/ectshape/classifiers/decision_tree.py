@@ -23,19 +23,13 @@ _GAIN_EPS = 1e-12
 MAX_DEPTH = 1000
 
 
-@dataclass(frozen=True)
-class TreeLeaf:
+class TreeLeaf(NamedTuple):
     """Leaf with a Laplace-smoothed class distribution."""
 
     distribution: np.ndarray  # (K,), sums to 1
 
-    def __post_init__(self) -> None:
-        if abs(float(self.distribution.sum()) - 1.0) > 1e-12:
-            raise ValueError("leaf distribution must sum to 1")
 
-
-@dataclass(frozen=True)
-class TreeSplit:
+class TreeSplit(NamedTuple):
     """Internal node: value <= threshold goes left."""
 
     feature_index: int
@@ -61,8 +55,7 @@ class TreeParams:
             raise ValueError(f"min_leaf must be at least 1, got {self.min_leaf}")
 
 
-@dataclass(frozen=True)
-class TreeModel:
+class TreeModel(NamedTuple):
     root: TreeNode
     num_classes: int
     n_features: int

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,27 +16,12 @@ _VAR_FLOOR_REL = 1e-9
 _VAR_FLOOR_ABS = 1e-12
 
 
-@dataclass(frozen=True)
-class GnbModel:
+class GnbModel(NamedTuple):
     """Per-class feature means/variances and class priors."""
 
     means: np.ndarray      # (K, d)
     variances: np.ndarray  # (K, d), strictly positive
     priors: np.ndarray     # (K,), sums to 1
-
-    def __post_init__(self) -> None:
-        if not (self.variances > 0).all():
-            raise ValueError("variances must be strictly positive")
-        if abs(float(self.priors.sum()) - 1.0) > 1e-12:
-            raise ValueError("priors must sum to 1")
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.means.shape[0])
-
-    @property
-    def n_features(self) -> int:
-        return int(self.means.shape[1])
 
 
 def train_gnb(data: LabeledDataset) -> GnbModel:

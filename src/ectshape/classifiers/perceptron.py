@@ -24,9 +24,8 @@ or libm pick at run time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -73,8 +72,7 @@ _Z_MAX = _const(746.0)  # sigmoid(746) = 1 and exp(-746) rounds to 0
 _ONE = _const(1.0)
 
 
-@dataclass(frozen=True)
-class MlpParams:
+class MlpParams(NamedTuple):
     hidden: int | None = None  # None: ceil((d + K) / 2)
     lr: float = 0.3
     momentum: float = 0.2
@@ -85,25 +83,13 @@ class MlpParams:
         return self.hidden if self.hidden is not None else math.ceil((d + k) / 2)
 
 
-@dataclass(frozen=True)
-class MlpModel:
+class MlpModel(NamedTuple):
     w1: np.ndarray  # (h, d)
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (K, h)
     b2: np.ndarray  # (K,)
     scaler_min: np.ndarray  # (d,)
     scaler_max: np.ndarray  # (d,)
-
-    def __post_init__(self) -> None:
-        for arr in (self.w1, self.b1, self.w2, self.b2):
-            if not np.isfinite(arr).all():
-                raise ValueError("parameters must be finite")
-        if self.w1.shape[0] < 1:
-            raise ValueError("need at least one hidden unit")
-
-    @property
-    def n_features(self) -> int:
-        return int(self.w1.shape[1])
 
     @property
     def num_classes(self) -> int:
@@ -269,10 +255,6 @@ class _TrainingStack(_Stack):
             self._g_layer1, self._g_layer2,
         )  # fmt: skip
 
-    def gradients(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of the last backward pass's gradients for network f."""
-        return _split(self._g_layer1[..., f], self._g_layer2[..., f])
-
     def backward(self, x: np.ndarray, target: np.ndarray, err: np.ndarray) -> None:
         """Forward pass, err = output - target (both (K, lanes)), and the
         gradient of 0.5 * sum(err**2) in the gradient buffer."""
@@ -376,6 +358,8 @@ def train_mlp_stack(
         raise ValueError("dataset sizes differ by more than one")
     k = len(live)
     h = params.resolve_hidden(d, n_out)
+    if h < 1:
+        raise ValueError("need at least one hidden unit")
     stack = _TrainingStack(k, d, h, n_out)
     lanes = stack.lanes
 
@@ -443,6 +427,8 @@ def train_mlp_stack(
                 f"training diverged (epoch loss {first_bad_loss[j]})"
             )
             continue
+        if not np.isfinite(stack.theta[:, j]).all():
+            raise ValueError("parameters must be finite")
         w1, b1, w2, b2 = stack.params(j)
         _, scaler_min, scaler_max = scaled[j]
         results[i] = MlpModel(

@@ -4,14 +4,14 @@ Layout: a magic line "ectshape-model v1 <kind>", metadata lines, then
 kind-specific parameter blocks, then "end". Blank lines and '#' comments
 are ignored anywhere, so tools may prepend provenance headers. Floats
 carry 17 significant digits; save -> load -> save is byte-stable and
-load(save(model)) reproduces every parameter bit-for-bit. Any parse or
-validation failure raises ModelFormatError with the offending line number.
+load(save(model)) reproduces every parameter bit-for-bit.
+
+Training builds valid models, so this reader is the one place that checks
+one: any parse or validation failure raises ModelFormatError with the
+offending line number.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +25,22 @@ from .perceptron import MlpModel
 MAGIC = "ectshape-model"
 FORMAT_VERSION = "v1"
 
+# The parameter blocks of the nb and mlp kinds, in file order, each with its
+# named dimensions: K classes (num_classes), d features (feature_names) and
+# h hidden units (set by w1). One dimension is a vector, two a matrix.
+_BLOCKS = {
+    "nb": (("priors", "K"), ("means", "Kd"), ("variances", "Kd")),
+    "mlp": (
+        ("scaler_min", "d"),
+        ("scaler_max", "d"),
+        ("w1", "hd"),
+        ("b1", "h"),
+        ("w2", "Kh"),
+        ("b2", "K"),
+    ),
+}
+_MODELS = {"nb": GnbModel, "mlp": MlpModel}
+
 
 def save_model(trained: TrainedModel) -> str:
     lines = [f"{MAGIC} {FORMAT_VERSION} {trained.kind}"]
@@ -32,12 +48,14 @@ def save_model(trained: TrainedModel) -> str:
     lines.append(f"num_classes {trained.num_classes}")
     if trained.class_names is not None:
         lines.append("class_names " + ",".join(trained.class_names))
-    if trained.kind == "nb":
-        _write_gnb(lines, trained.model)
-    elif trained.kind == "tree":
+    if trained.kind == "tree":
         _write_tree(lines, trained.model)
     else:
-        _write_mlp(lines, trained.model)
+        # a block's header gives its name and shape; one line per row follows
+        for name, _ in _BLOCKS[trained.kind]:
+            values = getattr(trained.model, name)
+            lines.append(" ".join((name, *map(str, values.shape))))
+            lines += map(_fmt_vec, np.atleast_2d(values))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -71,32 +89,24 @@ def load_model(text: str) -> TrainedModel:
             break
     if feature_names is None or num_classes is None:
         raise reader.error("model file missing feature_names or num_classes")
+    if class_names is not None and len(class_names) != num_classes:
+        raise reader.error(
+            f"class_names lists {len(class_names)} names, num_classes is {num_classes}"
+        )
 
-    if kind == "nb":
-        model = _read_gnb(reader)
-    elif kind == "tree":
-        model = _read_tree(reader, num_classes)
+    if kind == "tree":
+        model = _read_tree(reader, len(feature_names), num_classes)
     else:
-        model = _read_mlp(reader)
-    if model.n_features != len(feature_names):
-        raise reader.error(
-            f"model has {model.n_features} features,"
-            f" feature_names lists {len(feature_names)}"
-        )
-    if model.num_classes != num_classes:
-        raise reader.error(
-            f"model has {model.num_classes} classes, num_classes is {num_classes}"
-        )
+        model = _read_blocks(reader, kind, {"K": num_classes, "d": len(feature_names)})
     if reader.next_fields() != ["end"]:
         raise reader.error("model file missing trailing 'end'")
-    with reader.validating():
-        return TrainedModel(
-            kind=kind,
-            model=model,
-            feature_names=feature_names,
-            num_classes=num_classes,
-            class_names=class_names,
-        )
+    return TrainedModel(
+        kind=kind,
+        model=model,
+        feature_names=feature_names,
+        num_classes=num_classes,
+        class_names=class_names,
+    )
 
 
 class _LineReader:
@@ -108,14 +118,6 @@ class _LineReader:
         """ModelFormatError at the line read last."""
         line_no = self._lines[self._pos - 1][0] if self._pos else None
         return ModelFormatError(message, line_no)
-
-    @contextmanager
-    def validating(self) -> Iterator[None]:
-        """Turn a model constructor's ValueError into ModelFormatError."""
-        try:
-            yield
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
 
     def next_line(self) -> str:
         if self._pos >= len(self._lines):
@@ -153,62 +155,59 @@ class _LineReader:
     def to_floats(self, texts: list[str], what: str) -> np.ndarray:
         return np.array([self.to_float(v, what) for v in texts], dtype=np.float64)
 
-    def read_vector(self, name: str) -> np.ndarray:
+    def read_block(self, name: str, dims: str, sizes: dict[str, int]) -> np.ndarray:
+        """A vector or matrix block of the named dimensions: a header line
+        with its name and shape, then one line per row. A dimension that
+        sizes lacks is bound to the header's size; a bound one must match."""
+        vector = len(dims) == 1
+        form = "vector" if vector else "matrix"
+        what = f"{form} {name!r}"
         fields = self.next_fields()
-        if len(fields) != 2 or fields[0] != name:
-            raise self.error(f"expected vector block {name!r}")
-        n = self.to_int(fields[1], f"vector {name!r} length")
-        values = self.next_fields()
-        if len(values) != n:
-            raise self.error(f"vector {name!r}: expected {n} values")
-        return self.to_floats(values, f"vector {name!r}")
-
-    def read_matrix(self, name: str) -> np.ndarray:
-        fields = self.next_fields()
-        if len(fields) != 3 or fields[0] != name:
-            raise self.error(f"expected matrix block {name!r}")
-        rows = self.to_int(fields[1], f"matrix {name!r} rows")
-        cols = self.to_int(fields[2], f"matrix {name!r} columns")
-        if rows < 1 or cols < 1:
-            raise self.error(f"matrix {name!r}: needs positive dimensions")
-        data = np.empty((rows, cols))
-        for r in range(rows):
+        if len(fields) != 1 + len(dims) or fields[0] != name:
+            raise self.error(f"expected {form} block {name!r}")
+        shape = [self.to_int(v, f"{what} size") for v in fields[1:]]
+        if min(shape) < 1:
+            raise self.error(f"{what}: needs positive dimensions")
+        for dim, size in zip(dims, shape):
+            if sizes.setdefault(dim, size) != size:
+                raise self.error(f"{what}: {dim} is {size}, expected {sizes[dim]}")
+        # row by row, so that the text and not the header bounds the memory
+        rows = []
+        for _ in range(1 if vector else shape[0]):
             values = self.next_fields()
-            if len(values) != cols:
-                raise self.error(f"matrix {name!r}: expected {cols} columns")
-            data[r] = self.to_floats(values, f"matrix {name!r}")
-        return data
+            if len(values) != shape[-1]:
+                raise self.error(
+                    f"{what}: expected {shape[-1]} {'values' if vector else 'columns'}"
+                )
+            rows.append(self.to_floats(values, what))
+        return np.array(rows).reshape(shape)
 
 
 def _fmt_vec(vec: np.ndarray) -> str:
     return " ".join(format_float(float(v)) for v in vec)
 
 
-def _write_vector(lines: list[str], name: str, vec: np.ndarray) -> None:
-    lines.append(f"{name} {vec.shape[0]}")
-    lines.append(_fmt_vec(vec))
+def _sum_off_one(values: np.ndarray) -> bool:
+    """Whether the values miss a sum of 1 by more than 1e-12; a NaN sum
+    does not."""
+    return abs(float(values.sum()) - 1.0) > 1e-12
 
 
-def _write_matrix(lines: list[str], name: str, mat: np.ndarray) -> None:
-    lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
-    for row in mat:
-        lines.append(_fmt_vec(row))
-
-
-def _write_gnb(lines: list[str], model: GnbModel) -> None:
-    _write_vector(lines, "priors", model.priors)
-    _write_matrix(lines, "means", model.means)
-    _write_matrix(lines, "variances", model.variances)
-
-
-def _read_gnb(reader: _LineReader) -> GnbModel:
-    priors = reader.read_vector("priors")
-    means = reader.read_matrix("means")
-    variances = reader.read_matrix("variances")
-    if means.shape != variances.shape or means.shape[0] != priors.shape[0]:
-        raise reader.error("priors, means and variances disagree in shape")
-    with reader.validating():
-        return GnbModel(means=means, variances=variances, priors=priors)
+def _read_blocks(
+    reader: _LineReader, kind: str, sizes: dict[str, int]
+) -> GnbModel | MlpModel:
+    """The kind's model from its _BLOCKS, each held to its dimensions and to
+    the rule on its values."""
+    blocks = {}
+    for name, dims in _BLOCKS[kind]:
+        values = blocks[name] = reader.read_block(name, dims, sizes)
+        if name == "priors" and _sum_off_one(values):
+            raise reader.error("priors must sum to 1")
+        if name == "variances" and not (values > 0).all():
+            raise reader.error("variances must be strictly positive")
+        if name in ("w1", "b1", "w2", "b2") and not np.isfinite(values).all():
+            raise reader.error(f"{name}: parameters must be finite")
+    return _MODELS[kind](**blocks)
 
 
 def _write_tree(lines: list[str], model: TreeModel) -> None:
@@ -224,11 +223,12 @@ def _write_tree(lines: list[str], model: TreeModel) -> None:
             todo += (node.right, node.left)
 
 
-def _read_tree(reader: _LineReader, num_classes: int) -> TreeModel:
+def _read_tree(reader: _LineReader, n_features: int, num_classes: int) -> TreeModel:
     fields = reader.next_fields()
     if len(fields) != 2 or fields[0] != "n_features":
         raise reader.error("tree model missing n_features")
-    n_features = reader.to_int(fields[1], "n_features")
+    if reader.to_int(fields[1], "n_features") != n_features:
+        raise reader.error(f"n_features is {fields[1]}, feature_names lists {n_features}")
     # Nodes come in pre-order: a split line, its left subtree, its right
     # subtree. Each pending entry is a split still waiting for a child:
     # [feature, threshold, left subtree or None].
@@ -251,8 +251,9 @@ def _read_tree(reader: _LineReader, num_classes: int) -> TreeModel:
         dist = reader.to_floats(fields[1:], "leaf")
         if dist.shape[0] != num_classes:
             raise reader.error("leaf distribution length mismatch")
-        with reader.validating():
-            node: TreeNode = TreeLeaf(distribution=dist)
+        if _sum_off_one(dist):
+            raise reader.error("leaf distribution must sum to 1")
+        node: TreeNode = TreeLeaf(distribution=dist)
         # a finished subtree is the left child of the innermost split that
         # has none yet, or else completes that split
         while pending and pending[-1][2] is not None:
@@ -263,34 +264,3 @@ def _read_tree(reader: _LineReader, num_classes: int) -> TreeModel:
         if not pending:
             return TreeModel(root=node, num_classes=num_classes, n_features=n_features)
         pending[-1][2] = node
-
-
-def _write_mlp(lines: list[str], model: MlpModel) -> None:
-    _write_vector(lines, "scaler_min", model.scaler_min)
-    _write_vector(lines, "scaler_max", model.scaler_max)
-    _write_matrix(lines, "w1", model.w1)
-    _write_vector(lines, "b1", model.b1)
-    _write_matrix(lines, "w2", model.w2)
-    _write_vector(lines, "b2", model.b2)
-
-
-def _read_mlp(reader: _LineReader) -> MlpModel:
-    scaler_min = reader.read_vector("scaler_min")
-    scaler_max = reader.read_vector("scaler_max")
-    w1 = reader.read_matrix("w1")
-    b1 = reader.read_vector("b1")
-    w2 = reader.read_matrix("w2")
-    b2 = reader.read_vector("b2")
-    h, d = w1.shape
-    if (
-        scaler_min.shape != (d,)
-        or scaler_max.shape != (d,)
-        or b1.shape != (h,)
-        or w2.shape[1] != h
-        or b2.shape != (w2.shape[0],)
-    ):
-        raise reader.error("perceptron blocks disagree in shape")
-    with reader.validating():
-        return MlpModel(
-            w1=w1, b1=b1, w2=w2, b2=b2, scaler_min=scaler_min, scaler_max=scaler_max
-        )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -85,8 +85,7 @@ class LabeledDataset:
         )
 
 
-@dataclass(frozen=True)
-class FeatureTable:
+class FeatureTable(NamedTuple):
     """Parsed feature CSV: ids, label names and the full feature matrix."""
 
     record_ids: tuple[str, ...]

@@ -99,7 +99,6 @@ class EvalReport(NamedTuple):
     """
 
     classifier_kind: str
-    params: dict
     k: int
     seed: int
     metrics_mode: str
@@ -179,7 +178,6 @@ def cross_validate(
         mode = "pooled"
     return EvalReport(
         classifier_kind=classifier_kind,
-        params=dict(params) if params else {},
         k=k,
         seed=seed,
         metrics_mode=mode,

@@ -31,14 +31,9 @@ class ClassLabel(NamedTuple):
 
 
 class DatasetManifest(NamedTuple):
-    """Ordered (path, label_name) entries plus the sorted class names."""
+    """(path, label_name) entries in file order."""
 
     entries: tuple[tuple[str, str], ...]
-    class_names: tuple[str, ...]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_names)
 
 
 def parse_record(text: str, record_id: str) -> np.ndarray:
@@ -134,11 +129,7 @@ def record_to_text(samples: np.ndarray) -> str:
 
 
 def load_manifest(text: str) -> DatasetManifest:
-    """Parse manifest text ("path,label" lines) into a DatasetManifest.
-
-    Class names are the sorted deduplicated label names; class indices
-    follow that sorted order.
-    """
+    """Parse manifest text ("path,label" lines) into a DatasetManifest."""
     entries: list[tuple[str, str]] = []
     seen_paths: set[str] = set()
     for line_no, line in iter_data_lines(text):
@@ -152,8 +143,7 @@ def load_manifest(text: str) -> DatasetManifest:
             raise DuplicatePathError(path)
         seen_paths.add(path)
         entries.append((path, label_name))
-    class_names = tuple(sorted({label for _, label in entries}))
-    return DatasetManifest(entries=tuple(entries), class_names=class_names)
+    return DatasetManifest(entries=tuple(entries))
 
 
 def record_id_from_path(path: str) -> str:

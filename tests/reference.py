@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ectshape.classifiers.perceptron import _fixed_sum, _TrainingStack
+from ectshape.classifiers.perceptron import _fixed_sum, _split, _TrainingStack
 from ectshape.evaluation import MetricSet, metric_table
 from ectshape.geometry import PrincipalAxes, _oriented_box
 from ectshape.ingest import DatasetManifest
@@ -56,7 +56,15 @@ def example_loss_and_gradients(
     err = np.empty_like(stack.output)
     stack.backward(stack.inputs(x[None]), target[:, None], err)
     loss = 0.5 * float(_fixed_sum(err * err, axis=0)[0])
-    return (loss, *stack.gradients(0))
+    return (loss, *stack_gradients(stack, 0))
+
+
+def stack_gradients(
+    stack: _TrainingStack, f: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Copies of network f's w1, b1, w2, b2 gradients from the stack's last
+    backward pass, read from its gradient views."""
+    return _split(stack._g_layer1[..., f], stack._g_layer2[..., f])
 
 
 # --- evaluation ---------------------------------------------------------------

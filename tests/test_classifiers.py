@@ -42,7 +42,7 @@ from ectshape.errors import (
 )
 from ectshape.evaluation import stratified_k_fold
 from ectshape.rng import SplitMix64, derive_seed
-from reference import example_loss_and_gradients
+from reference import example_loss_and_gradients, stack_gradients
 
 
 def dataset_1d(values, labels, num_classes=2):
@@ -705,7 +705,7 @@ def test_mlp_kernel_matches_python_oracle(k, d, h, n_out):
         assert bits(stack.hidden[:, f]) == bits(hidden)
         assert bits(stack.output[:, f]) == bits(output)
         assert bits(err[:, f]) == bits(want_err)
-        for got, want in zip(stack.gradients(f), grads):
+        for got, want in zip(stack_gradients(stack, f), grads):
             assert bits(got) == bits(want)
     lr, momentum = 0.3, 0.2
     stack.step(np.array(lr), np.array(momentum))

@@ -146,8 +146,12 @@ def test_unknown_tree_node_rejected():
 
 
 def replace_line(text, prefix, new_line):
+    """Put new_line in place of the first line that starts with prefix, or,
+    for a prefix "<block>/<r>", in place of row r of that block."""
+    prefix, _, row = prefix.partition("/")
     lines = text.splitlines()
     index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    index += int(row or 0)
     lines[index] = new_line
     return "\n".join(lines) + "\n", index + 1
 
@@ -165,6 +169,10 @@ def replace_line(text, prefix, new_line):
     ("tree", "leaf", "leaf 0.5 0.5 0.5"),
     ("mlp", "b1", "b1 2"),
     ("mlp", "w2", "w2 3 x"),
+    ("nb", "variances/1", "0 1 1"),
+    ("nb", "priors/1", "0.5 0.5 1e-9"),
+    ("mlp", "w1/1", "nan 0 0"),
+    ("tree", "n_features", "n_features 4"),
 ])
 def test_malformed_model_raises_model_format_error_with_line(kind, prefix, new_line):
     params = {"epochs": 2} if kind == "mlp" else None

@@ -27,9 +27,11 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 
 # classes that the dataclass decorator may make during the import; value
 # objects that check nothing are NamedTuples, which cost a seventh as much
-DATACLASS_BUDGET = 14
+DATACLASS_BUDGET = 7
 
-# counts the classes made through dataclasses.dataclass, bare or called
+# counts the classes made through dataclasses.dataclass, bare or called, and
+# fails on one without a __post_init__: a dataclass is only worth its cost
+# where it checks its input
 DATACLASS_CHILD = """
 import dataclasses
 made = []
@@ -38,6 +40,8 @@ real = dataclasses.dataclass
 def counting(cls=None, /, **kwargs):
     def wrap(c):
         made.append(f"{c.__module__}.{c.__qualname__}")
+        if "__post_init__" not in vars(c):
+            raise TypeError(f"{made[-1]} checks nothing; make it a NamedTuple")
         return real(**kwargs)(c)
     return wrap if cls is None else wrap(cls)
 
