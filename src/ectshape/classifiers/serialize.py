@@ -13,6 +13,8 @@ offending line number.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ModelFormatError
@@ -147,10 +149,14 @@ class _LineReader:
             raise self.error(f"{what}: expected an integer, got {text!r}") from None
 
     def to_float(self, text: str, what: str) -> float:
+        """The number in text; NaN is not one."""
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
-            raise self.error(f"{what}: expected a number, got {text!r}") from None
+            value = math.nan
+        if math.isnan(value):
+            raise self.error(f"{what}: expected a number, got {text!r}")
+        return value
 
     def to_floats(self, texts: list[str], what: str) -> np.ndarray:
         return np.array([self.to_float(v, what) for v in texts], dtype=np.float64)
@@ -188,9 +194,10 @@ def _fmt_vec(vec: np.ndarray) -> str:
 
 
 def _sum_off_one(values: np.ndarray) -> bool:
-    """Whether the values miss a sum of 1 by more than 1e-12; a NaN sum
-    does not."""
-    return abs(float(values.sum()) - 1.0) > 1e-12
+    """Whether the values miss a sum of 1 by more than 1e-12; a NaN sum,
+    of inf and -inf, misses it."""
+    with np.errstate(invalid="ignore"):
+        return not abs(float(values.sum()) - 1.0) <= 1e-12
 
 
 def _read_blocks(

@@ -8,9 +8,8 @@ the full set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,10 +128,27 @@ def feature_csv_row(
 def parse_feature_csv(text: str) -> FeatureTable:
     """Parse a feature CSV (header required, '#' comments skipped).
 
-    A non-numeric or non-finite feature value raises MalformedLineError.
+    A missing header, a row without 12 fields, or a non-numeric or
+    non-finite feature value raises MalformedLineError at the first bad
+    line.
     """
-    table = _parse_block(text)
-    return table if table is not None else _parse_lines(text)
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    if not lines:
+        raise MalformedLineError(0, "feature CSV has no header line")
+    if lines[0] == FEATURE_CSV_HEADER:
+        table = _parse_block(lines[1:])
+        if isinstance(table, FeatureTable):
+            return table
+    # the rows fail as a block only where one fails alone: raise the first
+    data = iter_data_lines(text)
+    line_no, header = next(data)
+    why = "expected feature CSV header"
+    if header == FEATURE_CSV_HEADER:
+        for line_no, row in data:
+            why = _parse_block([row])
+            if isinstance(why, str):
+                break
+    raise MalformedLineError(line_no, f"line {line_no}: {why}")
 
 
 _N_FIELDS = 2 + len(FEATURE_NAMES_EXTENDED)
@@ -140,26 +156,22 @@ _N_FIELDS = 2 + len(FEATURE_NAMES_EXTENDED)
 _BREAK = "\n"
 
 
-def _parse_block(text: str) -> Optional[FeatureTable]:
-    """The table of a valid feature CSV in one pass over its text, else None.
+def _parse_block(rows: list[str]) -> FeatureTable | str:
+    """The table of stripped data rows in one pass, or why they are not
+    one: a field count, a non-numeric value or a non-finite one. For one
+    row, that reason is the row's own.
 
-    Splits the joined data rows once and converts every feature with
-    float(). Anything the line loop would reject (no header, a wrong field
-    count, a value float() refuses or a non-finite one) returns None, so
-    that :func:`_parse_lines` raises with the line number.
+    Splits the joined rows once and converts every feature with float().
     """
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
-    if not lines or lines[0] != FEATURE_CSV_HEADER:
-        return None
-    rows = lines[1:]
     if not rows:
         return FeatureTable((), (), np.empty((0, len(FEATURE_NAMES_EXTENDED))))
     fields = f",{_BREAK},".join(rows).split(",")
     # n rows of 12 fields give 13n - 1 fields with a break at every 13th
-    if len(fields) != (_N_FIELDS + 1) * len(rows) - 1:
-        return None
-    if fields[_N_FIELDS :: _N_FIELDS + 1].count(_BREAK) != len(rows) - 1:
-        return None
+    if (
+        len(fields) != (_N_FIELDS + 1) * len(rows) - 1
+        or fields[_N_FIELDS :: _N_FIELDS + 1].count(_BREAK) != len(rows) - 1
+    ):
+        return f"expected {_N_FIELDS} fields"
     del fields[_N_FIELDS :: _N_FIELDS + 1]
     record_ids, label_names = fields[0::_N_FIELDS], fields[1::_N_FIELDS]
     del fields[0::_N_FIELDS]
@@ -167,55 +179,11 @@ def _parse_block(text: str) -> Optional[FeatureTable]:
     try:
         values = np.array(list(map(float, fields)), dtype=np.float64)
     except ValueError:
-        return None
+        return "non-numeric feature value"
     if not np.isfinite(values).all():
-        return None
+        return "non-finite feature value"
     return FeatureTable(
         record_ids=tuple(record_ids),
         label_names=tuple(label_names),
         values=values.reshape(len(rows), len(FEATURE_NAMES_EXTENDED)),
-    )
-
-
-def _parse_lines(text: str) -> FeatureTable:
-    """The table of a feature CSV, one line at a time; the rules of a valid
-    feature CSV.
-
-    Raises the error of the first bad line, with its line number.
-    """
-    record_ids: list[str] = []
-    label_names: list[str] = []
-    rows: list[list[float]] = []
-    header_seen = False
-    for line_no, line in iter_data_lines(text):
-        if not header_seen:
-            if line != FEATURE_CSV_HEADER:
-                raise MalformedLineError(
-                    line_no, f"line {line_no}: expected feature CSV header"
-                )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != _N_FIELDS:
-            raise MalformedLineError(line_no, f"line {line_no}: expected {_N_FIELDS} fields")
-        try:
-            values = [float(v) for v in parts[2:]]
-        except ValueError:
-            raise MalformedLineError(
-                line_no, f"line {line_no}: non-numeric feature value"
-            ) from None
-        if not all(math.isfinite(v) for v in values):
-            raise MalformedLineError(line_no, f"line {line_no}: non-finite feature value")
-        record_ids.append(parts[0])
-        label_names.append(parts[1])
-        rows.append(values)
-    if not header_seen:
-        raise MalformedLineError(0, "feature CSV has no header line")
-    values = (
-        np.array(rows, dtype=np.float64)
-        if rows
-        else np.empty((0, len(FEATURE_NAMES_EXTENDED)))
-    )
-    return FeatureTable(
-        record_ids=tuple(record_ids), label_names=tuple(label_names), values=values
     )

@@ -9,8 +9,7 @@ and safe to share across workers.
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,69 +52,55 @@ def parse_record(text: str, record_id: str) -> np.ndarray:
     EmptyRecordError
         No data lines at all.
     """
-    samples = _parse_block(text)
-    if samples is None:
-        samples = _parse_lines(text, record_id)
+    # a comment is decided on the stripped raw line, before the comma
+    # replacement, as in iter_data_lines
+    samples = _parse_block(
+        [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    )
+    if isinstance(samples, str):
+        # the block fails only where a line fails alone: raise the first
+        for line_no, line in iter_data_lines(text):
+            why = _parse_block([line])
+            if why is _NON_FINITE:
+                raise NonFiniteSampleError(line_no)
+            if isinstance(why, str):
+                raise MalformedLineError(line_no, f"line {line_no}: {why}")
+        raise EmptyRecordError(f"record {record_id!r} has no data lines")
     samples.setflags(write=False)
     return samples
 
 
 # a token float() rejects, put between the data lines
 _BREAK = "|"
+# the one reason that is a NonFiniteSampleError, not a MalformedLineError
+_NON_FINITE = "non-finite value"
 
 
-def _parse_block(text: str) -> Optional[np.ndarray]:
-    """Samples of a valid record in one pass over its text, else None.
+def _parse_block(lines: list[str]) -> np.ndarray | str:
+    """The (n, 2) samples of stripped data lines in one pass, or why they
+    are not a record: a field count, a non-numeric field, a non-finite
+    value or no data lines. For one line, that reason is the line's own.
 
-    Splits the joined data lines once and converts every field with
-    float(). Anything the line loop would reject (a wrong field count, a
-    field float() refuses, a non-finite value, no data lines) returns
-    None, so that :func:`_parse_lines` raises with the line number.
+    Splits the joined lines once and converts every field with float().
     """
-    # a comment is decided on the stripped raw line, before the comma
-    # replacement, as in iter_data_lines
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    if not lines:
+        return "no data lines"
     tokens = f"\n{_BREAK}\n".join(lines).replace(",", " ").split()
     # n lines of two fields give 3n - 1 tokens with a break at every third;
     # a break token left among the fields makes float() raise below
-    if not lines or len(tokens) != 3 * len(lines) - 1:
-        return None
-    if tokens[2::3].count(_BREAK) != len(lines) - 1:
-        return None
+    if (
+        len(tokens) != 3 * len(lines) - 1
+        or tokens[2::3].count(_BREAK) != len(lines) - 1
+    ):
+        return f"expected 2 fields, got {len(tokens)}"
     del tokens[2::3]
     try:
         samples = np.array(list(map(float, tokens)), dtype=np.float64)
     except ValueError:
-        return None
+        return "non-numeric field"
     if not np.isfinite(samples).all():
-        return None
+        return _NON_FINITE
     return samples.reshape(-1, 2)
-
-
-def _parse_lines(text: str, record_id: str) -> np.ndarray:
-    """Samples of a record, one line at a time; the rules of a valid record.
-
-    Raises the error of the first bad line, with its line number.
-    """
-    rows: list[tuple[float, float]] = []
-    for line_no, line in iter_data_lines(text):
-        fields = line.replace(",", " ").split()
-        if len(fields) != 2:
-            raise MalformedLineError(
-                line_no, f"line {line_no}: expected 2 fields, got {len(fields)}"
-            )
-        try:
-            re_part, im_part = float(fields[0]), float(fields[1])
-        except ValueError:
-            raise MalformedLineError(
-                line_no, f"line {line_no}: non-numeric field"
-            ) from None
-        if not (math.isfinite(re_part) and math.isfinite(im_part)):
-            raise NonFiniteSampleError(line_no)
-        rows.append((re_part, im_part))
-    if not rows:
-        raise EmptyRecordError(f"record {record_id!r} has no data lines")
-    return np.array(rows, dtype=np.float64)
 
 
 def record_to_text(samples: np.ndarray) -> str:

@@ -34,8 +34,11 @@ class SynthClassSpec:
     def __post_init__(self) -> None:
         if not self.name or any(ch.isspace() for ch in self.name):
             raise BadSpecError(f"class name must be non-empty without spaces: {self.name!r}")
-        if "," in self.name or self.name.startswith("#"):
-            raise BadSpecError(f"class name may not contain ',' or start with '#': {self.name!r}")
+        # the name starts each record's file name and id, and is a CSV field
+        if any(ch in self.name for ch in ",/\\") or self.name.startswith("#"):
+            raise BadSpecError(
+                f"class name may not contain ',', '/' or '\\' or start with '#': {self.name!r}"
+            )
         reals = (*self.center, self.a, self.b, self.rotation_deg, self.noise_sigma)
         if not all(math.isfinite(v) for v in reals):
             raise BadSpecError(f"center, axes, rotation and noise must be finite: {reals}")

@@ -602,6 +602,19 @@ def test_mlp_stack_reports_each_networks_error():
     )
 
 
+@pytest.mark.parametrize("datasets,hidden,seeds,message", [
+    ([xor_dataset()], 2, [1, 2], "one seed per dataset"),
+    ([xor_dataset(), dataset_1d([0.0, 1.0], [0, 1])], 2, [1, 2],
+     "differ in feature or class count"),
+    ([xor_dataset(), xor_dataset().subset(np.arange(2))], 2, [1, 2],
+     "differ by more than one"),
+    ([xor_dataset()], 0, [1], "at least one hidden unit"),
+], ids=["seeds", "shapes", "sizes", "hidden"])
+def test_mlp_stack_rejects_what_it_cannot_stack(datasets, hidden, seeds, message):
+    with pytest.raises(ValueError, match=message):
+        train_mlp_stack(datasets, MlpParams(hidden=hidden, epochs=1), seeds)
+
+
 def test_sigmoid_passes_nan_and_inf():
     z = np.array([[np.nan, np.inf, -np.inf, 0.0, 800.0, -800.0, 2.0, -2.0]])
     out = np.empty_like(z)
@@ -772,6 +785,8 @@ def test_trained_model_label_names():
     assert named.label_name(0) == "low"
     with pytest.raises(ValueError):
         TrainedModel("nb", anon.model, ("f0",), 2, class_names=("only",))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        TrainedModel("svm", anon.model, ("f0",), 2)
 
 
 # --- batch prediction against the per-row oracle -----------------------------

@@ -18,6 +18,7 @@ from conftest import tree_depth
 from ectshape.artifacts import (
     TOOL_VERSION,
     artifact_header,
+    atomic_write_text,
     comparable_artifact,
     config_echo,
 )
@@ -1007,3 +1008,10 @@ def test_artifact_mode_follows_the_umask(tmp_path, umask, mode):
     modes = {name: stat.S_IMODE((out / name).stat().st_mode) for name in names}
     assert modes == dict.fromkeys(names, mode)
     assert not [p.name for p in out.iterdir() if p.name.startswith(".ectshape-")]
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(str(tmp_path / "taken"), "text")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

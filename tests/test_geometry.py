@@ -11,9 +11,11 @@ from conftest import (
     scale_cloud,
     translate_cloud,
 )
+from ectshape import geometry
 from ectshape.errors import (
     CollinearCloudError,
     DegenerateCloudError,
+    EmptyCloudError,
     ZeroWidthError,
 )
 from ectshape.geometry import (
@@ -308,6 +310,24 @@ def test_hull_square_with_interior_point():
 def test_hull_collinear_raises():
     with pytest.raises(CollinearCloudError):
         convex_hull(cloud_of((0, 0), (1, 1), (2, 2), (3, 3)))
+
+
+EMPTY_CLOUD = PointCloud2D(points=np.empty((0, 2)))
+ROUND_AXES = principal_axes(CentralMoments2(1.0, 1.0, 0.0, (0.0, 0.0)))
+
+
+@pytest.mark.parametrize("measure,error", [
+    (lambda: centroid(EMPTY_CLOUD), EmptyCloudError),
+    (lambda: central_moments(EMPTY_CLOUD), EmptyCloudError),
+    (lambda: geometry._oriented_box(EMPTY_CLOUD, ROUND_AXES), EmptyCloudError),
+    (lambda: convex_hull(cloud_of((0, 0), (1, 1))), CollinearCloudError),
+    (lambda: contour_perimeter(cloud_of((0, 0))), EmptyCloudError),
+    (lambda: principal_axes(CentralMoments2(0.0, 0.0, 0.0, (0.0, 0.0))),
+     DegenerateCloudError),
+], ids=["centroid", "moments", "extents", "hull", "contour", "axes"])
+def test_measure_of_a_degenerate_cloud_raises(measure, error):
+    with pytest.raises(error):
+        measure()
 
 
 def test_hull_drops_collinear_boundary_points():

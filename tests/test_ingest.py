@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ectshape.cli import extract_table
-from ectshape.dataset import FEATURE_CSV_HEADER, parse_feature_csv
+from ectshape.dataset import FEATURE_CSV_HEADER, LabeledDataset, parse_feature_csv
 from ectshape.errors import (
     DuplicatePathError,
     EmptyRecordError,
@@ -192,3 +192,21 @@ def test_parse_feature_csv_rejects_non_finite_with_line(value):
         parse_feature_csv("\n".join(["# comment", FEATURE_CSV_HEADER, good, bad]))
     assert exc.value.line_no == 4
     assert "non-finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"features": np.zeros(4)}, r"an \(n, d\) matrix"),
+    ({"labels": np.array([0, 1, 0])}, "align with feature rows"),
+    ({"features": np.array([[0.0, 1.0]] * 3 + [[0.0, math.inf]])}, "must be finite"),
+    ({"feature_names": ("a",)}, "must match feature columns"),
+    ({"labels": np.array([0, 1, 0, 2])}, r"must lie in \[0, num_classes\)"),
+])
+def test_labeled_dataset_preconditions(overrides, message):
+    fields = {
+        "features": np.zeros((4, 2)),
+        "labels": np.array([0, 1, 0, 1]),
+        "num_classes": 2,
+        "feature_names": ("a", "b"),
+    }
+    with pytest.raises(ValueError, match=message):
+        LabeledDataset(**{**fields, **overrides})

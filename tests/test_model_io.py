@@ -173,6 +173,16 @@ def replace_line(text, prefix, new_line):
     ("nb", "priors/1", "0.5 0.5 1e-9"),
     ("mlp", "w1/1", "nan 0 0"),
     ("tree", "n_features", "n_features 4"),
+    ("nb", "priors/1", "nan 0.5 0.5"),
+    ("nb", "priors/1", "inf -inf 1"),
+    ("nb", "means/2", "0 nan 1"),
+    ("mlp", "scaler_min/1", "nan 0 0"),
+    ("mlp", "w1/1", "inf 0 0"),
+    ("tree", "split", "split 0 nan"),
+    ("tree", "leaf", "leaf nan 0.5 0.5"),
+    ("nb", "feature_names", "feature_names"),
+    ("tree", "split", "split 0"),
+    ("tree", "leaf", "leaf 0.5 0.5"),
 ])
 def test_malformed_model_raises_model_format_error_with_line(kind, prefix, new_line):
     params = {"epochs": 2} if kind == "mlp" else None

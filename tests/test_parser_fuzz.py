@@ -3,9 +3,9 @@
 Every parser behind a CLI input (record, manifest, feature CSV, model file,
 synth spec) is fed small generated texts, some of them mutations of a valid
 file. Any exception that is not an EctShapeError would escape the CLI as a
-traceback instead of exit code 2 or 3. The record parser is also held to
-the per-line reference parser kept here. Generated inputs stay small: no
-large counts, no deep nesting.
+traceback instead of exit code 2 or 3. The record and feature CSV parsers
+are also held to the per-line reference parsers kept here. Generated
+inputs stay small: no large counts, no deep nesting.
 """
 
 import json
@@ -18,16 +18,22 @@ from hypothesis import strategies as st
 
 from ectshape.classifiers import train_model
 from ectshape.classifiers.serialize import load_model, save_model
-from ectshape import dataset
-from ectshape.dataset import FEATURE_CSV_HEADER, LabeledDataset, parse_feature_csv
+from ectshape.dataset import (
+    FEATURE_CSV_HEADER,
+    FeatureTable,
+    LabeledDataset,
+    parse_feature_csv,
+)
 from ectshape.errors import (
     EctShapeError,
     EmptyRecordError,
     MalformedLineError,
     NonFiniteSampleError,
 )
+from ectshape.geometry import FEATURE_NAMES_EXTENDED
 from ectshape.ingest import load_manifest, parse_record
 from ectshape.synthetic import parse_synth_spec
+from ectshape.textio import iter_data_lines
 
 FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -206,7 +212,54 @@ def test_parse_feature_csv_raises_only_ectshape_errors(with_header, rows, tail):
     raises_only_ectshape_errors(parse_feature_csv, "\n".join(lines))
 
 
-# --- the feature CSV's block path against its line path ---------------------
+# --- the feature CSV parser against the per-line reference ------------------
+
+_N_FIELDS = 2 + len(FEATURE_NAMES_EXTENDED)
+
+
+def reference_parse_feature_csv(text):
+    """The table of a feature CSV, one line at a time; the rules of a valid
+    feature CSV.
+
+    Raises the error of the first bad line, with its line number.
+    """
+    record_ids: list[str] = []
+    label_names: list[str] = []
+    rows: list[list[float]] = []
+    header_seen = False
+    for line_no, line in iter_data_lines(text):
+        if not header_seen:
+            if line != FEATURE_CSV_HEADER:
+                raise MalformedLineError(
+                    line_no, f"line {line_no}: expected feature CSV header"
+                )
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != _N_FIELDS:
+            raise MalformedLineError(line_no, f"line {line_no}: expected {_N_FIELDS} fields")
+        try:
+            values = [float(v) for v in parts[2:]]
+        except ValueError:
+            raise MalformedLineError(
+                line_no, f"line {line_no}: non-numeric feature value"
+            ) from None
+        if not all(math.isfinite(v) for v in values):
+            raise MalformedLineError(line_no, f"line {line_no}: non-finite feature value")
+        record_ids.append(parts[0])
+        label_names.append(parts[1])
+        rows.append(values)
+    if not header_seen:
+        raise MalformedLineError(0, "feature CSV has no header line")
+    values = (
+        np.array(rows, dtype=np.float64)
+        if rows
+        else np.empty((0, len(FEATURE_NAMES_EXTENDED)))
+    )
+    return FeatureTable(
+        record_ids=tuple(record_ids), label_names=tuple(label_names), values=values
+    )
+
 
 def table_outcome(parse, text):
     """The table's ids, labels and value bits, or the error's class, message
@@ -248,11 +301,8 @@ def mutated_feature_csvs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_feature_csvs())
 def test_parse_feature_csv_block_and_line_paths_agree(text):
-    expected = table_outcome(dataset._parse_lines, text)
+    expected = table_outcome(reference_parse_feature_csv, text)
     assert table_outcome(parse_feature_csv, text) == expected
-    block = dataset._parse_block(text)
-    if block is not None:
-        assert table_outcome(lambda t: block, text) == expected
 
 
 @pytest.mark.parametrize("last", [
@@ -270,7 +320,7 @@ def test_parse_feature_csv_late_line_agrees(last):
     rows = [f"r{i},a," + ",".join([repr(0.5 * i)] * 10) for i in range(8)]
     text = "\n".join([FEATURE_CSV_HEADER] + rows + [last]) + "\n"
     assert table_outcome(parse_feature_csv, text) == table_outcome(
-        dataset._parse_lines, text
+        reference_parse_feature_csv, text
     )
 
 

@@ -75,6 +75,8 @@ def test_parse_rejects_malformed(doc):
     {"name": "has,comma"},
     {"name": "#leading"},
     {"name": ""},
+    {"name": "../escaped"},
+    {"name": "a\\b"},
 ])
 def test_class_spec_preconditions(overrides):
     with pytest.raises(BadSpecError):
