@@ -212,7 +212,7 @@ def _read_blocks(
             raise reader.error("priors must sum to 1")
         if name == "variances" and not (values > 0).all():
             raise reader.error("variances must be strictly positive")
-        if name in ("w1", "b1", "w2", "b2") and not np.isfinite(values).all():
+        if not np.isfinite(values).all():
             raise reader.error(f"{name}: parameters must be finite")
     return _MODELS[kind](**blocks)
 

@@ -34,7 +34,7 @@ from .dataset import (
 )
 from .errors import BadSpecError, EctShapeError
 from .evaluation import cross_validate, metrics_csv_lines, report_text
-from .geometry import FEATURE_NAMES_EXTENDED, shape_descriptors
+from .geometry import FEATURE_NAMES_BASIC, FEATURE_NAMES_EXTENDED, shape_descriptors
 from .ingest import (
     DatasetManifest,
     load_manifest,
@@ -266,28 +266,35 @@ def _load_manifest_from(path: str):
 
 
 def extract_table(
-    manifest: DatasetManifest, reader: Callable[[str], str], policy: TrimPolicy
+    manifest: DatasetManifest,
+    reader: Callable[[str], str],
+    policy: TrimPolicy,
+    basic: bool = False,
 ) -> tuple[FeatureTable, list[tuple[str, Exception]]]:
     """Features of every manifest record, in manifest order.
 
     The one record-to-features path of every subcommand that reads a
-    manifest. A record that cannot be read, decoded, parsed, trimmed or
-    measured is left out of the table and listed in skipped as
-    (path, exception), in manifest order.
+    manifest. The table holds the ten FEATURE_NAMES_EXTENDED columns, or
+    with basic=True only the three FEATURE_NAMES_BASIC ones, which skips
+    the convex hull and its measures. A record that cannot be read,
+    decoded, parsed, trimmed or measured is left out of the table and
+    listed in skipped as (path, exception), in manifest order.
     """
     ids, labels, rows, skipped = [], [], [], []
     for path, label_name in manifest.entries:
         rid = record_id_from_path(path)
         try:
             samples = parse_record(reader(path), rid)
-            feats = shape_descriptors(trim_noise(to_point_cloud(samples, rid), policy))
+            cloud = trim_noise(to_point_cloud(samples, rid), policy)
+            feats = shape_descriptors(cloud, basic)
         except (EctShapeError, OSError, UnicodeDecodeError) as exc:
             skipped.append((path, exc))
             continue
         ids.append(rid)
         labels.append(label_name)
         rows.append(feats)
-    values = np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES_EXTENDED)))
+    names = FEATURE_NAMES_BASIC if basic else FEATURE_NAMES_EXTENDED
+    values = np.array(rows) if rows else np.empty((0, len(names)))
     table = FeatureTable(record_ids=tuple(ids), label_names=tuple(labels), values=values)
     return table, skipped
 
@@ -420,7 +427,9 @@ def cmd_classify(args: argparse.Namespace, policy: TrimPolicy) -> int:
     unknown = [n for n in trained.feature_names if n not in FEATURE_NAMES_EXTENDED]
     if unknown:
         return _fail_data(f"model feature {unknown[0]!r} is not an extracted feature")
-    table, skipped = extract_table(manifest, reader, policy)
+    # a model that reads no hull column needs no hull measured
+    basic = set(trained.feature_names) <= set(FEATURE_NAMES_BASIC)
+    table, skipped = extract_table(manifest, reader, policy, basic)
     _report_skips(skipped, len(manifest.entries))
     labels, posteriors = predict(trained, table.columns(trained.feature_names))
     confidences = posteriors[np.arange(labels.shape[0]), labels]

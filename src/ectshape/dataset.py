@@ -9,13 +9,14 @@ the full set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import MalformedLineError
 from .geometry import FEATURE_NAMES_BASIC, FEATURE_NAMES_EXTENDED
-from .textio import iter_data_lines
+from .textio import first_failing, iter_data_lines
 
 FEATURE_CSV_HEADER = "record_id,label," + ",".join(FEATURE_NAMES_EXTENDED)
 
@@ -85,11 +86,16 @@ class LabeledDataset:
 
 
 class FeatureTable(NamedTuple):
-    """Parsed feature CSV: ids, label names and the full feature matrix."""
+    """Feature rows: ids, label names and the feature matrix.
+
+    values is (n, 10) in FEATURE_NAMES_EXTENDED order, as a feature CSV and
+    extraction give it, or (n, 3) with only the leading FEATURE_NAMES_BASIC
+    columns, as extraction for a basic-feature model gives it.
+    """
 
     record_ids: tuple[str, ...]
     label_names: tuple[str, ...]
-    values: np.ndarray  # (n, 10) in FEATURE_NAMES_EXTENDED order
+    values: np.ndarray
 
     @property
     def class_names(self) -> tuple[str, ...]:
@@ -135,19 +141,16 @@ def parse_feature_csv(text: str) -> FeatureTable:
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     if not lines:
         raise MalformedLineError(0, "feature CSV has no header line")
+    bad, why = 0, "expected feature CSV header"
     if lines[0] == FEATURE_CSV_HEADER:
-        table = _parse_block(lines[1:])
+        rows = lines[1:]
+        table = _parse_block(rows)
         if isinstance(table, FeatureTable):
             return table
-    # the rows fail as a block only where one fails alone: raise the first
-    data = iter_data_lines(text)
-    line_no, header = next(data)
-    why = "expected feature CSV header"
-    if header == FEATURE_CSV_HEADER:
-        for line_no, row in data:
-            why = _parse_block([row])
-            if isinstance(why, str):
-                break
+        # the rows fail as a block only where one fails alone: raise the first
+        bad = 1 + first_failing(rows, _parse_block)
+        why = _parse_block([lines[bad]])
+    line_no, _ = next(islice(iter_data_lines(text), bad, None))
     raise MalformedLineError(line_no, f"line {line_no}: {why}")
 
 

@@ -281,12 +281,17 @@ def contour_perimeter(cloud: PointCloud2D) -> float:
     return float(np.add.reduce(np.hypot(edges[:, 0], edges[:, 1])))
 
 
-def shape_descriptors(cloud: PointCloud2D) -> ShapeFeatures:
-    """Compute the full signature of a cloud.
+def shape_descriptors(
+    cloud: PointCloud2D, basic: bool = False
+) -> ShapeFeatures | tuple[float, float, float]:
+    """Compute the full signature of a cloud, or with basic=True only its
+    (L, W, alpha_deg) triple, the FEATURE_NAMES_BASIC columns.
 
     Area and perimeter are taken from the convex hull (the input is a
     sampled curve, not a filled image). Convexity compares the hull
-    perimeter against the closed acquisition-order polyline.
+    perimeter against the closed acquisition-order polyline. The basic
+    triple stops before the hull: it is the first three values of the full
+    signature, bit for bit, and never meets the hull's errors.
 
     Raises ZeroWidthError for (numerically) collinear clouds, where
     elongation is undefined, and DegenerateCloudError where rounding makes
@@ -297,6 +302,8 @@ def shape_descriptors(cloud: PointCloud2D) -> ShapeFeatures:
     length, width, alpha_deg = _oriented_box(cloud, axes)
     if width == 0.0:
         raise ZeroWidthError("cloud is collinear; elongation undefined")
+    if basic:
+        return length, width, alpha_deg
 
     hull = convex_hull(cloud)
     area, hull_perimeter = polygon_area_perimeter(hull)

@@ -9,6 +9,7 @@ and safe to share across workers.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import (
     MalformedLineError,
     NonFiniteSampleError,
 )
-from .textio import iter_data_lines
+from .textio import first_failing, iter_data_lines
 
 
 class ClassLabel(NamedTuple):
@@ -54,18 +55,18 @@ def parse_record(text: str, record_id: str) -> np.ndarray:
     """
     # a comment is decided on the stripped raw line, before the comma
     # replacement, as in iter_data_lines
-    samples = _parse_block(
-        [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
-    )
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    samples = _parse_block(lines)
     if isinstance(samples, str):
+        if not lines:
+            raise EmptyRecordError(f"record {record_id!r} has no data lines")
         # the block fails only where a line fails alone: raise the first
-        for line_no, line in iter_data_lines(text):
-            why = _parse_block([line])
-            if why is _NON_FINITE:
-                raise NonFiniteSampleError(line_no)
-            if isinstance(why, str):
-                raise MalformedLineError(line_no, f"line {line_no}: {why}")
-        raise EmptyRecordError(f"record {record_id!r} has no data lines")
+        bad = first_failing(lines, _parse_block)
+        line_no, line = next(islice(iter_data_lines(text), bad, None))
+        why = _parse_block([line])
+        if why is _NON_FINITE:
+            raise NonFiniteSampleError(line_no)
+        raise MalformedLineError(line_no, f"line {line_no}: {why}")
     samples.setflags(write=False)
     return samples
 

@@ -8,7 +8,7 @@ re-parse to the same IEEE-754 double.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 def format_float(x: float) -> str:
@@ -23,3 +23,22 @@ def iter_data_lines(text: str) -> Iterator[tuple[int, str]]:
         if not line or line.startswith("#"):
             continue
         yield line_no, line
+
+
+def first_failing(lines: list[str], parse_block: Callable[[list[str]], object]) -> int:
+    """Index of the first line that parse_block rejects on its own, for lines
+    that it rejects as a whole.
+
+    parse_block returns a str, the reason, for the lines it rejects, and
+    rejects a block exactly where it rejects one of its lines alone. So the
+    failing span is halved: about log2(n) calls that parse n lines in all,
+    instead of one call per line.
+    """
+    low, high = 0, len(lines)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if isinstance(parse_block(lines[low:mid]), str):
+            high = mid
+        else:
+            low = mid
+    return low

@@ -24,7 +24,15 @@ from ectshape.artifacts import (
 )
 from ectshape.classifiers import predict
 from ectshape.classifiers.serialize import load_model
-from ectshape.cli import _SUBCOMMANDS, _build_parser, _xml_comment, main
+from ectshape import geometry
+from ectshape.cli import (
+    PREDICTIONS_CSV_HEADER,
+    _SUBCOMMANDS,
+    _build_parser,
+    _xml_comment,
+    main,
+)
+from ectshape.errors import CollinearCloudError
 from ectshape.dataset import FEATURE_CSV_HEADER, parse_feature_csv
 from ectshape.ingest import parse_record
 from ectshape.plots import record_svg
@@ -319,7 +327,9 @@ def write_overflow_records(tmp_path):
 
 
 @pytest.mark.parametrize("trim", [["--trim-mode", "none"], []])
-def test_extract_skips_records_whose_measures_overflow(tmp_path, capsys, trim):
+def test_extract_skips_records_whose_measures_overflow(
+    tmp_path, capsys, nb_model, extended_nb_model, trim
+):
     manifest = write_overflow_records(tmp_path)
     out = tmp_path / "features.csv"
     with warnings.catch_warnings(record=True) as caught:
@@ -331,6 +341,25 @@ def test_extract_skips_records_whose_measures_overflow(tmp_path, capsys, trim):
     assert all(line.startswith("warning: skipping ") for line in err[:5])
     assert err[5:] == ["skipped 5/6: DegenerateCloudError×5"]
     assert [row.split(",")[0] for row in data_lines(out.read_text())[1:]] == ["good"]
+
+    # classify measures only what its model reads: a basic model never meets
+    # the sliver's hull, an extended one skips what extract skips
+    overflow_lines = [line for line in err[:5] if "sliver.csv" not in line]
+    assert len(overflow_lines) == 4
+    for model, predicted, skips in (
+        (nb_model, ["good", "sliver"], overflow_lines + [
+            "skipped 4/6: DegenerateCloudError×4"]),
+        (extended_nb_model, ["good"], err),
+    ):  # fmt: skip
+        preds = tmp_path / "p.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["classify", "--model", str(model), "--manifest",
+                         str(manifest), "--out", str(preds), *trim])  # fmt: skip
+        assert code == 0
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err.splitlines() == skips
+        assert [row.split(",")[0] for row in data_lines(preds.read_text())[1:]] == predicted
 
 
 def test_plot_overflowing_record_exits_3_with_one_line(tmp_path, capsys):
@@ -374,6 +403,15 @@ def nb_model(tmp_path_factory, synth_dir):
     model = tmp_path_factory.mktemp("model") / "nb.model"
     assert main(["train", "--manifest", str(synth_dir / "manifest.csv"),
                  "--classifier", "nb", "--model-out", str(model)]) == 0
+    return model
+
+
+@pytest.fixture(scope="module")
+def extended_nb_model(tmp_path_factory, synth_dir):
+    model = tmp_path_factory.mktemp("model") / "nb-extended.model"
+    assert main(["train", "--manifest", str(synth_dir / "manifest.csv"),
+                 "--classifier", "nb", "--features", "extended",
+                 "--model-out", str(model)]) == 0
     return model
 
 
@@ -499,7 +537,9 @@ def test_train_then_classify_recovers_labels(tmp_path, synth_dir):
         assert 0.0 < float(confidence) <= 1.0
 
 
-def test_classify_takes_columns_from_an_extended_model(tmp_path, synth_dir):
+def test_classify_takes_columns_from_an_extended_model(
+    tmp_path, synth_dir, nb_model, monkeypatch, capsys
+):
     manifest = str(synth_dir / "manifest.csv")
     model, features = tmp_path / "wide.model", tmp_path / "features.csv"
     preds = tmp_path / "p.csv"
@@ -524,6 +564,30 @@ def test_classify_takes_columns_from_an_extended_model(tmp_path, synth_dir):
          "--features", "extended"],
     ):
         assert main(argv) == 2
+
+    # with no hull to be had, a basic model classifies every record as
+    # before and an extended one skips every record
+    basic_preds = tmp_path / "basic.csv"
+    assert main(["classify", "--model", str(nb_model), "--manifest", manifest,
+                 "--out", str(basic_preds)]) == 0  # fmt: skip
+
+    def no_hull(cloud):
+        raise CollinearCloudError("no hull")
+
+    monkeypatch.setattr(geometry, "convex_hull", no_hull)
+    capsys.readouterr()
+    assert main(["classify", "--model", str(nb_model), "--manifest", manifest,
+                 "--out", str(preds)]) == 0  # fmt: skip
+    assert capsys.readouterr().err == ""
+    assert data_lines(preds.read_text()) == data_lines(basic_preds.read_text())
+    assert len(data_lines(preds.read_text())) == 1 + len(table.record_ids)
+    assert main(["classify", "--model", str(model), "--manifest", manifest,
+                 "--out", str(preds)]) == 0  # fmt: skip
+    assert data_lines(preds.read_text()) == [PREDICTIONS_CSV_HEADER]
+    n = len(table.record_ids)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == n + 1
+    assert err[-1] == f"skipped {n}/{n}: CollinearCloudError×{n}"
 
 
 def test_classify_unknown_model_feature_exits_3(tmp_path, synth_dir, capsys):

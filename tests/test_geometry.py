@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     angles_close,
@@ -15,6 +17,7 @@ from ectshape import geometry
 from ectshape.errors import (
     CollinearCloudError,
     DegenerateCloudError,
+    EctShapeError,
     EmptyCloudError,
     ZeroWidthError,
 )
@@ -563,6 +566,54 @@ def test_feature_vector_and_names():
     assert feats._fields == ("length", "width") + FEATURE_NAMES_EXTENDED[2:]
     assert feats[:3] == (feats.length, feats.width, feats.alpha_deg)
     assert list(full) == [getattr(feats, name) for name in feats._fields]
+
+
+def descriptor_cloud(rng, family):
+    """A cloud from the moment and hull oracle families, or one the box
+    rejects: a collinear one, or one with a coordinate beyond 2**500."""
+    if family == "zero-width":
+        t = rng.normal(size=int(rng.integers(3, 60)))
+        return np.column_stack((t, 3.0 * t - 1.0))
+    if family == "beyond 2**500":
+        pts = moment_cloud(rng, "long")
+        pts[rng.integers(pts.shape[0]), rng.integers(2)] = 2.0**501
+        return pts
+    if family in ("short", "long", "lattice", "offset"):
+        return moment_cloud(rng, family)
+    return oracle_cloud(rng, family)
+
+
+def descriptor_outcome(cloud, **kwargs):
+    """The bits of the first three descriptors, or the class of the error."""
+    try:
+        return float_bits(*shape_descriptors(cloud, **kwargs)[:3])
+    except EctShapeError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from([
+        "short", "long", "lattice", "offset", "grid", "lines", "extremes",
+        "1e300", "1e-300", "1e-320", "zero-width", "beyond 2**500",
+    ]),
+)  # fmt: skip
+def test_basic_triple_is_the_head_of_the_full_signature_bits(seed, family):
+    cloud = PointCloud2D(points=descriptor_cloud(np.random.default_rng(seed), family))
+    with np.errstate(all="ignore"):
+        full = descriptor_outcome(cloud)
+        basic = descriptor_outcome(cloud, basic=True)
+    if family == "zero-width":
+        assert basic is ZeroWidthError
+    if family == "beyond 2**500":
+        assert basic is DegenerateCloudError
+    if isinstance(basic, type):
+        assert full is basic
+    elif isinstance(full, type):  # only the hull's measures fail after the box
+        assert full in (CollinearCloudError, DegenerateCloudError)
+    else:
+        assert basic == full
 
 
 # --- invariance under rigid motions and scaling ------------------------------

@@ -178,6 +178,9 @@ def replace_line(text, prefix, new_line):
     ("nb", "means/2", "0 nan 1"),
     ("mlp", "scaler_min/1", "nan 0 0"),
     ("mlp", "w1/1", "inf 0 0"),
+    ("mlp", "scaler_min/1", "-inf 0 0"),
+    ("mlp", "scaler_max/1", "inf 0 0"),
+    ("nb", "means/1", "inf 0 1"),
     ("tree", "split", "split 0 nan"),
     ("tree", "leaf", "leaf nan 0.5 0.5"),
     ("nb", "feature_names", "feature_names"),
