@@ -30,17 +30,18 @@ SPEC = """
 
 
 def main() -> None:
-    spec = parse_synth_spec(SPEC)
-    records = generate_synthetic(spec, seed=21)
+    classes = parse_synth_spec(SPEC)
+    clouds = generate_synthetic(classes, seed=21)
 
-    rows = [shape_descriptors(cloud)[:3] for cloud, _ in records]
+    # one list of clouds per class: a record's label is its class's position
+    rows = [shape_descriptors(cloud)[:3] for records in clouds for cloud in records]
     data = LabeledDataset(
         features=np.array(rows),
-        labels=np.array([label.index for _, label in records]),
-        num_classes=len(spec.classes),
+        labels=np.array([i for i, records in enumerate(clouds) for _ in records]),
+        num_classes=len(classes),
         feature_names=("L", "W", "alpha_deg"),
     )
-    names = tuple(cls.name for cls in spec.classes)
+    names = tuple(cls.name for cls in classes)
     print(f"dataset: {data.features.shape[0]} records x "
           f"{data.features.shape[1]} features, {data.num_classes} classes")
     print()

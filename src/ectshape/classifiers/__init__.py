@@ -98,7 +98,7 @@ def train_model(
     elif kind == "tree":
         model = train_tree(data, TreeParams(**params))
     elif kind == "mlp":
-        model = train_mlp(data, MlpParams(seed=seed, **params))
+        model = train_mlp(data, MlpParams(**params), seed)
     else:
         raise ValueError(f"unknown classifier kind {kind!r}")
     return TrainedModel(

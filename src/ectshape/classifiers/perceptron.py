@@ -77,7 +77,6 @@ class MlpParams(NamedTuple):
     lr: float = 0.3
     momentum: float = 0.2
     epochs: int = 500
-    seed: int = 0
 
     def resolve_hidden(self, d: int, k: int) -> int:
         return self.hidden if self.hidden is not None else math.ceil((d + k) / 2)
@@ -331,10 +330,10 @@ def train_mlp_stack(
     i's model, or the error that stopped it.
 
     Network i draws its init and each epoch's shuffle from
-    SplitMix64(seeds[i]) (params.seed is not used) and gets the same bits
-    as when trained alone. Datasets must share their feature and class
-    counts; their sizes may differ by one, and a network with a row fewer
-    sits out the last step of each epoch, weights and momenta unchanged.
+    SplitMix64(seeds[i]) and gets the same bits as when trained alone.
+    Datasets must share their feature and class counts; their sizes may
+    differ by one, and a network with a row fewer sits out the last step
+    of each epoch, weights and momenta unchanged.
     A network whose epoch loss is NaN/inf gets NonFiniteLossError.
     """
     if len(datasets) != len(seeds):
@@ -437,13 +436,15 @@ def train_mlp_stack(
     return results
 
 
-def train_mlp(data: LabeledDataset, params: MlpParams = MlpParams()) -> MlpModel:
+def train_mlp(
+    data: LabeledDataset, params: MlpParams = MlpParams(), seed: int = 0
+) -> MlpModel:
     """Train with per-example SGD and momentum; deterministic given seed.
 
     Raises EmptyClassError if a class has no rows and NonFiniteLossError if
     the epoch loss diverges to NaN/inf.
     """
-    (result,) = train_mlp_stack([data], params, [params.seed])
+    (result,) = train_mlp_stack([data], params, [seed])
     if isinstance(result, Exception):
         raise result
     return result

@@ -36,7 +36,6 @@ from .errors import BadSpecError, EctShapeError
 from .evaluation import cross_validate, metrics_csv_lines, report_text
 from .geometry import FEATURE_NAMES_BASIC, FEATURE_NAMES_EXTENDED, shape_descriptors
 from .ingest import (
-    DatasetManifest,
     load_manifest,
     parse_record,
     record_id_from_path,
@@ -266,12 +265,12 @@ def _load_manifest_from(path: str):
 
 
 def extract_table(
-    manifest: DatasetManifest,
+    manifest: tuple[tuple[str, str], ...],
     reader: Callable[[str], str],
     policy: TrimPolicy,
     basic: bool = False,
 ) -> tuple[FeatureTable, list[tuple[str, Exception]]]:
-    """Features of every manifest record, in manifest order.
+    """Features of every (path, label) manifest entry, in manifest order.
 
     The one record-to-features path of every subcommand that reads a
     manifest. The table holds the ten FEATURE_NAMES_EXTENDED columns, or
@@ -281,7 +280,7 @@ def extract_table(
     listed in skipped as (path, exception), in manifest order.
     """
     ids, labels, rows, skipped = [], [], [], []
-    for path, label_name in manifest.entries:
+    for path, label_name in manifest:
         rid = record_id_from_path(path)
         try:
             samples = parse_record(reader(path), rid)
@@ -316,7 +315,7 @@ def cmd_extract(args: argparse.Namespace, policy: TrimPolicy) -> int:
     if skipped and args.strict:
         path, exc = skipped[0]
         return _fail_data(f"{path}: {exc}")
-    _report_skips(skipped, len(manifest.entries))
+    _report_skips(skipped, len(manifest))
     lines = [FEATURE_CSV_HEADER] + [
         feature_csv_row(rid, label_name, values)
         for rid, label_name, values in zip(
@@ -337,7 +336,7 @@ def _load_table(args: argparse.Namespace, policy: TrimPolicy) -> FeatureTable:
         return parse_feature_csv(_read(args.features_csv))
     manifest, reader = _load_manifest_from(args.manifest)
     table, skipped = extract_table(manifest, reader, policy)
-    _report_skips(skipped, len(manifest.entries))
+    _report_skips(skipped, len(manifest))
     return table
 
 
@@ -430,7 +429,7 @@ def cmd_classify(args: argparse.Namespace, policy: TrimPolicy) -> int:
     # a model that reads no hull column needs no hull measured
     basic = set(trained.feature_names) <= set(FEATURE_NAMES_BASIC)
     table, skipped = extract_table(manifest, reader, policy, basic)
-    _report_skips(skipped, len(manifest.entries))
+    _report_skips(skipped, len(manifest))
     labels, posteriors = predict(trained, table.columns(trained.feature_names))
     confidences = posteriors[np.arange(labels.shape[0]), labels]
     lines = [PREDICTIONS_CSV_HEADER] + [
@@ -444,23 +443,21 @@ def cmd_classify(args: argparse.Namespace, policy: TrimPolicy) -> int:
 
 
 def cmd_synth(args: argparse.Namespace, policy: None) -> int:
-    spec = parse_synth_spec(_read(args.spec))
-    pairs = generate_synthetic(spec, args.seed)
+    classes = parse_synth_spec(_read(args.spec))
+    clouds = generate_synthetic(classes, args.seed)
     config = _config_of(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    counters: dict[str, int] = {}
     manifest_lines = []
-    for cloud, label in pairs:
-        i = counters.get(label.name, 0)
-        counters[label.name] = i + 1
-        stem = f"{label.name}_{i:02d}"
-        write_artifact(
-            os.path.join(args.out_dir, f"{stem}.csv"),
-            record_to_text(cloud.points).splitlines(),
-            config,
-            seed=args.seed,
-        )
-        manifest_lines.append(f"{stem}.csv,{label.name}")
+    for cls, class_clouds in zip(classes, clouds):
+        for i, cloud in enumerate(class_clouds):
+            stem = f"{cls.name}_{i:02d}"
+            write_artifact(
+                os.path.join(args.out_dir, f"{stem}.csv"),
+                record_to_text(cloud.points).splitlines(),
+                config,
+                seed=args.seed,
+            )
+            manifest_lines.append(f"{stem}.csv,{cls.name}")
     write_artifact(
         os.path.join(args.out_dir, "manifest.csv"),
         manifest_lines,
@@ -468,7 +465,7 @@ def cmd_synth(args: argparse.Namespace, policy: None) -> int:
         seed=args.seed,
     )
     print(
-        f"wrote {len(pairs)} records across {len(spec.classes)} classes"
+        f"wrote {len(manifest_lines)} records across {len(classes)} classes"
         f" to {args.out_dir}"
     )
     return EXIT_OK

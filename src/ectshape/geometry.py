@@ -120,7 +120,9 @@ def central_moments(cloud: PointCloud2D) -> CentralMoments2:
     ``np.mean`` sums a 1-D array, so these are the bits of ``np.mean``.
 
     Raises DegenerateCloudError for a coordinate beyond 2**500 in
-    magnitude, where the measures downstream could overflow.
+    magnitude, where the measures downstream could overflow, and where
+    all three moments are zero: the points are all equal, or so close
+    together that their squared deviations underflow.
     """
     n = cloud.n
     if n == 0:
@@ -135,7 +137,11 @@ def central_moments(cloud: PointCloud2D) -> CentralMoments2:
     np.multiply(deltas, deltas, out=deltas)
     mu20, mu02, mu11 = (np.add.reduce(products, axis=1) / n).tolist()
     if mu20 == 0.0 and mu02 == 0.0 and mu11 == 0.0:
-        raise DegenerateCloudError("all points identical; moments are zero")
+        if (cloud.points == cloud.points[0]).all():
+            raise DegenerateCloudError("all points identical; moments are zero")
+        raise DegenerateCloudError(
+            "points differ, but their squared deviations underflow to zero"
+        )
     return CentralMoments2(mu20=mu20, mu02=mu02, mu11=mu11, centroid=(gx, gy))
 
 

@@ -2,15 +2,15 @@
 
 A record file holds one acquisition: one "RE IM" (or "RE,IM") pair per
 line, in ohms, in acquisition order. A manifest maps record files to
-class labels, one "path,label" per line. Both formats skip blank lines
-and '#' comments. Parsed samples and manifests are read-only once built
-and safe to share across workers.
+class labels, one "path,label" per line, and parses to a tuple of
+(path, label) pairs. Both formats skip blank lines and '#' comments.
+Parsed samples are read-only arrays and parsed manifests are tuples, so
+both are safe to share across workers.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,19 +21,6 @@ from .errors import (
     NonFiniteSampleError,
 )
 from .textio import first_failing, iter_data_lines
-
-
-class ClassLabel(NamedTuple):
-    """A defect class: human-readable name plus dense index."""
-
-    name: str
-    index: int
-
-
-class DatasetManifest(NamedTuple):
-    """(path, label_name) entries in file order."""
-
-    entries: tuple[tuple[str, str], ...]
 
 
 def parse_record(text: str, record_id: str) -> np.ndarray:
@@ -114,8 +101,9 @@ def record_to_text(samples: np.ndarray) -> str:
     return ("%.17g %.17g\n" * samples.shape[0]) % tuple(samples.ravel().tolist())
 
 
-def load_manifest(text: str) -> DatasetManifest:
-    """Parse manifest text ("path,label" lines) into a DatasetManifest."""
+def load_manifest(text: str) -> tuple[tuple[str, str], ...]:
+    """Parse manifest text ("path,label" lines) into its (path, label)
+    entries, in file order."""
     entries: list[tuple[str, str]] = []
     seen_paths: set[str] = set()
     for line_no, line in iter_data_lines(text):
@@ -129,7 +117,7 @@ def load_manifest(text: str) -> DatasetManifest:
             raise DuplicatePathError(path)
         seen_paths.add(path)
         entries.append((path, label_name))
-    return DatasetManifest(entries=tuple(entries))
+    return tuple(entries)
 
 
 def record_id_from_path(path: str) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import FeatureTable
-from .geometry import central_moments, centroid, principal_axes
+from .geometry import central_moments, principal_axes
 from .preprocess import PointCloud2D
 
 _POINT_COLOR = "#336699"
@@ -101,7 +101,7 @@ def record_svg(cloud: PointCloud2D, record_id: str = "") -> str:
     """
     moments = central_moments(cloud)
     axes = principal_axes(moments)
-    cx, cy = centroid(cloud)
+    cx, cy = moments.centroid
     u = np.array(axes.major)
     v = np.array(axes.minor)
     pts = np.column_stack((cloud.x, cloud.y))

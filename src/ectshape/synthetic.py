@@ -4,6 +4,9 @@ Each class is an ellipse family: n_points samples (a*cos(theta_i),
 b*sin(theta_i)) at equally spaced theta, rotated, translated, plus isotropic
 Gaussian noise. Output mimics the structure of real probe sweeps closely
 enough to exercise the whole pipeline without any acquisition hardware.
+
+A spec parses to a tuple of class specs, and generation gives one list of
+clouds per class in the same order: a record's class is the list it is in.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpecError
-from .ingest import ClassLabel
 from .preprocess import PointCloud2D
 from .rng import SplitMix64
 
@@ -52,20 +54,9 @@ class SynthClassSpec:
             raise BadSpecError(f"n_records must be >= 1, got {self.n_records}")
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    classes: tuple[SynthClassSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.classes:
-            raise BadSpecError("spec needs at least one class")
-        names = [c.name for c in self.classes]
-        if len(set(names)) != len(names):
-            raise BadSpecError("duplicate class names in spec")
-
-
-def parse_synth_spec(text: str) -> SynthSpec:
-    """Parse a JSON synthesis spec; full lines starting with '#' are ignored.
+def parse_synth_spec(text: str) -> tuple[SynthClassSpec, ...]:
+    """Parse a JSON synthesis spec into its classes, in spec order; full
+    lines starting with '#' are ignored.
 
     {"classes": [{"name": ..., "n_points": ..., "center": [x, y],
                   "axis_lengths": [a, b], "rotation_deg": ...,
@@ -113,23 +104,31 @@ def parse_synth_spec(text: str) -> SynthSpec:
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise BadSpecError(f"class {i}: {exc}") from exc
-    return SynthSpec(classes=tuple(classes))
+    if not classes:
+        raise BadSpecError("spec needs at least one class")
+    # the names become record file names in one directory
+    if len({c.name for c in classes}) != len(classes):
+        raise BadSpecError("duplicate class names in spec")
+    return tuple(classes)
 
 
 def generate_synthetic(
-    spec: SynthSpec, seed: int
-) -> list[tuple[PointCloud2D, ClassLabel]]:
-    """One (cloud, label) pair per record, class by class, record by record.
+    classes: tuple[SynthClassSpec, ...], seed: int
+) -> list[list[PointCloud2D]]:
+    """The records of each class, in class order: list i holds the
+    n_records clouds of classes[i].
 
-    A single generator is streamed through the whole spec, so the output is
-    a pure function of (spec, seed) and any change to an earlier class
-    reshuffles everything after it. Raises BadSpecError naming the class
-    when its finite spec values still overflow to a non-finite point.
+    A single generator is streamed through the whole spec, class by class,
+    record by record, so the output is a pure function of (classes, seed)
+    and any change to an earlier class reshuffles everything after it.
+    Raises BadSpecError naming the class when its finite spec values still
+    overflow to a non-finite point.
     """
     rng = SplitMix64(seed)
-    out: list[tuple[PointCloud2D, ClassLabel]] = []
-    for index, cls in enumerate(spec.classes):
-        label = ClassLabel(name=cls.name, index=index)
+    out: list[list[PointCloud2D]] = []
+    for cls in classes:
+        clouds: list[PointCloud2D] = []
+        out.append(clouds)
         theta = 2.0 * np.pi * np.arange(cls.n_points) / cls.n_points
         unit = np.column_stack((cls.a * np.cos(theta), cls.b * np.sin(theta)))
         phi = np.deg2rad(cls.rotation_deg)
@@ -145,7 +144,7 @@ def generate_synthetic(
                 with np.errstate(over="ignore", invalid="ignore"):
                     points = base + cls.noise_sigma * noise
                 _require_finite(points, cls)
-            out.append((PointCloud2D(points=points), label))
+            clouds.append(PointCloud2D(points=points))
     return out
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from ectshape.classifiers.perceptron import _fixed_sum, _split, _TrainingStack
 from ectshape.evaluation import MetricSet, metric_table
 from ectshape.geometry import PrincipalAxes, _oriented_box
-from ectshape.ingest import DatasetManifest
 from ectshape.preprocess import PointCloud2D
 
 
@@ -33,9 +32,9 @@ def oriented_extents(cloud: PointCloud2D, axes: PrincipalAxes) -> tuple[float, f
     return length, width
 
 
-def manifest_to_text(manifest: DatasetManifest) -> str:
-    """Manifest text that `load_manifest` reads back as the same manifest."""
-    return "\n".join(f"{path},{label}" for path, label in manifest.entries) + "\n"
+def manifest_to_text(manifest: tuple[tuple[str, str], ...]) -> str:
+    """Manifest text that `load_manifest` reads back as the same entries."""
+    return "\n".join(f"{path},{label}" for path, label in manifest) + "\n"
 
 
 # --- perceptron ---------------------------------------------------------------

@@ -38,7 +38,7 @@ from ectshape.geometry import (
 )
 from ectshape.preprocess import PointCloud2D
 from ectshape.rng import SplitMix64
-from ectshape.synthetic import SynthClassSpec, SynthSpec, generate_synthetic
+from ectshape.synthetic import SynthClassSpec, generate_synthetic
 from reference import (
     ConfusionMatrix,
     example_loss_and_gradients,
@@ -230,17 +230,17 @@ def defect_grid_spec():
                 noise_sigma=0.06,
                 n_records=20,
             ))
-    return SynthSpec(classes=tuple(classes))
+    return tuple(classes)
 
 
 def test_criterion_4_synthetic_end_to_end():
     start = time.monotonic()
-    pairs = generate_synthetic(defect_grid_spec(), seed=42)
-    assert len(pairs) == 240
+    clouds = generate_synthetic(defect_grid_spec(), seed=42)
+    assert [len(cls) for cls in clouds] == [20] * 12
     features = np.array(
-        [shape_descriptors(cloud)[:3] for cloud, _ in pairs]
+        [shape_descriptors(cloud)[:3] for cls in clouds for cloud in cls]
     )
-    labels = np.array([lab.index for _, lab in pairs])
+    labels = np.array([i for i, cls in enumerate(clouds) for _ in cls])
     data = LabeledDataset(
         features=features, labels=labels, num_classes=12,
         feature_names=("L", "W", "alpha_deg"),

@@ -503,25 +503,25 @@ def xor_dataset():
 
 def test_mlp_learns_xor():
     data = xor_dataset()
-    model = train_mlp(data, MlpParams(hidden=4, epochs=5000, seed=1))
+    model = train_mlp(data, MlpParams(hidden=4, epochs=5000), seed=1)
     trained = TrainedModel("mlp", model, data.feature_names, 2)
     assert predict(trained, data.features)[0].tolist() == [0, 1, 1, 0]
 
 
 def test_mlp_memorizes_one_point_per_class():
     data = dataset_1d([0.0, 1.0], [0, 1])
-    model = train_mlp(data, MlpParams(epochs=500, seed=0))
+    model = train_mlp(data, MlpParams(epochs=500), seed=0)
     trained = TrainedModel("mlp", model, data.feature_names, 2)
     assert predict(trained, np.array([[0.0], [1.0]]))[0].tolist() == [0, 1]
 
 
 def test_mlp_bitwise_deterministic():
     data = blob_dataset(seed=2, n_per=6)
-    m0 = train_mlp(data, MlpParams(epochs=20, seed=9))
-    m1 = train_mlp(data, MlpParams(epochs=20, seed=9))
+    m0 = train_mlp(data, MlpParams(epochs=20), seed=9)
+    m1 = train_mlp(data, MlpParams(epochs=20), seed=9)
     for a, b in ((m0.w1, m1.w1), (m0.b1, m1.b1), (m0.w2, m1.w2), (m0.b2, m1.b2)):
         assert np.array_equal(a, b)
-    m2 = train_mlp(data, MlpParams(epochs=20, seed=10))
+    m2 = train_mlp(data, MlpParams(epochs=20), seed=10)
     assert not np.array_equal(m0.w1, m2.w1)
 
 
@@ -575,7 +575,7 @@ def test_mlp_lockstep_folds_match_training_alone():
     seeds = [derive_seed(11, f + 1) for f in range(7)]
     stacked = train_mlp_stack(train_sets, MlpParams(epochs=3), seeds)
     for train_set, seed, model in zip(train_sets, seeds, stacked):
-        alone = train_mlp(train_set, MlpParams(epochs=3, seed=seed))
+        alone = train_mlp(train_set, MlpParams(epochs=3), seed=seed)
         assert model_bytes(model) == model_bytes(alone)
 
 
@@ -598,7 +598,7 @@ def test_mlp_stack_reports_each_networks_error():
     calm = train_mlp_stack([one_class, good], MlpParams(hidden=2, epochs=5), [2, 3])
     assert isinstance(calm[0], EmptyClassError)
     assert model_bytes(calm[1]) == model_bytes(
-        train_mlp(good, MlpParams(hidden=2, epochs=5, seed=3))
+        train_mlp(good, MlpParams(hidden=2, epochs=5), seed=3)
     )
 
 

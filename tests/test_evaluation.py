@@ -20,7 +20,7 @@ from ectshape.evaluation import (
 )
 from ectshape.geometry import shape_descriptors
 from ectshape.rng import SplitMix64, derive_seed
-from ectshape.synthetic import SynthClassSpec, SynthSpec, generate_synthetic
+from ectshape.synthetic import SynthClassSpec, generate_synthetic
 from ectshape.textio import format_float
 from reference import (
     ConfusionMatrix,
@@ -367,18 +367,18 @@ def test_metric_counting_oracle():
 # --- cross-validation --------------------------------------------------------
 
 def separable_shape_dataset():
-    spec = SynthSpec(classes=tuple(
+    spec = tuple(
         SynthClassSpec(name=n, n_points=48, center=(1.0, 0.5), a=a, b=b,
                        rotation_deg=r, noise_sigma=0.05, n_records=12)
         for n, a, b, r in (("round", 2.0, 1.6, 0.0),
                            ("long", 5.0, 1.0, 30.0),
                            ("mid", 3.2, 0.9, 60.0))
-    ))
-    pairs = generate_synthetic(spec, seed=7)
-    feats = np.array(
-        [shape_descriptors(c)[:3] for c, _ in pairs]
     )
-    labels = np.array([lab.index for _, lab in pairs])
+    clouds = generate_synthetic(spec, seed=7)
+    feats = np.array(
+        [shape_descriptors(c)[:3] for cls in clouds for c in cls]
+    )
+    labels = np.array([i for i, cls in enumerate(clouds) for _ in cls])
     return LabeledDataset(
         features=feats, labels=labels, num_classes=3,
         feature_names=("L", "W", "alpha_deg"),

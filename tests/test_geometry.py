@@ -89,6 +89,23 @@ def test_moments_identical_points_degenerate():
         central_moments(cloud_of((3, 4), (3, 4), (3, 4)))
 
 
+def tiny_ellipse(scale):
+    """64 distinct points on a 3 x 1 ellipse, scaled down by `scale`."""
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    points = np.column_stack((3 * np.cos(theta), np.sin(theta)))
+    return PointCloud2D(points=points * scale)
+
+
+def test_moments_zero_reason_tells_underflow_from_identical_points():
+    # at 1e-170 each squared deviation is below the smallest subnormal
+    with pytest.raises(DegenerateCloudError, match="squared deviations underflow"):
+        central_moments(tiny_ellipse(1e-170))
+    with pytest.raises(DegenerateCloudError, match="all points identical"):
+        central_moments(cloud_of((3, 4), (3, 4), (3, 4)))
+    m = central_moments(tiny_ellipse(1e-160))
+    assert m.mu20 > m.mu02 > 0.0
+
+
 def test_moments_cauchy_schwarz_enforced():
     # central_moments builds a positive semi-definite covariance, up to rounding
     g = SplitMix64(5)

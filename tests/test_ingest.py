@@ -112,7 +112,7 @@ def test_record_samples_immutable():
 
 def test_load_manifest_sorted_class_names():
     m = load_manifest("a.csv,perp_d1.0\nb.csv,ang30_d0.7\n")
-    assert m.entries == (("a.csv", "perp_d1.0"), ("b.csv", "ang30_d0.7"))
+    assert m == (("a.csv", "perp_d1.0"), ("b.csv", "ang30_d0.7"))
 
 
 def test_load_manifest_duplicate_path():

@@ -27,7 +27,7 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 
 # classes that the dataclass decorator may make during the import; value
 # objects that check nothing are NamedTuples, which cost a seventh as much
-DATACLASS_BUDGET = 7
+DATACLASS_BUDGET = 6
 
 # counts the classes made through dataclasses.dataclass, bare or called, and
 # fails on one without a __post_init__: a dataclass is only worth its cost

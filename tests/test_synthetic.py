@@ -6,14 +6,9 @@ import pytest
 
 from ectshape.errors import BadSpecError
 from ectshape.geometry import shape_descriptors
-from ectshape.ingest import ClassLabel, record_to_text
+from ectshape.ingest import record_to_text
 from ectshape.rng import SplitMix64
-from ectshape.synthetic import (
-    SynthClassSpec,
-    SynthSpec,
-    generate_synthetic,
-    parse_synth_spec,
-)
+from ectshape.synthetic import SynthClassSpec, generate_synthetic, parse_synth_spec
 
 
 def one_class_spec(**overrides):
@@ -22,7 +17,7 @@ def one_class_spec(**overrides):
         rotation_deg=0.0, noise_sigma=0.0, n_records=1,
     )
     fields.update(overrides)
-    return SynthSpec(classes=(SynthClassSpec(**fields),))
+    return (SynthClassSpec(**fields),)
 
 
 # --- parsing -----------------------------------------------------------------
@@ -31,7 +26,7 @@ def test_parse_minimal_spec_defaults():
     spec = parse_synth_spec(json.dumps({
         "classes": [{"n_points": 20, "axis_lengths": [3, 1], "n_records": 2}]
     }))
-    cls = spec.classes[0]
+    cls = spec[0]
     assert cls.name == "class00"
     assert cls.center == (0.0, 0.0)
     assert cls.rotation_deg == 0.0
@@ -48,7 +43,7 @@ def test_parse_skips_comment_lines():
         "]}\n"
     )
     spec = parse_synth_spec(text)
-    assert spec.classes[0].name == "only"
+    assert spec[0].name == "only"
 
 
 @pytest.mark.parametrize("doc", [
@@ -84,53 +79,53 @@ def test_class_spec_preconditions(overrides):
 
 
 def test_spec_rejects_duplicate_names():
-    cls = one_class_spec().classes[0]
-    with pytest.raises(BadSpecError):
-        SynthSpec(classes=(cls, cls))
+    cls = {"name": "twin", "n_points": 16, "axis_lengths": [2, 1], "n_records": 1}
+    with pytest.raises(BadSpecError, match="^duplicate class names in spec$"):
+        parse_synth_spec(json.dumps({"classes": [cls, cls]}))
 
 
 def test_spec_rejects_no_classes():
-    with pytest.raises(BadSpecError):
-        SynthSpec(classes=())
+    with pytest.raises(BadSpecError, match="^spec needs at least one class$"):
+        parse_synth_spec('{"classes": []}')
 
 
 # --- generation --------------------------------------------------------------
 
 def two_class_spec(sigma=0.02):
-    return SynthSpec(classes=(
+    return (
         SynthClassSpec(name="narrow", n_points=32, center=(1.0, 0.0),
                        a=4.0, b=1.0, rotation_deg=15.0,
                        noise_sigma=sigma, n_records=3),
         SynthClassSpec(name="round", n_points=24, center=(0.0, 2.0),
                        a=2.0, b=1.8, rotation_deg=0.0,
                        noise_sigma=sigma, n_records=2),
-    ))
+    )
 
 
 def test_generation_counts_and_labels():
-    pairs = generate_synthetic(two_class_spec(), seed=0)
-    assert len(pairs) == 5
-    assert [lab.index for _, lab in pairs] == [0, 0, 0, 1, 1]
-    assert pairs[0][1].name == "narrow" and pairs[4][1].name == "round"
-    assert pairs[0][0].points.shape == (32, 2)
-    assert pairs[4][0].points.shape == (24, 2)
+    clouds = generate_synthetic(two_class_spec(), seed=0)
+    # a record's label is the position of its class in the spec
+    assert [i for i, cls in enumerate(clouds) for _ in cls] == [0, 0, 0, 1, 1]
+    assert clouds[0][0].points.shape == (32, 2)
+    assert clouds[1][1].points.shape == (24, 2)
 
 
 def test_generation_deterministic_and_seed_sensitive():
     a = generate_synthetic(two_class_spec(), seed=5)
     b = generate_synthetic(two_class_spec(), seed=5)
     c = generate_synthetic(two_class_spec(), seed=6)
-    for (ca, _), (cb, _) in zip(a, b):
-        assert np.array_equal(ca.points, cb.points)
+    for ca, cb in zip(a, b, strict=True):
+        for x, y in zip(ca, cb, strict=True):
+            assert np.array_equal(x.points, y.points)
     assert not np.array_equal(a[0][0].points, c[0][0].points)
     # class structure unchanged by the seed
-    assert [lab.name for _, lab in a] == [lab.name for _, lab in c]
+    assert [len(cls) for cls in a] == [len(cls) for cls in c]
 
 
 def test_noiseless_records_are_identical_within_class():
-    pairs = generate_synthetic(two_class_spec(sigma=0.0), seed=9)
-    assert np.array_equal(pairs[0][0].points, pairs[1][0].points)
-    assert np.array_equal(pairs[3][0].points, pairs[4][0].points)
+    clouds = generate_synthetic(two_class_spec(sigma=0.0), seed=9)
+    assert np.array_equal(clouds[0][0].points, clouds[0][1].points)
+    assert np.array_equal(clouds[1][0].points, clouds[1][1].points)
 
 
 def test_noiseless_rotated_ellipse_recovers_angle_and_elongation():
@@ -152,8 +147,8 @@ def test_isotropic_class_ties_to_zero_angle():
 
 
 def test_center_translation_applied():
-    pairs = generate_synthetic(one_class_spec(center=(10.0, -4.0)), seed=2)
-    mean = pairs[0][0].points.mean(axis=0)
+    clouds = generate_synthetic(one_class_spec(center=(10.0, -4.0)), seed=2)
+    mean = clouds[0][0].points.mean(axis=0)
     assert mean[0] == pytest.approx(10.0, abs=1e-9)
     assert mean[1] == pytest.approx(-4.0, abs=1e-9)
 
@@ -166,8 +161,9 @@ def oracle_generate_synthetic(spec, seed):
     point, x before y: the reference the block draws must reproduce."""
     rng = SplitMix64(seed)
     out = []
-    for index, cls in enumerate(spec.classes):
-        label = ClassLabel(name=cls.name, index=index)
+    for cls in spec:
+        records = []
+        out.append(records)
         theta = 2.0 * np.pi * np.arange(cls.n_points) / cls.n_points
         unit = np.column_stack((cls.a * np.cos(theta), cls.b * np.sin(theta)))
         phi = np.deg2rad(cls.rotation_deg)
@@ -180,14 +176,14 @@ def oracle_generate_synthetic(spec, seed):
                     [[rng.normal(), rng.normal()] for _ in range(cls.n_points)]
                 )
                 points = base + cls.noise_sigma * noise
-            out.append((points, label))
+            records.append(points)
     return out
 
 
 ORACLE_SPECS = [
     two_class_spec(),
     two_class_spec(sigma=0.0),
-    SynthSpec(classes=(
+    (
         SynthClassSpec(name="short", n_points=16, center=(-3.0, 7.5),
                        a=2.0, b=0.5, rotation_deg=-40.0,
                        noise_sigma=0.3, n_records=4),
@@ -197,7 +193,7 @@ ORACLE_SPECS = [
         SynthClassSpec(name="long", n_points=256, center=(1e3, -1e-3),
                        a=5.0, b=1.0, rotation_deg=30.0,
                        noise_sigma=0.1, n_records=3),
-    )),
+    ),
 ]
 
 
@@ -206,10 +202,10 @@ ORACLE_SPECS = [
 def test_generation_bits_match_per_point_oracle(spec, seed):
     got = generate_synthetic(spec, seed)
     want = oracle_generate_synthetic(spec, seed)
-    assert len(got) == len(want)
-    for (cloud, label), (points, want_label) in zip(got, want):
-        assert label == want_label
-        assert cloud.points.tobytes() == points.tobytes()
+    assert [len(c) for c in got] == [len(r) for r in want]
+    for clouds, records in zip(got, want):
+        for cloud, points in zip(clouds, records):
+            assert cloud.points.tobytes() == points.tobytes()
 
 
 # sha256 of the record bodies (no artifact header) of two_class_spec() at
@@ -219,9 +215,9 @@ PINNED_BODIES_SHA256 = "1e743ed08096c626e0b95bef98c6fce89db9c6242a59ebfdb145ac0c
 
 
 def test_record_bodies_digest_pinned():
-    pairs = generate_synthetic(two_class_spec(), seed=42)
+    clouds = generate_synthetic(two_class_spec(), seed=42)
     bodies = "".join(
-        record_to_text(cloud.points) for cloud, _ in pairs
+        record_to_text(cloud.points) for cls in clouds for cloud in cls
     )
     assert hashlib.sha256(bodies.encode()).hexdigest() == PINNED_BODIES_SHA256
 
