@@ -9,7 +9,7 @@ import numpy as np
 
 from ectshape.classifiers import predict, train_model
 from ectshape.classifiers.serialize import load_model, save_model
-from ectshape.dataset import LabeledDataset
+from ectshape.dataset import LabeledDataset, labeled_dataset
 from ectshape.rng import SplitMix64
 
 CLASS_NAMES = ("crack", "pit", "loss")
@@ -23,12 +23,7 @@ def blob_dataset(rng: SplitMix64, n_per: int = 12) -> LabeledDataset:
         for _ in range(n_per):
             rows.append([cx + 0.2 * rng.normal(), cy + 0.2 * rng.normal()])
             labels.append(label)
-    return LabeledDataset(
-        features=np.array(rows),
-        labels=np.array(labels),
-        num_classes=3,
-        feature_names=("L", "E"),
-    )
+    return labeled_dataset(rows, labels, num_classes=3, feature_names=("L", "E"))
 
 
 def main() -> None:

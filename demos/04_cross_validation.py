@@ -5,9 +5,7 @@ feature triple from every record, runs stratified 10-fold evaluation
 per classifier and prints the full text report for the tree.
 """
 
-import numpy as np
-
-from ectshape.dataset import LabeledDataset
+from ectshape.dataset import labeled_dataset
 from ectshape.evaluation import cross_validate, report_text
 from ectshape.geometry import shape_descriptors
 from ectshape.synthetic import generate_synthetic, parse_synth_spec
@@ -35,9 +33,9 @@ def main() -> None:
 
     # one list of clouds per class: a record's label is its class's position
     rows = [shape_descriptors(cloud)[:3] for records in clouds for cloud in records]
-    data = LabeledDataset(
-        features=np.array(rows),
-        labels=np.array([i for i, records in enumerate(clouds) for _ in records]),
+    data = labeled_dataset(
+        features=rows,
+        labels=[i for i, records in enumerate(clouds) for _ in records],
         num_classes=len(classes),
         feature_names=("L", "W", "alpha_deg"),
     )

@@ -9,8 +9,7 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -57,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrainedModel:
+class TrainedModel(NamedTuple):
     """Tagged union over the classifier kinds, with training metadata."""
 
     kind: str
@@ -66,12 +64,6 @@ class TrainedModel:
     feature_names: tuple[str, ...]
     num_classes: int
     class_names: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in CLASSIFIER_KINDS:
-            raise ValueError(f"kind must be one of {CLASSIFIER_KINDS}")
-        if self.class_names is not None and len(self.class_names) != self.num_classes:
-            raise ValueError("class_names must match num_classes")
 
     def label_name(self, index: int) -> str:
         if self.class_names is not None:
@@ -90,8 +82,11 @@ def train_model(
 
     Recognized params: tree -> max_depth, min_leaf;
     mlp -> hidden, lr, momentum, epochs. nb takes none. The seed only
-    affects the perceptron.
+    affects the perceptron. class_names, when given, name the
+    data.num_classes classes.
     """
+    if class_names is not None and len(class_names) != data.num_classes:
+        raise ValueError("class_names must match num_classes")
     params = dict(params or {})
     if kind == "nb":
         model: Union[GnbModel, TreeModel, MlpModel] = train_gnb(data)

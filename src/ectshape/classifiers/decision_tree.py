@@ -8,7 +8,6 @@ distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -41,18 +40,9 @@ class TreeSplit(NamedTuple):
 TreeNode = Union[TreeLeaf, TreeSplit]
 
 
-@dataclass(frozen=True)
-class TreeParams:
+class TreeParams(NamedTuple):
     max_depth: int = 25
     min_leaf: int = 2
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_depth <= MAX_DEPTH:
-            raise ValueError(
-                f"max_depth must be in 1..{MAX_DEPTH}, got {self.max_depth}"
-            )
-        if self.min_leaf < 1:
-            raise ValueError(f"min_leaf must be at least 1, got {self.min_leaf}")
 
 
 class TreeModel(NamedTuple):
@@ -187,8 +177,15 @@ def train_tree(data: LabeledDataset, params: TreeParams = TreeParams()) -> TreeM
     """Grow a tree by binary splitting.
 
     A node becomes a leaf at purity, at max_depth, when min_leaf leaves no
-    split, or when no candidate improves on zero gain.
+    split, or when no candidate improves on zero gain. Raises ValueError
+    for a max_depth outside 1..MAX_DEPTH or a min_leaf below 1.
     """
+    if not 1 <= params.max_depth <= MAX_DEPTH:
+        raise ValueError(
+            f"max_depth must be in 1..{MAX_DEPTH}, got {params.max_depth}"
+        )
+    if params.min_leaf < 1:
+        raise ValueError(f"min_leaf must be at least 1, got {params.min_leaf}")
     if data.n_rows < params.min_leaf or data.n_rows == 0:
         raise EmptyDatasetError(
             f"need at least min_leaf={params.min_leaf} rows, got {data.n_rows}"

@@ -80,12 +80,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail_config(f"{flag} must be {bound}, got {value}")
     policy = None
     if "trim_mode" in args:
-        try:
-            policy = TrimPolicy(
-                quantile_q=args.trim_quantile, mode=args.trim_mode.replace("-", "_")
-            )
-        except ValueError as exc:
-            return _fail_config(str(exc))
+        # also false for NaN
+        if not 0.0 < args.trim_quantile <= 1.0:
+            return _fail_config("quantile_q must be in (0, 1]")
+        policy = TrimPolicy(args.trim_quantile, args.trim_mode.replace("-", "_"))
     # an unreadable input is a usage error; this clause comes first because
     # UnicodeDecodeError is a ValueError
     try:

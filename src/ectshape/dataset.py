@@ -8,7 +8,6 @@ the full set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Sequence
 
@@ -31,39 +30,19 @@ def feature_names_for_mode(mode: str) -> tuple[str, ...]:
     raise ValueError(f"feature mode must be one of {FEATURE_MODES}")
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
+class LabeledDataset(NamedTuple):
     """Feature matrix with dense integer labels.
 
     features is (n, d) float64, labels is (n,) int with every value in
-    [0, num_classes). A class may be empty here; training operations that
-    need every class populated raise EmptyClassError themselves.
+    [0, num_classes), both read-only, as :func:`labeled_dataset` checks and
+    builds them. A class may be empty here; training operations that need
+    every class populated raise EmptyClassError themselves.
     """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
     feature_names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if features.ndim != 2:
-            raise ValueError("features must be an (n, d) matrix")
-        if labels.shape != (features.shape[0],):
-            raise ValueError("labels must align with feature rows")
-        if not np.isfinite(features).all():
-            raise ValueError("features must be finite")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if features.shape[1] != len(self.feature_names):
-            raise ValueError("feature_names must match feature columns")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError("labels must lie in [0, num_classes)")
-        features.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n_rows(self) -> int:
@@ -77,12 +56,42 @@ class LabeledDataset:
         return np.bincount(self.labels, minlength=self.num_classes)
 
     def subset(self, row_indices: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(
-            features=self.features[row_indices],
-            labels=self.labels[row_indices],
-            num_classes=self.num_classes,
-            feature_names=self.feature_names,
-        )
+        features, labels = self.features[row_indices], self.labels[row_indices]
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        return self._replace(features=features, labels=labels)
+
+
+def labeled_dataset(
+    features: np.ndarray,
+    labels: np.ndarray,
+    num_classes: int,
+    feature_names: tuple[str, ...],
+) -> LabeledDataset:
+    """A dataset of read-only float64 features and int64 labels.
+
+    Raises ValueError for a features array that is not a finite (n, d)
+    matrix, labels that do not align with its rows or lie outside
+    [0, num_classes), fewer than 2 classes, or feature_names that do not
+    name its columns.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if features.ndim != 2:
+        raise ValueError("features must be an (n, d) matrix")
+    if labels.shape != (features.shape[0],):
+        raise ValueError("labels must align with feature rows")
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
+    if num_classes < 2:
+        raise ValueError("need at least 2 classes")
+    if features.shape[1] != len(feature_names):
+        raise ValueError("feature_names must match feature columns")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("labels must lie in [0, num_classes)")
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    return LabeledDataset(features, labels, num_classes, feature_names)
 
 
 class FeatureTable(NamedTuple):
@@ -112,12 +121,7 @@ class FeatureTable(NamedTuple):
         index_of = {name: i for i, name in enumerate(self.class_names)}
         labels = np.array([index_of[n] for n in self.label_names], dtype=np.int64)
         names = feature_names_for_mode(mode)
-        return LabeledDataset(
-            features=self.columns(names),
-            labels=labels,
-            num_classes=len(self.class_names),
-            feature_names=names,
-        )
+        return labeled_dataset(self.columns(names), labels, len(self.class_names), names)
 
 
 # "%.17g" is format_float's format, applied to a whole row at once

@@ -124,8 +124,11 @@ def cross_validate(
     Deterministic for a given (data, classifier_kind, params, k, seed): the
     fold split uses stream 0 of the seed and fold f's training run uses
     stream f+1, so classifiers never share generator state with the splitter
-    or each other.
+    or each other. class_names, when given, name the data.num_classes
+    classes.
     """
+    if class_names is not None and len(class_names) != data.num_classes:
+        raise ValueError("class_names must match num_classes")
     fold_of_row = stratified_k_fold(data, k, derive_seed(seed, 0))
     names = class_names if class_names is not None else tuple(
         str(c) for c in range(data.num_classes)

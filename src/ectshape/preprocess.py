@@ -9,7 +9,7 @@ A radial variant and a no-op mode are provided as alternatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,24 +18,16 @@ from .errors import DegenerateAfterTrimError, TooFewSamplesError
 TRIM_MODES = ("both_axes", "radial", "none")
 
 
-@dataclass(frozen=True)
-class PointCloud2D:
-    """Finite multiset of planar points as an immutable (n, 2) array.
+class PointCloud2D(NamedTuple):
+    """Finite multiset of planar points as a read-only (n, 2) float64 array.
 
     Duplicates are retained; acquisition order is meaningful (the contour
-    perimeter downstream walks the points in stored order).
+    perimeter downstream walks the points in stored order). The record
+    parser checks the values, and each function that builds a cloud makes
+    its array read-only.
     """
 
     points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must be an (n, 2) array")
-        if pts.size and not np.isfinite(pts).all():
-            raise ValueError("all coordinates must be finite")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
 
     @property
     def n(self) -> int:
@@ -50,24 +42,18 @@ class PointCloud2D:
         return self.points[:, 1]
 
 
-@dataclass(frozen=True)
-class TrimPolicy:
+class TrimPolicy(NamedTuple):
     """How to remove the noise concentration before feature extraction.
 
     quantile_q: cut level in (0, 1]; q = 1.0 removes nothing.
     mode: "both_axes" (drop points above the q-quantile on x AND y),
     "radial" (drop points farther from the raw centroid than the
-    q-quantile distance) or "none".
+    q-quantile distance) or "none". The command line checks the flags
+    that give both.
     """
 
     quantile_q: float = 0.98
     mode: str = "both_axes"
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.quantile_q <= 1.0):
-            raise ValueError("quantile_q must be in (0, 1]")
-        if self.mode not in TRIM_MODES:
-            raise ValueError(f"mode must be one of {TRIM_MODES}")
 
 
 def to_point_cloud(samples: np.ndarray, record_id: str) -> PointCloud2D:
@@ -78,6 +64,7 @@ def to_point_cloud(samples: np.ndarray, record_id: str) -> PointCloud2D:
     n = samples.shape[0]
     if n < 3:
         raise TooFewSamplesError(f"record {record_id!r} has {n} samples; need >= 3")
+    samples.setflags(write=False)
     return PointCloud2D(points=samples)
 
 
@@ -95,16 +82,19 @@ def trim_noise(cloud: PointCloud2D, policy: TrimPolicy) -> PointCloud2D:
     if policy.mode == "both_axes":
         tx, ty = column_quantiles(cloud.points, policy.quantile_q)
         keep = ~((cloud.x > tx) & (cloud.y > ty))
-    else:  # radial
+    elif policy.mode == "radial":
         center = cloud.points.mean(axis=0)
         dist = np.hypot(cloud.x - center[0], cloud.y - center[1])
         (t,) = column_quantiles(dist[:, None], policy.quantile_q)
         keep = dist <= t
+    else:
+        raise ValueError(f"mode must be one of {TRIM_MODES}")
     survivors = cloud.points[keep]
     if survivors.shape[0] < 3:
         raise DegenerateAfterTrimError(
             f"{survivors.shape[0]} points survive trimming; need >= 3"
         )
+    survivors.setflags(write=False)
     return PointCloud2D(points=survivors)
 
 

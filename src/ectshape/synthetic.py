@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .preprocess import PointCloud2D
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class SynthClassSpec:
+class SynthClassSpec(NamedTuple):
     name: str
     n_points: int
     center: tuple[float, float]
@@ -32,26 +31,6 @@ class SynthClassSpec:
     rotation_deg: float
     noise_sigma: float
     n_records: int
-
-    def __post_init__(self) -> None:
-        if not self.name or any(ch.isspace() for ch in self.name):
-            raise BadSpecError(f"class name must be non-empty without spaces: {self.name!r}")
-        # the name starts each record's file name and id, and is a CSV field
-        if any(ch in self.name for ch in ",/\\") or self.name.startswith("#"):
-            raise BadSpecError(
-                f"class name may not contain ',', '/' or '\\' or start with '#': {self.name!r}"
-            )
-        reals = (*self.center, self.a, self.b, self.rotation_deg, self.noise_sigma)
-        if not all(math.isfinite(v) for v in reals):
-            raise BadSpecError(f"center, axes, rotation and noise must be finite: {reals}")
-        if self.n_points < 16:
-            raise BadSpecError(f"n_points must be >= 16, got {self.n_points}")
-        if not (self.a >= self.b > 0):
-            raise BadSpecError(f"axis lengths must satisfy a >= b > 0, got ({self.a}, {self.b})")
-        if self.noise_sigma < 0:
-            raise BadSpecError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.n_records < 1:
-            raise BadSpecError(f"n_records must be >= 1, got {self.n_records}")
 
 
 def parse_synth_spec(text: str) -> tuple[SynthClassSpec, ...]:
@@ -62,7 +41,8 @@ def parse_synth_spec(text: str) -> tuple[SynthClassSpec, ...]:
                   "axis_lengths": [a, b], "rotation_deg": ...,
                   "noise_sigma": ..., "n_records": ...}, ...]}
 
-    name, center, rotation_deg and noise_sigma are optional.
+    name, center, rotation_deg and noise_sigma are optional. Raises
+    BadSpecError for a malformed doc or class, or a duplicate name.
     """
     stripped = "\n".join(
         line for line in text.splitlines() if not line.lstrip().startswith("#")
@@ -90,26 +70,47 @@ def parse_synth_spec(text: str) -> tuple[SynthClassSpec, ...]:
         if not isinstance(center, list) or len(center) != 2:
             raise BadSpecError(f"class {i}: center must be [x, y]")
         try:
-            classes.append(
-                SynthClassSpec(
-                    name=str(entry.get("name", f"class{i:02d}")),
-                    n_points=int(entry["n_points"]),
-                    center=(float(center[0]), float(center[1])),
-                    a=float(axes[0]),
-                    b=float(axes[1]),
-                    rotation_deg=float(entry.get("rotation_deg", 0.0)),
-                    noise_sigma=float(entry.get("noise_sigma", 0.0)),
-                    n_records=int(entry["n_records"]),
-                )
+            cls = SynthClassSpec(
+                name=str(entry.get("name", f"class{i:02d}")),
+                n_points=int(entry["n_points"]),
+                center=(float(center[0]), float(center[1])),
+                a=float(axes[0]),
+                b=float(axes[1]),
+                rotation_deg=float(entry.get("rotation_deg", 0.0)),
+                noise_sigma=float(entry.get("noise_sigma", 0.0)),
+                n_records=int(entry["n_records"]),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise BadSpecError(f"class {i}: {exc}") from exc
+        _check_class(cls)
+        classes.append(cls)
     if not classes:
         raise BadSpecError("spec needs at least one class")
     # the names become record file names in one directory
     if len({c.name for c in classes}) != len(classes):
         raise BadSpecError("duplicate class names in spec")
     return tuple(classes)
+
+
+def _check_class(cls: SynthClassSpec) -> None:
+    if not cls.name or any(ch.isspace() for ch in cls.name):
+        raise BadSpecError(f"class name must be non-empty without spaces: {cls.name!r}")
+    # the name starts each record's file name and id, and is a CSV field
+    if any(ch in cls.name for ch in ",/\\") or cls.name.startswith("#"):
+        raise BadSpecError(
+            f"class name may not contain ',', '/' or '\\' or start with '#': {cls.name!r}"
+        )
+    reals = (*cls.center, cls.a, cls.b, cls.rotation_deg, cls.noise_sigma)
+    if not all(math.isfinite(v) for v in reals):
+        raise BadSpecError(f"center, axes, rotation and noise must be finite: {reals}")
+    if cls.n_points < 16:
+        raise BadSpecError(f"n_points must be >= 16, got {cls.n_points}")
+    if not (cls.a >= cls.b > 0):
+        raise BadSpecError(f"axis lengths must satisfy a >= b > 0, got ({cls.a}, {cls.b})")
+    if cls.noise_sigma < 0:
+        raise BadSpecError(f"noise_sigma must be >= 0, got {cls.noise_sigma}")
+    if cls.n_records < 1:
+        raise BadSpecError(f"n_records must be >= 1, got {cls.n_records}")
 
 
 def generate_synthetic(
@@ -136,6 +137,7 @@ def generate_synthetic(
         with np.errstate(over="ignore", invalid="ignore"):
             base = unit @ rot.T + np.array(cls.center)
         _require_finite(base, cls)
+        base.setflags(write=False)
         for _ in range(cls.n_records):
             points = base
             if cls.noise_sigma > 0:
@@ -144,6 +146,7 @@ def generate_synthetic(
                 with np.errstate(over="ignore", invalid="ignore"):
                     points = base + cls.noise_sigma * noise
                 _require_finite(points, cls)
+                points.setflags(write=False)
             clouds.append(PointCloud2D(points=points))
     return out
 

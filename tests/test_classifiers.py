@@ -272,8 +272,8 @@ def test_tree_min_leaf_one_reaches_training_recall():
     {"min_leaf": 0},
 ])
 def test_tree_params_out_of_range_raise(kwargs):
-    with pytest.raises(ValueError):
-        TreeParams(**kwargs)
+    with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
+        train_tree(blob_dataset(seed=3), TreeParams(**kwargs))
 
 
 def test_train_model_grows_no_tree_the_model_reader_rejects():
@@ -456,7 +456,7 @@ def test_tree_growth_matches_recursive_oracle():
                     ),
                     data.feature_names, k,
                 )
-                got = train_model("tree", data, vars(params))
+                got = train_model("tree", data, params._asdict())
                 assert save_model(got) == save_model(want)
 
 
@@ -783,10 +783,8 @@ def test_trained_model_label_names():
     named = train_model("nb", data, class_names=("low", "high"))
     assert anon.label_name(1) == "1"
     assert named.label_name(0) == "low"
-    with pytest.raises(ValueError):
-        TrainedModel("nb", anon.model, ("f0",), 2, class_names=("only",))
-    with pytest.raises(ValueError, match="kind must be one of"):
-        TrainedModel("svm", anon.model, ("f0",), 2)
+    with pytest.raises(ValueError, match="^class_names must match num_classes$"):
+        train_model("nb", data, class_names=("only",))
 
 
 # --- batch prediction against the per-row oracle -----------------------------

@@ -442,6 +442,13 @@ def test_per_fold_mean_mode():
     assert np.allclose(fold_mean.per_class[1], want_class1, atol=1e-12)
 
 
+def test_cross_validate_rejects_mismatched_class_names():
+    data = blob_dataset(seed=5, n_per=4)
+    for kind in ("nb", "mlp"):
+        with pytest.raises(ValueError, match="^class_names must match num_classes$"):
+            cross_validate(data, kind, None, k=2, seed=0, class_names=("a", "b"))
+
+
 def test_cross_validate_annotates_failing_fold():
     # a one-member class disappears from training when its row is held out
     labels = np.array([0] * 10 + [1])

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ectshape.cli import extract_table
-from ectshape.dataset import FEATURE_CSV_HEADER, LabeledDataset, parse_feature_csv
+from ectshape.dataset import FEATURE_CSV_HEADER, labeled_dataset, parse_feature_csv
 from ectshape.errors import (
     DuplicatePathError,
     EmptyRecordError,
@@ -200,6 +200,7 @@ def test_parse_feature_csv_rejects_non_finite_with_line(value):
     ({"features": np.array([[0.0, 1.0]] * 3 + [[0.0, math.inf]])}, "must be finite"),
     ({"feature_names": ("a",)}, "must match feature columns"),
     ({"labels": np.array([0, 1, 0, 2])}, r"must lie in \[0, num_classes\)"),
+    ({"num_classes": 1}, "need at least 2 classes"),
 ])
 def test_labeled_dataset_preconditions(overrides, message):
     fields = {
@@ -208,5 +209,14 @@ def test_labeled_dataset_preconditions(overrides, message):
         "num_classes": 2,
         "feature_names": ("a", "b"),
     }
+    assert labeled_dataset(**fields).n_rows == 4
     with pytest.raises(ValueError, match=message):
-        LabeledDataset(**{**fields, **overrides})
+        labeled_dataset(**{**fields, **overrides})
+
+
+def test_labeled_dataset_converts_and_freezes():
+    data = labeled_dataset([[0, 1], [2, 3]], [1, 0], 2, ("a", "b"))
+    assert data.features.dtype == np.float64 and data.labels.dtype == np.int64
+    for array in (data.features, data.labels, *data.subset(np.array([1]))[:2]):
+        with pytest.raises(ValueError):
+            array[0] = 1

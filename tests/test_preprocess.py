@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from ectshape.errors import DegenerateAfterTrimError, TooFewSamplesError
+from ectshape.cli import main
+from ectshape.errors import (
+    DegenerateAfterTrimError,
+    MalformedLineError,
+    NonFiniteSampleError,
+    TooFewSamplesError,
+)
 from ectshape.ingest import parse_record
 from ectshape.preprocess import (
     TRIM_MODES,
@@ -11,6 +17,7 @@ from ectshape.preprocess import (
     to_point_cloud,
     trim_noise,
 )
+from ectshape.synthetic import SynthClassSpec, generate_synthetic
 
 
 def cloud_of(*pts):
@@ -18,16 +25,26 @@ def cloud_of(*pts):
 
 
 def test_point_cloud_validation():
-    with pytest.raises(ValueError):
-        PointCloud2D(points=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        PointCloud2D(points=np.array([[np.nan, 0.0]]))
+    # points enter through the record parser, which takes only finite
+    # (re, im) pairs
+    with pytest.raises(MalformedLineError):
+        parse_record("0 0 0\n1 1 1\n2 2 2\n", "r")
+    with pytest.raises(NonFiniteSampleError):
+        parse_record("0 0\nnan 0\n2 2\n", "r")
 
 
 def test_point_cloud_immutable():
-    c = cloud_of((0, 0), (1, 1), (2, 2))
-    with pytest.raises(ValueError):
-        c.points[0, 0] = 5.0
+    clouds = [to_point_cloud(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), "r")]
+    pts = [(0.0, 0.0)] * 60 + [(50.0, 0.0), (0.0, 50.0), (50.0, 50.0)]
+    for mode in ("both_axes", "radial"):
+        clouds.append(trim_noise(cloud_of(*pts), TrimPolicy(0.9, mode)))
+    spec = SynthClassSpec("c", 16, (0.0, 0.0), 2.0, 1.0, 0.0, 0.0, 2)
+    noiseless = generate_synthetic((spec,), seed=0)[0]
+    assert noiseless[0].points is noiseless[1].points  # they share the base
+    noisy = generate_synthetic((spec._replace(noise_sigma=0.1),), seed=0)[0]
+    for c in clouds + noiseless + noisy:
+        with pytest.raises(ValueError):
+            c.points[0, 0] = 5.0
 
 
 def test_to_point_cloud_needs_three_samples():
@@ -37,13 +54,16 @@ def test_to_point_cloud_needs_three_samples():
     assert cloud.n == 3
 
 
-def test_trim_policy_validation():
-    with pytest.raises(ValueError):
-        TrimPolicy(quantile_q=0.0)
-    with pytest.raises(ValueError):
-        TrimPolicy(quantile_q=1.5)
-    with pytest.raises(ValueError):
-        TrimPolicy(mode="diagonal")
+def test_trim_policy_validation(tmp_path, capsys):
+    # the command line checks the flag before it reads any input
+    for q in ("0", "1.5", "nan", "-inf"):
+        argv = ["extract", "--manifest", str(tmp_path / "missing.csv"),
+                "--out", str(tmp_path / "f.csv"), f"--trim-quantile={q}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: quantile_q must be in (0, 1]\n"
+    assert not (tmp_path / "f.csv").exists()
+    with pytest.raises(ValueError, match="mode must be one of"):
+        trim_noise(cloud_of((0, 0), (1, 1), (2, 0)), TrimPolicy(mode="diagonal"))
     assert TrimPolicy().mode in TRIM_MODES
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,16 @@ def one_class_spec(**overrides):
     )
     fields.update(overrides)
     return (SynthClassSpec(**fields),)
+
+
+def one_class_doc(**overrides):
+    """The JSON spec text of one_class_spec(**overrides)."""
+    (cls,) = one_class_spec(**overrides)
+    return json.dumps({"classes": [{
+        "name": cls.name, "n_points": cls.n_points, "center": list(cls.center),
+        "axis_lengths": [cls.a, cls.b], "rotation_deg": cls.rotation_deg,
+        "noise_sigma": cls.noise_sigma, "n_records": cls.n_records,
+    }]})
 
 
 # --- parsing -----------------------------------------------------------------
@@ -72,10 +83,16 @@ def test_parse_rejects_malformed(doc):
     {"name": ""},
     {"name": "../escaped"},
     {"name": "a\\b"},
+    # Python's JSON reader takes NaN and Infinity
+    {"center": (math.nan, 0.0)},
+    {"a": math.inf},
+    {"rotation_deg": -math.inf},
+    {"noise_sigma": math.nan},
 ])
 def test_class_spec_preconditions(overrides):
+    assert parse_synth_spec(one_class_doc()) == one_class_spec()
     with pytest.raises(BadSpecError):
-        one_class_spec(**overrides)
+        parse_synth_spec(one_class_doc(**overrides))
 
 
 def test_spec_rejects_duplicate_names():
