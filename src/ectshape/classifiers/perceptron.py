@@ -19,6 +19,10 @@ sequence of IEEE ``+ - * /`` operations rather than a libm or SIMD
 a network's bits depend only on its data, hyperparameters and seed: not
 on k, not on its place in the stack, and not on the kernels numpy, BLAS
 or libm pick at run time.
+
+A lone network with few parameters trains on Python floats instead: the
+same operations in the same order, and Python's float ``+ - * /``, ``round``
+and ``math.ldexp`` are as portable as the kernel's, so it gets the same bits.
 """
 
 from __future__ import annotations
@@ -70,6 +74,13 @@ _PAIRS = _const(
 _Z_MIN = _const(-709.0)  # sigmoid(-709) = 1.2e-308
 _Z_MAX = _const(746.0)  # sigmoid(746) = 1 and exp(-746) rounds to 0
 _ONE = _const(1.0)
+# _sigmoid's constants, as Python floats
+_NEG_INV_LN2_F, _Z_MIN_F, _Z_MAX_F = map(float, (_NEG_INV_LN2, _Z_MIN, _Z_MAX))
+(_NEG_LN2_HI, _LN2_LO), (_E2, _O2), (_E1, _O1), (_E0, _O0) = _PAIRS.tolist()
+# train_mlp_stack trains a lone network of at most this many parameters on
+# Python floats: a step took 18, 34 and 42 us at 24, 56 and 80 parameters,
+# against 38, 39 and 38 us with numpy (2-vCPU host, numpy 2.4)
+_ALONE_MAX_PARAMS = 64
 
 
 class MlpParams(NamedTuple):
@@ -159,6 +170,28 @@ class _Sigmoid:
         np.ldexp(hi, m_int, out=hi)
         np.add(hi, even, out=hi)
         np.divide(even, hi, out=out)
+
+
+def _sigmoid(z: float) -> float:
+    """_Sigmoid's operations, in its order, on one Python float."""
+    c = _Z_MIN_F if z < _Z_MIN_F else _Z_MAX_F if z > _Z_MAX_F else z
+    if c != c:  # round(nan) raises where np.rint gives NaN
+        return c
+    m = round(c * _NEG_INV_LN2_F)  # half to even, as np.rint
+    r = m * _NEG_LN2_HI - c - m * _LN2_LO
+    t = r * r
+    even = (t * _E2 + _E1) * t + _E0
+    odd = ((t * _O2 + _O1) * t + _O0) * r
+    return (even - odd) / (math.ldexp(even + odd, m) + (even - odd))
+
+
+def _dot(weights: list[float], inputs: list[float]) -> float:
+    """Sum of the products, left to right from 0.0 as np.add.reduce adds
+    a leading axis."""
+    total = 0.0
+    for w, v in zip(weights, inputs):
+        total += w * v
+    return total
 
 
 class _Stack:
@@ -317,6 +350,46 @@ def _epoch_inputs(x_cols: np.ndarray, rows: np.ndarray, block: np.ndarray):
         yield from wide
 
 
+def _train_alone(
+    stack: _TrainingStack, x_cols, labels, rng: SplitMix64, params: MlpParams
+) -> float | None:
+    """Train the stack's network 0 on Python floats, with the kernel's
+    operations in its order; return the first non-finite epoch loss, or None."""
+    rows, labels = x_cols.T.tolist(), labels.tolist()
+    # one list of each unit's [weights ; bias], the hidden units first
+    layer1, layer2 = stack.layer1[..., 0].T, stack.layer2[..., 0].T
+    (h, d1), h1 = layer1.shape, layer2.shape[1]
+    theta = np.concatenate((layer1, layer2), None).tolist()
+    vel, split = [0.0] * len(theta), h * d1
+    units1, units2 = range(0, split, d1), range(split, len(theta), h1)
+    lr, mom = float(params.lr), float(params.momentum)
+    order = list(range(len(rows)))
+    for _ in range(params.epochs):
+        rng.shuffle(order)
+        loss = 0.0
+        for i in order:
+            x = rows[i]
+            hidden = [_sigmoid(_dot(theta[s : s + d1], x)) for s in units1]
+            act = hidden + [1.0]
+            w2 = [theta[s : s + h1] for s in units2]
+            output = [_sigmoid(_dot(w, act)) for w in w2]
+            err = output.copy()
+            err[labels[i]] -= 1.0
+            loss += 0.5 * _dot(err, err)
+            delta_out = [e * ((1.0 - y) * y) for e, y in zip(err, output)]
+            back = [_dot(col, delta_out) for col in zip(*w2)]  # w2^T delta_out
+            delta_hidden = [b * ((1.0 - a) * a) for b, a in zip(back, hidden)]
+            grad = [v * dh for dh in delta_hidden for v in x]
+            grad += [a * do for do in delta_out for a in act]
+            vel = [q * mom - g * lr for q, g in zip(vel, grad)]
+            theta = [p + q for p, q in zip(theta, vel)]
+        if not math.isfinite(loss):
+            return loss
+    layer1[...] = np.reshape(theta[:split], layer1.shape)
+    layer2[...] = np.reshape(theta[split:], layer2.shape)
+    return None
+
+
 def _scaled(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Min-max scaled features and the ranges they were scaled with."""
     lo, hi = data.features.min(axis=0), data.features.max(axis=0)
@@ -333,7 +406,8 @@ def train_mlp_stack(
     SplitMix64(seeds[i]) and gets the same bits as when trained alone.
     Datasets must share their feature and class counts; their sizes may
     differ by one, and a network with a row fewer sits out the last step
-    of each epoch, weights and momenta unchanged.
+    of each epoch, weights and momenta unchanged. A lone network of at most
+    _ALONE_MAX_PARAMS parameters trains on Python floats, with those bits.
     A network whose epoch loss is NaN/inf gets NonFiniteLossError.
     """
     if len(datasets) != len(seeds):
@@ -380,45 +454,48 @@ def train_mlp_stack(
         w1, b1, w2, b2 = np.split(draws, ends)
         stack.set_params(j, w1.reshape(h, d), b1, w2.reshape(n_out, h), b2)
 
-    lr, momentum = _const(params.lr), _const(params.momentum)
-    backward, step = stack.backward, stack.step
-    orders = [list(range(n)) for n in sizes]
-    # rows[t, j]: the row network j sees at step t; a short network's last
-    # entry is a placeholder whose step is undone
-    rows = np.tile(offsets, (n_max, 1))
-    short = np.array([j for j, n in enumerate(sizes) if n < n_max], dtype=np.intp)
-    step_size = (d + 1) * h * lanes
-    block = np.empty((min(n_max, max(1, _INPUT_BLOCK // step_size)), d + 1, h, lanes))
-    classes = np.arange(n_out)[:, None]
-    ts = np.empty((n_max, n_out, lanes))
-    errs = np.empty((n_max, n_out, lanes))
     first_bad_loss: list[float | None] = [None] * k
-    # a diverging fit overflows to inf/NaN; NonFiniteLossError reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(params.epochs):
-            for j, rng in enumerate(rngs):
-                rng.shuffle(orders[j])
-                rows[: sizes[j], j] = orders[j]
-                rows[: sizes[j], j] += offsets[j]
-            np.equal(labels[rows][:, None], classes, out=ts, casting="unsafe")
-            inputs = _epoch_inputs(x_cols, rows, block)
-            for x, target, err in zip(islice(inputs, n_max - 1), ts, errs):
-                backward(x, target, err)
+    if k == 1 and n_params <= _ALONE_MAX_PARAMS:
+        first_bad_loss[0] = _train_alone(stack, x_cols, labels, rngs[0], params)
+    else:
+        lr, momentum = _const(params.lr), _const(params.momentum)
+        backward, step = stack.backward, stack.step
+        orders = [list(range(n)) for n in sizes]
+        # rows[t, j]: the row network j sees at step t; a short network's last
+        # entry is a placeholder whose step is undone
+        rows = np.tile(offsets, (n_max, 1))
+        short = np.array([j for j, n in enumerate(sizes) if n < n_max], dtype=np.intp)
+        n_block = min(n_max, max(1, _INPUT_BLOCK // ((d + 1) * h * lanes)))
+        block = np.empty((n_block, d + 1, h, lanes))
+        classes = np.arange(n_out)[:, None]
+        ts = np.empty((n_max, n_out, lanes))
+        errs = np.empty((n_max, n_out, lanes))
+        # a diverging fit overflows to inf/NaN; NonFiniteLossError reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(params.epochs):
+                for j, rng in enumerate(rngs):
+                    rng.shuffle(orders[j])
+                    rows[: sizes[j], j] = orders[j]
+                    rows[: sizes[j], j] += offsets[j]
+                np.equal(labels[rows][:, None], classes, out=ts, casting="unsafe")
+                inputs = _epoch_inputs(x_cols, rows, block)
+                for x, target, err in zip(islice(inputs, n_max - 1), ts, errs):
+                    backward(x, target, err)
+                    step(lr, momentum)
+                held = stack.theta[:, short], stack.vel[:, short]
+                backward(next(inputs), ts[-1], errs[-1])
                 step(lr, momentum)
-            held = stack.theta[:, short], stack.vel[:, short]
-            backward(next(inputs), ts[-1], errs[-1])
-            step(lr, momentum)
-            stack.theta[:, short], stack.vel[:, short] = held
-            errs[-1, :, short] = 0.0
-            # epoch loss: sum over steps of 0.5 * sum(err**2), in place
-            np.multiply(errs, errs, out=errs)
-            np.add.accumulate(errs, axis=1, out=errs)
-            losses = _fixed_sum(0.5 * errs[:, -1], axis=0)
-            for j, loss in enumerate(losses[:k].tolist()):
-                if first_bad_loss[j] is None and not math.isfinite(loss):
-                    first_bad_loss[j] = loss
-            if all(loss is not None for loss in first_bad_loss):
-                break
+                stack.theta[:, short], stack.vel[:, short] = held
+                errs[-1, :, short] = 0.0
+                # epoch loss: sum over steps of 0.5 * sum(err**2), in place
+                np.multiply(errs, errs, out=errs)
+                np.add.accumulate(errs, axis=1, out=errs)
+                losses = _fixed_sum(0.5 * errs[:, -1], axis=0)
+                for j, loss in enumerate(losses[:k].tolist()):
+                    if first_bad_loss[j] is None and not math.isfinite(loss):
+                        first_bad_loss[j] = loss
+                if all(loss is not None for loss in first_bad_loss):
+                    break
 
     for j, i in enumerate(live):
         if first_bad_loss[j] is not None:

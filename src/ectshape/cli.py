@@ -8,6 +8,7 @@ of what escapes them to an exit code and one `error:` line.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -78,6 +79,10 @@ def main(argv: list[str] | None = None) -> int:
         flag = "--" + name.replace("_", "-")
         bound = f"at least {low}" if high is None else f"in {low}..{high}"
         return _fail_config(f"{flag} must be {bound}, got {value}")
+    for flag in ("--mlp-lr", "--mlp-momentum"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not math.isfinite(value):
+            return _fail_config(f"{flag} must be finite, got {value}")
     policy = None
     if "trim_mode" in args:
         # also false for NaN

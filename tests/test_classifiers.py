@@ -24,8 +24,10 @@ from ectshape.classifiers import (
 )
 from ectshape.classifiers import decision_tree, naive_bayes
 from ectshape.classifiers.perceptron import (
+    _ALONE_MAX_PARAMS,
     _POSTERIOR_LANES,
     _Sigmoid,
+    _sigmoid,
     _Stack,
     _TrainingStack,
     mlp_posterior,
@@ -579,6 +581,40 @@ def test_mlp_lockstep_folds_match_training_alone():
         assert model_bytes(model) == model_bytes(alone)
 
 
+# (d, h, K) on both sides of the cut: train_mlp trains a network of at most
+# _ALONE_MAX_PARAMS parameters on Python floats and a larger one on the numpy
+# kernel, and a stack of two always runs the numpy kernel
+@pytest.mark.parametrize("d,h,n_out,ties,alone", [
+    (1, 1, 2, False, True),  # P = 6, where numpy adds a spare lane
+    (3, 3, 3, True, True),  # 24: the traces-256 shape
+    (9, 1, 12, False, True),  # 34
+    (2, 5, 6, True, True),  # 51
+    (10, 5, 3, False, False),  # 73
+    (1, 1, 40, False, False),  # 82
+    (3, 8, 12, True, False),  # 140: the crossval shape
+])  # fmt: skip
+def test_mlp_alone_matches_the_lockstep_kernel(d, h, n_out, ties, alone):
+    assert ((d + 1) * h + (h + 1) * n_out <= _ALONE_MAX_PARAMS) == alone
+    rng = np.random.default_rng(d * 100 + h * 10 + n_out)
+    data = oracle_dataset(rng, d, n_out, ties)
+    params = MlpParams(hidden=h, lr=0.5, momentum=0.6, epochs=4)
+    stacked = train_mlp_stack([data, data], params, [5, 5])
+    assert model_bytes(train_mlp(data, params, seed=5)) == model_bytes(stacked[0])
+
+
+def test_mlp_alone_diverges_like_the_lockstep_kernel():
+    data = xor_dataset()
+    params = MlpParams(hidden=2, lr=1e308, momentum=1e308, epochs=50)
+    assert (2 + 1) * 2 + (2 + 1) * 2 <= _ALONE_MAX_PARAMS  # d = h = K = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stacked = train_mlp_stack([data, data], params, [0, 0])
+    with warnings.catch_warnings(), pytest.raises(NonFiniteLossError) as alone:
+        warnings.simplefilter("error")  # Python floats overflow silently
+        train_mlp(data, params, seed=0)
+    assert str(alone.value) == str(stacked[0]) == "training diverged (epoch loss nan)"
+
+
 def test_mlp_stack_reports_each_networks_error():
     good = xor_dataset()
     one_class = LabeledDataset(
@@ -615,8 +651,20 @@ def test_mlp_stack_rejects_what_it_cannot_stack(datasets, hidden, seeds, message
         train_mlp_stack(datasets, MlpParams(hidden=hidden, epochs=1), seeds)
 
 
+def assert_scalar_sigmoid_matches(z, out):
+    """The Python-float sigmoid gives the array kernel's bits (NaN for NaN)."""
+    scalar = np.array([_sigmoid(v) for v in z.ravel().tolist()])
+    nan = np.isnan(out.ravel())
+    assert np.isnan(scalar).tolist() == nan.tolist()
+    assert scalar[~nan].tobytes() == out.ravel()[~nan].tobytes()
+
+
 def test_sigmoid_passes_nan_and_inf():
-    z = np.array([[np.nan, np.inf, -np.inf, 0.0, 800.0, -800.0, 2.0, -2.0]])
+    # after the first eight: the clamp ends, -0.0 and the clamp ends' neighbours
+    z = np.array([[np.nan, np.inf, -np.inf, 0.0, 800.0, -800.0, 2.0, -2.0,
+                   -709.0, 746.0, -0.0, np.nextafter(-709.0, 0.0),
+                   np.nextafter(-709.0, -np.inf), np.nextafter(746.0, 0.0),
+                   np.nextafter(746.0, np.inf)]])  # fmt: skip
     out = np.empty_like(z)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -626,6 +674,7 @@ def test_sigmoid_passes_nan_and_inf():
     assert 0.0 <= out[0, 2] < 1e-300 and 0.0 <= out[0, 5] < 1e-300
     assert out[0, 6] == pytest.approx(1 / (1 + math.exp(-2.0)), rel=1e-15)
     assert out[0, 7] == pytest.approx(1 / (1 + math.exp(2.0)), rel=1e-15)
+    assert_scalar_sigmoid_matches(z, out)
 
 
 def test_sigmoid_accuracy():
@@ -635,6 +684,7 @@ def test_sigmoid_accuracy():
     _Sigmoid(z.shape)(z, out)
     want = np.array([1 / (1 + math.exp(-v)) for v in z[0]])
     assert np.max(np.abs(out[0] - want) / want) < 4e-15
+    assert_scalar_sigmoid_matches(z, out)
 
 
 # The kernel's arithmetic in Python floats: every operation in the kernel's

@@ -726,6 +726,23 @@ def test_out_of_range_hyperparameter_exits_2_with_one_line(
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("flag", ["--mlp-lr", "--mlp-momentum"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_mlp_rate_exits_2_before_reading_input(
+    tmp_path, capsys, command, flag, value
+):
+    out = ["--model-out", str(tmp_path / "m.txt")] if command == "train" else [
+        "--out-dir", str(tmp_path / "eval")]
+    # flag=value: argparse would read a separate "-inf" as an option
+    code = main([command, "--features-csv", str(tmp_path / "absent.csv"),
+                 "--classifier", "mlp", f"{flag}={value}"] + out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be finite, got {float(value)}\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value", ["1", "0"])
 def test_k_below_two_exits_2_before_reading_input(tmp_path, capsys, value):
     code = main(["evaluate", "--features-csv", str(tmp_path / "absent.csv"),
