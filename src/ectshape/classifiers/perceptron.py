@@ -20,9 +20,12 @@ a network's bits depend only on its data, hyperparameters and seed: not
 on k, not on its place in the stack, and not on the kernels numpy, BLAS
 or libm pick at run time.
 
-A lone network with few parameters trains on Python floats instead: the
-same operations in the same order, and Python's float ``+ - * /``, ``round``
-and ``math.ldexp`` are as portable as the kernel's, so it gets the same bits.
+A network takes one of three paths, and each gives the same bits: the
+kernel with array sigmoids; the kernel where a layer of few numbers (units
+x lanes) maps a Python-float sigmoid over them; and, for a lone network
+with few parameters, Python floats throughout. The Python-float code runs
+the same operations in the same order, and Python's float ``+ - * /``,
+``round`` and ``math.ldexp`` are as portable as the kernel's.
 """
 
 from __future__ import annotations
@@ -78,9 +81,13 @@ _ONE = _const(1.0)
 _NEG_INV_LN2_F, _Z_MIN_F, _Z_MAX_F = map(float, (_NEG_INV_LN2, _Z_MIN, _Z_MAX))
 (_NEG_LN2_HI, _LN2_LO), (_E2, _O2), (_E1, _O1), (_E0, _O0) = _PAIRS.tolist()
 # train_mlp_stack trains a lone network of at most this many parameters on
-# Python floats: a step took 18, 34 and 42 us at 24, 56 and 80 parameters,
-# against 38, 39 and 38 us with numpy (2-vCPU host, numpy 2.4)
-_ALONE_MAX_PARAMS = 64
+# Python floats: a step took 16, 20 and 27 us at 24, 34 and 56 parameters,
+# against 19, 20 and 21 us in the kernel (2-vCPU host, numpy 2.4)
+_ALONE_MAX_PARAMS = 34
+# a _Stack layer whose sigmoid takes at most this many numbers (units x
+# lanes) maps _sigmoid over them: 5.0, 9.1 and 11.2 us for 8, 16 and 20
+# numbers, against about 9.4 us for _Sigmoid
+_SCALAR_SIGMOID_MAX = 16
 
 
 class MlpParams(NamedTuple):
@@ -185,6 +192,11 @@ def _sigmoid(z: float) -> float:
     return (even - odd) / (math.ldexp(even + odd, m) + (even - odd))
 
 
+def _sigmoid_each(z: np.ndarray, out: np.ndarray) -> None:
+    """_Sigmoid's call, with _sigmoid on each number of z."""
+    out.flat = list(map(_sigmoid, z.ravel().tolist()))
+
+
 def _dot(weights: list[float], inputs: list[float]) -> float:
     """Sum of the products, left to right from 0.0 as np.add.reduce adds
     a leading axis."""
@@ -222,11 +234,16 @@ class _Stack:
         # [hidden ; 1], layer 2's input, broadcast over the outputs
         self.act_wide = np.ones((h + 1, n_out, lanes))
         z1, z2 = np.empty((h, lanes)), np.empty((n_out, lanes))
+        # a layer of few numbers takes them through _sigmoid one at a time
+        self.sigmoids = tuple(
+            _Sigmoid(z.shape) if z.size > _SCALAR_SIGMOID_MAX else _sigmoid_each
+            for z in (z1, z2)
+        )
         self._forward_bufs = (
             self.layer1, self.layer2, self.hidden, self.hidden[:, None],
             self.output, self.act_wide, self.act_wide[:h],
             np.empty_like(self.layer1), z1, np.empty_like(self.layer2), z2,
-            _Sigmoid(z1.shape), _Sigmoid(z2.shape),
+            *self.sigmoids,
         )  # fmt: skip
 
     def params(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -407,7 +424,9 @@ def train_mlp_stack(
     Datasets must share their feature and class counts; their sizes may
     differ by one, and a network with a row fewer sits out the last step
     of each epoch, weights and momenta unchanged. A lone network of at most
-    _ALONE_MAX_PARAMS parameters trains on Python floats, with those bits.
+    _ALONE_MAX_PARAMS parameters trains on Python floats, and in the kernel a
+    layer of at most _SCALAR_SIGMOID_MAX numbers takes the Python-float
+    sigmoid; both paths give the array kernel's bits.
     A network whose epoch loss is NaN/inf gets NonFiniteLossError.
     """
     if len(datasets) != len(seeds):

@@ -53,9 +53,10 @@ EXIT_DATA = 3
 
 PREDICTIONS_CSV_HEADER = "record_id,predicted_label,confidence"
 
-# inclusive (low, high) of each integer hyperparameter flag, None unbounded
+# inclusive (low, high) of each numeric hyperparameter flag, None unbounded
 _PARAM_RANGES = {
     "k": (2, None),
+    "mlp_lr": (0, None),
     "mlp_hidden": (1, None),
     "mlp_epochs": (1, None),
     "tree_max_depth": (1, MAX_DEPTH),
@@ -72,6 +73,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser({named}).parse_args(argv)
     except SystemExit as exc:  # --help, --version or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    for flag in ("--mlp-lr", "--mlp-momentum"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not math.isfinite(value):
+            return _fail_config(f"{flag} must be finite, got {value}")
     for name, (low, high) in _PARAM_RANGES.items():
         value = getattr(args, name, None)
         if value is None or (low <= value and (high is None or value <= high)):
@@ -79,10 +84,6 @@ def main(argv: list[str] | None = None) -> int:
         flag = "--" + name.replace("_", "-")
         bound = f"at least {low}" if high is None else f"in {low}..{high}"
         return _fail_config(f"{flag} must be {bound}, got {value}")
-    for flag in ("--mlp-lr", "--mlp-momentum"):
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and not math.isfinite(value):
-            return _fail_config(f"{flag} must be finite, got {value}")
     policy = None
     if "trim_mode" in args:
         # also false for NaN

@@ -26,6 +26,7 @@ from ectshape.classifiers import decision_tree, naive_bayes
 from ectshape.classifiers.perceptron import (
     _ALONE_MAX_PARAMS,
     _POSTERIOR_LANES,
+    _SCALAR_SIGMOID_MAX,
     _Sigmoid,
     _sigmoid,
     _Stack,
@@ -581,25 +582,39 @@ def test_mlp_lockstep_folds_match_training_alone():
         assert model_bytes(model) == model_bytes(alone)
 
 
-# (d, h, K) on both sides of the cut: train_mlp trains a network of at most
+def sigmoid_kinds(k, d, h, n_out):
+    """"scalar" or "array": the sigmoid each layer of a stack of k takes."""
+    return tuple("array" if isinstance(sigmoid, _Sigmoid) else "scalar"
+                 for sigmoid in _Stack(k, d, h, n_out).sigmoids)
+
+
+# (d, h, K) on both sides of the cuts. train_mlp trains a network of at most
 # _ALONE_MAX_PARAMS parameters on Python floats and a larger one on the numpy
-# kernel, and a stack of two always runs the numpy kernel
+# kernel. In the kernel a layer of at most _SCALAR_SIGMOID_MAX numbers (units
+# x lanes) takes the Python-float sigmoid: a stack of two has at least one
+# such layer, and a stack wide enough has none.
 @pytest.mark.parametrize("d,h,n_out,ties,alone", [
     (1, 1, 2, False, True),  # P = 6, where numpy adds a spare lane
     (3, 3, 3, True, True),  # 24: the traces-256 shape
     (9, 1, 12, False, True),  # 34
-    (2, 5, 6, True, True),  # 51
+    (2, 5, 6, True, False),  # 51
     (10, 5, 3, False, False),  # 73
-    (1, 1, 40, False, False),  # 82
+    (1, 1, 40, False, False),  # 82: 40 outputs take the array sigmoid alone
     (3, 8, 12, True, False),  # 140: the crossval shape
 ])  # fmt: skip
 def test_mlp_alone_matches_the_lockstep_kernel(d, h, n_out, ties, alone):
     assert ((d + 1) * h + (h + 1) * n_out <= _ALONE_MAX_PARAMS) == alone
+    assert alone or "scalar" in sigmoid_kinds(1, d, h, n_out)
+    wide = _SCALAR_SIGMOID_MAX // min(h, n_out) + 1
+    assert "scalar" in sigmoid_kinds(2, d, h, n_out)
+    assert sigmoid_kinds(wide, d, h, n_out) == ("array", "array")
     rng = np.random.default_rng(d * 100 + h * 10 + n_out)
     data = oracle_dataset(rng, d, n_out, ties)
     params = MlpParams(hidden=h, lr=0.5, momentum=0.6, epochs=4)
-    stacked = train_mlp_stack([data, data], params, [5, 5])
-    assert model_bytes(train_mlp(data, params, seed=5)) == model_bytes(stacked[0])
+    want = model_bytes(train_mlp(data, params, seed=5))
+    for k in (2, wide):
+        stacked = train_mlp_stack([data] * k, params, [5] * k)
+        assert all(model_bytes(model) == want for model in stacked)
 
 
 def test_mlp_alone_diverges_like_the_lockstep_kernel():
@@ -612,6 +627,22 @@ def test_mlp_alone_diverges_like_the_lockstep_kernel():
     with warnings.catch_warnings(), pytest.raises(NonFiniteLossError) as alone:
         warnings.simplefilter("error")  # Python floats overflow silently
         train_mlp(data, params, seed=0)
+    assert str(alone.value) == str(stacked[0]) == "training diverged (epoch loss nan)"
+
+
+def test_mlp_scalar_sigmoid_layers_diverge_like_array_sigmoids():
+    # the crossval shape: alone, both layers take the Python-float sigmoid;
+    # in a stack of three, neither does
+    data = oracle_dataset(np.random.default_rng(3812), 3, 12, False)
+    params = MlpParams(hidden=8, lr=1e308, momentum=1e308, epochs=50)
+    assert (3 + 1) * 8 + (8 + 1) * 12 > _ALONE_MAX_PARAMS
+    assert sigmoid_kinds(1, 3, 8, 12) == ("scalar", "scalar")
+    assert sigmoid_kinds(3, 3, 8, 12) == ("array", "array")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning, OverflowError or ValueError
+        stacked = train_mlp_stack([data] * 3, params, [0] * 3)
+        with pytest.raises(NonFiniteLossError) as alone:
+            train_mlp(data, params, seed=0)
     assert str(alone.value) == str(stacked[0]) == "training diverged (epoch loss nan)"
 
 

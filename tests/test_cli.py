@@ -743,6 +743,18 @@ def test_non_finite_mlp_rate_exits_2_before_reading_input(
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_negative_mlp_rate_exits_2_before_reading_input(tmp_path, capsys, command):
+    # a negative rate climbs the loss: evaluate scored chance with exit 0
+    out = ["--model-out", str(tmp_path / "m.txt")] if command == "train" else [
+        "--out-dir", str(tmp_path / "eval")]
+    code = main([command, "--features-csv", str(tmp_path / "absent.csv"),
+                 "--classifier", "mlp", "--mlp-lr=-0.3"] + out)
+    assert code == 2
+    assert capsys.readouterr().err == "error: --mlp-lr must be at least 0, got -0.3\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value", ["1", "0"])
 def test_k_below_two_exits_2_before_reading_input(tmp_path, capsys, value):
     code = main(["evaluate", "--features-csv", str(tmp_path / "absent.csv"),
