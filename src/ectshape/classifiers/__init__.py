@@ -15,45 +15,11 @@ import numpy as np
 
 from ..dataset import LabeledDataset
 from ..errors import DimensionMismatchError
-from .decision_tree import (
-    TreeLeaf,
-    TreeModel,
-    TreeNode,
-    TreeParams,
-    TreeSplit,
-    train_tree,
-    tree_posterior,
-)
+from .decision_tree import TreeModel, TreeParams, train_tree, tree_posterior
 from .naive_bayes import GnbModel, gnb_posterior, train_gnb
-from .perceptron import (
-    MlpModel,
-    MlpParams,
-    train_mlp,
-    mlp_posterior,
-)
+from .perceptron import MlpModel, MlpParams, mlp_posterior, train_mlp
 
 CLASSIFIER_KINDS = ("nb", "tree", "mlp")
-
-__all__ = [
-    "CLASSIFIER_KINDS",
-    "GnbModel",
-    "MlpModel",
-    "MlpParams",
-    "TrainedModel",
-    "TreeLeaf",
-    "TreeModel",
-    "TreeNode",
-    "TreeParams",
-    "TreeSplit",
-    "gnb_posterior",
-    "mlp_posterior",
-    "predict",
-    "train_model",
-    "train_gnb",
-    "train_mlp",
-    "train_tree",
-    "tree_posterior",
-]
 
 
 class TrainedModel(NamedTuple):

@@ -186,7 +186,7 @@ def train_tree(data: LabeledDataset, params: TreeParams = TreeParams()) -> TreeM
         )
     if params.min_leaf < 1:
         raise ValueError(f"min_leaf must be at least 1, got {params.min_leaf}")
-    if data.n_rows < params.min_leaf or data.n_rows == 0:
+    if data.n_rows < params.min_leaf:
         raise EmptyDatasetError(
             f"need at least min_leaf={params.min_leaf} rows, got {data.n_rows}"
         )

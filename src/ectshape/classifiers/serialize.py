@@ -1,6 +1,7 @@
 """Versioned line-oriented text format for trained models.
 
-Layout: a magic line "ectshape-model v1 <kind>", metadata lines, then
+Layout: a magic line "ectshape-model v1 <kind>", the metadata lines
+feature_names, num_classes and an optional class_names in that order, then
 kind-specific parameter blocks, then "end". Blank lines and '#' comments
 are ignored anywhere, so tools may prepend provenance headers. Floats
 carry 17 significant digits; save -> load -> save is byte-stable and
@@ -71,30 +72,18 @@ def load_model(text: str) -> TrainedModel:
     if kind not in CLASSIFIER_KINDS:
         raise reader.error(f"unknown model kind {kind!r}")
 
-    feature_names: tuple[str, ...] | None = None
-    num_classes: int | None = None
-    class_names: tuple[str, ...] | None = None
-    while True:
-        fields = reader.peek_fields()
-        if fields[0] == "feature_names":
-            feature_names = tuple(reader.next_rest("feature_names").split(","))
-        elif fields[0] == "num_classes":
-            fields = reader.next_fields()
-            if len(fields) != 2:
-                raise reader.error("num_classes line needs one value")
-            num_classes = reader.to_int(fields[1], "num_classes")
-            if num_classes < 2:
-                raise reader.error(f"num_classes must be at least 2, got {num_classes}")
-        elif fields[0] == "class_names":
-            class_names = tuple(reader.next_rest("class_names").split(","))
-        else:
-            break
-    if feature_names is None or num_classes is None:
-        raise reader.error("model file missing feature_names or num_classes")
-    if class_names is not None and len(class_names) != num_classes:
-        raise reader.error(
-            f"class_names lists {len(class_names)} names, num_classes is {num_classes}"
-        )
+    # the metadata lines in the order save_model writes them
+    feature_names = tuple(reader.next_rest("feature_names").split(","))
+    num_classes = reader.to_int(reader.next_rest("num_classes"), "num_classes")
+    if num_classes < 2:
+        raise reader.error(f"num_classes must be at least 2, got {num_classes}")
+    class_names = None
+    if reader.peek_fields()[0] == "class_names":
+        class_names = tuple(reader.next_rest("class_names").split(","))
+        if len(class_names) != num_classes:
+            raise reader.error(
+                f"class_names lists {len(class_names)} names, num_classes is {num_classes}"
+            )
 
     if kind == "tree":
         model = _read_tree(reader, len(feature_names), num_classes)

@@ -54,14 +54,11 @@ class DegenerateAfterTrimError(EctShapeError):
 
 # --- geometry -----------------------------------------------------------
 
-class EmptyCloudError(EctShapeError):
-    """Operation requires a non-empty point cloud."""
-
-
 class DegenerateCloudError(EctShapeError):
-    """The cloud cannot be measured: all points are identical (second moments
-    all zero), a coordinate exceeds 2**500 in magnitude, or rounding makes
-    the hull's compactness exceed the isoperimetric bound."""
+    """The cloud cannot be measured: all points are identical, the points
+    differ but their squared deviations underflow to zero, a coordinate
+    exceeds 2**500 in magnitude, or rounding makes the hull's compactness
+    exceed the isoperimetric bound of 1."""
 
 
 class CollinearCloudError(EctShapeError):

@@ -149,7 +149,6 @@ def cross_validate(
                     model=mlp_fits[f],
                     feature_names=data.feature_names,
                     num_classes=data.num_classes,
-                    class_names=names,
                 )
             else:
                 trained = train_model(
@@ -157,7 +156,6 @@ def cross_validate(
                     train_sets[f],
                     params=params,
                     seed=seeds[f],
-                    class_names=names,
                 )
         except Exception as exc:
             detail = exc.args[0] if exc.args else repr(exc)

@@ -6,9 +6,11 @@ orientation angle, oriented extents (length/width of the inertia-aligned
 bounding box), hull area and perimeter, and five derived descriptors
 (compactness, elongation, rectangularity, eccentricity, convexity).
 
-All operations are pure and deterministic. Angles are reported in
-degrees in (-90, 90] because an undirected axis is only defined modulo
-180 degrees.
+Each function takes a cloud built by ``to_point_cloud``, ``trim_noise``
+or ``generate_synthetic``, which hold at least 3 points, and does not
+check its size again. All operations are pure and deterministic. Angles
+are reported in degrees in (-90, 90] because an undirected axis is only
+defined modulo 180 degrees.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CollinearCloudError,
-    DegenerateCloudError,
-    EmptyCloudError,
-    ZeroWidthError,
-)
+from .errors import CollinearCloudError, DegenerateCloudError, ZeroWidthError
 from .preprocess import PointCloud2D
 
 # relative minor-axis extent below which a cloud counts as collinear
@@ -105,8 +102,6 @@ class ShapeFeatures(NamedTuple):
 
 def centroid(cloud: PointCloud2D) -> tuple[float, float]:
     """Arithmetic mean of the point coordinates."""
-    if cloud.n == 0:
-        raise EmptyCloudError("cannot take the centroid of an empty cloud")
     gx, gy = (np.add.reduce(cloud.points, axis=0) / cloud.n).tolist()
     return gx, gy
 
@@ -125,8 +120,6 @@ def central_moments(cloud: PointCloud2D) -> CentralMoments2:
     together that their squared deviations underflow.
     """
     n = cloud.n
-    if n == 0:
-        raise EmptyCloudError("cannot take moments of an empty cloud")
     if np.abs(cloud.points).max() > _MAX_COORD:
         raise DegenerateCloudError("a coordinate exceeds 2**500 in magnitude")
     gx, gy = centroid(cloud)
@@ -156,14 +149,13 @@ def normalize_angle_deg(angle: float) -> float:
 
 
 def principal_axes(moments: CentralMoments2) -> PrincipalAxes:
-    """Closed-form eigenstructure of [[mu20, mu11], [mu11, mu02]].
+    """Closed-form eigenstructure of [[mu20, mu11], [mu11, mu02]], for
+    moments from ``central_moments``, which are never all zero.
 
     Isotropic clouds (both |mu20 - mu02| and |mu11| below 1e-12) have no
     preferred direction; the angle is 0 by convention.
     """
     mu20, mu02, mu11 = moments.mu20, moments.mu02, moments.mu11
-    if mu20 == 0.0 and mu02 == 0.0 and mu11 == 0.0:
-        raise DegenerateCloudError("covariance is the zero matrix")
     mean = 0.5 * (mu20 + mu02)
     half_diff = 0.5 * (mu20 - mu02)
     disc = math.hypot(half_diff, mu11)
@@ -195,8 +187,6 @@ def _oriented_box(
     When the projections disagree with the eigen ordering the box is the
     one aligned with the longer extent, so alpha is rotated by 90 degrees.
     """
-    if cloud.n == 0:
-        raise EmptyCloudError("cannot take extents of an empty cloud")
     # row 0 projects onto the major axis, row 1 onto the minor one
     (ux, uy), (vx, vy) = axes.major, axes.minor
     proj = cloud.x * ((ux,), (vx,)) + cloud.y * ((uy,), (vy,))
@@ -219,8 +209,6 @@ def convex_hull(cloud: PointCloud2D) -> ConvexPolygon:
     doubles, and arithmetic on them costs a fraction of numpy-scalar
     indexing.
     """
-    if cloud.n < 3:
-        raise CollinearCloudError("need at least 3 points for a hull")
     pts = _sorted_distinct(cloud.points).tolist()
     if len(pts) < 3:
         raise CollinearCloudError("fewer than 3 distinct points")
@@ -280,8 +268,6 @@ def polygon_area_perimeter(poly: ConvexPolygon) -> tuple[float, float]:
 
 def contour_perimeter(cloud: PointCloud2D) -> float:
     """Perimeter of the closed polyline through the points in stored order."""
-    if cloud.n < 2:
-        raise EmptyCloudError("need at least 2 points for a contour")
     pts = cloud.points
     edges = np.concatenate((pts[1:], pts[:1])) - pts
     return float(np.add.reduce(np.hypot(edges[:, 0], edges[:, 1])))

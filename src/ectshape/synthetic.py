@@ -41,15 +41,18 @@ def parse_synth_spec(text: str) -> tuple[SynthClassSpec, ...]:
                   "axis_lengths": [a, b], "rotation_deg": ...,
                   "noise_sigma": ..., "n_records": ...}, ...]}
 
-    name, center, rotation_deg and noise_sigma are optional. Raises
-    BadSpecError for a malformed doc or class, or a duplicate name.
+    name is a string, n_points and n_records are integers, and the other
+    values are numbers; a JSON true or false is none of these. name,
+    center, rotation_deg and noise_sigma are optional. Raises BadSpecError
+    for a malformed doc or class, or a duplicate name.
     """
-    stripped = "\n".join(
-        line for line in text.splitlines() if not line.lstrip().startswith("#")
+    # a comment line reads as an empty one, so a JSON error names its line
+    blanked = "\n".join(
+        "" if line.lstrip().startswith("#") else line for line in text.splitlines()
     )
     try:
-        doc = json.loads(stripped)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        doc = json.loads(blanked)
+    except (ValueError, RecursionError) as exc:
         raise BadSpecError(f"spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "classes" not in doc:
         raise BadSpecError("spec must be an object with a 'classes' array")
@@ -69,19 +72,16 @@ def parse_synth_spec(text: str) -> tuple[SynthClassSpec, ...]:
         center = entry.get("center", [0.0, 0.0])
         if not isinstance(center, list) or len(center) != 2:
             raise BadSpecError(f"class {i}: center must be [x, y]")
-        try:
-            cls = SynthClassSpec(
-                name=str(entry.get("name", f"class{i:02d}")),
-                n_points=int(entry["n_points"]),
-                center=(float(center[0]), float(center[1])),
-                a=float(axes[0]),
-                b=float(axes[1]),
-                rotation_deg=float(entry.get("rotation_deg", 0.0)),
-                noise_sigma=float(entry.get("noise_sigma", 0.0)),
-                n_records=int(entry["n_records"]),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BadSpecError(f"class {i}: {exc}") from exc
+        cls = SynthClassSpec(
+            name=_json_value(entry.get("name", f"class{i:02d}"), i, "name", "string"),
+            n_points=_json_value(entry["n_points"], i, "n_points", "integer"),
+            center=(_real(center[0], i, "center[0]"), _real(center[1], i, "center[1]")),
+            a=_real(axes[0], i, "axis_lengths[0]"),
+            b=_real(axes[1], i, "axis_lengths[1]"),
+            rotation_deg=_real(entry.get("rotation_deg", 0.0), i, "rotation_deg"),
+            noise_sigma=_real(entry.get("noise_sigma", 0.0), i, "noise_sigma"),
+            n_records=_json_value(entry["n_records"], i, "n_records", "integer"),
+        )
         _check_class(cls)
         classes.append(cls)
     if not classes:
@@ -90,6 +90,23 @@ def parse_synth_spec(text: str) -> tuple[SynthClassSpec, ...]:
     if len({c.name for c in classes}) != len(classes):
         raise BadSpecError("duplicate class names in spec")
     return tuple(classes)
+
+
+def _json_value(value: object, i: int, key: str, kind: str):
+    """The value of class i's field key, if it is a JSON value of kind
+    ("string", "integer" or "number"); a bool is neither an integer nor a
+    number."""
+    types = {"string": str, "integer": int, "number": (int, float)}[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise BadSpecError(f"class {i}: {key} must be a JSON {kind}")
+    return value
+
+
+def _real(value: object, i: int, key: str) -> float:
+    try:
+        return float(_json_value(value, i, key, "number"))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise BadSpecError(f"class {i}: {key}: {exc}") from exc
 
 
 def _check_class(cls: SynthClassSpec) -> None:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ectshape.classifiers import TreeModel, TreeSplit
+from ectshape.classifiers.decision_tree import TreeModel, TreeSplit
 from ectshape.preprocess import PointCloud2D
 from ectshape.rng import SplitMix64
 

@@ -11,9 +11,7 @@ from conftest import tree_depth
 from ectshape.classifiers import (
     MlpParams,
     TrainedModel,
-    TreeLeaf,
     TreeParams,
-    TreeSplit,
     gnb_posterior,
     predict,
     train_gnb,
@@ -23,6 +21,7 @@ from ectshape.classifiers import (
     tree_posterior,
 )
 from ectshape.classifiers import decision_tree, naive_bayes
+from ectshape.classifiers.decision_tree import TreeLeaf, TreeSplit
 from ectshape.classifiers.perceptron import (
     _ALONE_MAX_PARAMS,
     _POSTERIOR_LANES,

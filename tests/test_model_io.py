@@ -127,6 +127,27 @@ def test_metadata_required():
         load_model(without + "\n")
 
 
+def metadata_edit(lines):
+    """An nb model file whose metadata lines (after the magic line) are
+    edited by the function lines."""
+    magic, *rest = save_model(train_model("nb", training_data())).splitlines()
+    return "\n".join([magic, *lines(rest)]) + "\n"
+
+
+def test_repeated_metadata_line_rejected():
+    # a second num_classes line no longer overrides the first
+    bad = metadata_edit(lambda rest: [rest[0], "num_classes 7", *rest[1:]])
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(bad)
+    assert exc.value.line_no == 4
+
+
+def test_metadata_out_of_order_rejected():
+    bad = metadata_edit(lambda rest: [rest[1], rest[0], *rest[2:]])
+    with pytest.raises(ModelFormatError, match="^line 2: expected 'feature_names' line$"):
+        load_model(bad)
+
+
 def test_wrong_block_rejected():
     text = save_model(train_model("nb", training_data()))
     with pytest.raises(ModelFormatError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ectshape.cli import main
 from ectshape.errors import (
@@ -48,10 +50,45 @@ def test_point_cloud_immutable():
 
 
 def test_to_point_cloud_needs_three_samples():
+    for n in (0, 1, 2):
+        with pytest.raises(TooFewSamplesError):
+            to_point_cloud(np.zeros((n, 2)), "r")
     with pytest.raises(TooFewSamplesError):
         to_point_cloud(parse_record("1 2\n3 4\n", "r"), "r")
     cloud = to_point_cloud(parse_record("1 2\n3 4\n5 6\n", "r"), "r")
     assert cloud.n == 3
+
+
+@st.composite
+def sample_arrays(draw):
+    """Finite (n, 2) samples, 3 <= n <= 64, at mixed scales (zeros,
+    subnormals, huge values), with rows drawn from a small pool so that
+    duplicate rows are common."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.tuples(finite, finite), min_size=1, max_size=8))
+    n = draw(st.integers(3, 64))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return np.array([pool[i] for i in picks], dtype=np.float64)
+
+
+# the geometry functions take these clouds without checking their size
+@settings(max_examples=300, deadline=None)
+@given(
+    sample_arrays(),
+    st.sampled_from(TRIM_MODES),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_built_clouds_hold_at_least_three_points(samples, mode, q):
+    cloud = to_point_cloud(samples, "r")
+    try:
+        with np.errstate(all="ignore"):
+            trimmed = trim_noise(cloud, TrimPolicy(q, mode))
+    except DegenerateAfterTrimError:
+        return
+    for c in (cloud, trimmed):
+        assert c.n >= 3
+        assert c.points.shape == (c.n, 2)
+        assert not c.points.flags.writeable
 
 
 def test_trim_policy_validation(tmp_path, capsys):

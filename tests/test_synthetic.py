@@ -57,6 +57,19 @@ def test_parse_skips_comment_lines():
     assert spec[0].name == "only"
 
 
+def test_spec_json_error_names_the_file_line():
+    text = (
+        "# synthesis recipe\n"
+        "# one class\n"
+        '{"classes": [\n'
+        '{"name": "only", "n_points": 16, "axis_lengths": [2, 1], "n_records": 1},\n'
+        "  x\n"
+        "]}\n"
+    )
+    with pytest.raises(BadSpecError, match=r": line 5 column 3 "):
+        parse_synth_spec(text)
+
+
 @pytest.mark.parametrize("doc", [
     "not json at all {",
     '["just", "a", "list"]',
@@ -65,6 +78,9 @@ def test_parse_skips_comment_lines():
     '{"classes": [{"n_points": 16, "axis_lengths": [2], "n_records": 1}]}',
     '{"classes": [{"n_points": 16, "axis_lengths": [2, 1], "n_records": 1, "center": [0]}]}',
     '{"classes": [42]}',
+    # past Python's digit limit json.loads raises a plain ValueError
+    pytest.param('{"classes": [{"n_points": 16, "axis_lengths": [%s, 1], "n_records": 1}]}'
+                 % ("1" * 5000), id="integer-of-5000-digits"),
 ])
 def test_parse_rejects_malformed(doc):
     with pytest.raises(BadSpecError):
@@ -88,11 +104,34 @@ def test_parse_rejects_malformed(doc):
     {"a": math.inf},
     {"rotation_deg": -math.inf},
     {"noise_sigma": math.nan},
+    # values are checked, not converted: a bool is no number
+    {"name": None},
+    {"name": ["a"]},
+    {"n_records": 2.9},
+    {"n_points": "16"},
+    {"n_points": 16.0},
+    {"a": "2", "b": "1"},
+    {"a": True, "b": True},
+    {"center": ("0", 0.0)},
+    {"rotation_deg": False},
+    {"noise_sigma": "0.1"},
 ])
 def test_class_spec_preconditions(overrides):
     assert parse_synth_spec(one_class_doc()) == one_class_spec()
     with pytest.raises(BadSpecError):
         parse_synth_spec(one_class_doc(**overrides))
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"n_records": 2.5}, "class 1: n_records must be a JSON integer"),
+    ({"name": None}, "class 1: name must be a JSON string"),
+    ({"b": True}, r"class 1: axis_lengths\[1\] must be a JSON number"),
+], ids=["n_records", "name", "axis_lengths"])
+def test_spec_value_of_a_wrong_type_names_class_and_field(overrides, message):
+    good = json.loads(one_class_doc(name="first"))["classes"]
+    bad = json.loads(one_class_doc(**overrides))["classes"]
+    with pytest.raises(BadSpecError, match=f"^{message}$"):
+        parse_synth_spec(json.dumps({"classes": good + bad}))
 
 
 def test_spec_rejects_duplicate_names():
