@@ -7,7 +7,9 @@ per-epoch example order come from one seeded generator per network.
 
 One kernel runs a stack of networks in lockstep: it trains the k folds of
 a cross-validation, or a single network (k = 1) for ``train_mlp``, and
-``mlp_posterior`` runs one copy of a network per query row. Its arithmetic
+``mlp_posterior`` runs one copy of a network per query row. A stack makes
+its scratch arrays and binds its sequence of ufunc calls once, when it is
+built, so that an SGD step looks up and allocates nothing. Its arithmetic
 has a fixed order. Every dot product is an elementwise multiply followed by
 ``np.add.reduce`` over the leading axis of a term-major array whose other
 axes hold at least two elements; numpy then adds the terms one at a time,
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -135,48 +137,53 @@ def _fixed_sum(values: np.ndarray, axis: int) -> np.ndarray:
     return np.take(np.add.accumulate(values, axis=axis), -1, axis=axis)
 
 
-class _Sigmoid:
-    """Logistic function 1 / (1 + exp(-z)) for arrays of one shape.
+def _Sigmoid(shape: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarray], None]:
+    """Logistic function 1 / (1 + exp(-z)) for arrays of one shape, as a
+    function sigmoid(z, out).
 
     NaN stays NaN; +inf maps to 1 and -inf to 1.2e-308. Constants and
-    scratch arrays are made at full shape once, so that every call is a
-    fixed run of ufuncs on contiguous arrays that allocates nothing.
+    scratch arrays are made at full shape once, and the function holds
+    them and its ufuncs as closure variables, so that every call is a fixed
+    run of ufuncs on contiguous arrays that looks nothing up and allocates
+    nothing.
     """
+    consts = np.empty((*_PAIRS.shape, *shape))
+    consts[...] = _PAIRS.reshape(_PAIRS.shape + (1,) * len(shape))
+    ln2_parts, c2, c1, c0 = consts
+    m_int = np.empty(shape, dtype=np.intc)
+    c, m, r = np.empty((3, *shape))
+    pair, t, poly = np.empty((3, 2, *shape))
+    (hi, lo), (even, odd) = pair, poly
+    z_min, z_max, neg_inv_ln2 = _Z_MIN, _Z_MAX, _NEG_INV_LN2
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    maximum, minimum, rint, ldexp, copyto = (
+        np.maximum, np.minimum, np.rint, np.ldexp, np.copyto
+    )
 
-    def __init__(self, shape: tuple[int, ...]) -> None:
-        consts = np.empty((*_PAIRS.shape, *shape))
-        consts[...] = _PAIRS.reshape(_PAIRS.shape + (1,) * len(shape))
-        c, m, r = np.empty((3, *shape))
-        pair, t, poly = np.empty((3, 2, *shape))
-        # one tuple, views included, so that a call creates no objects
-        self._bufs = (
-            np.empty(shape, dtype=np.intc), c, m, r, pair, *pair, t, poly, *poly, *consts,
-        )  # fmt: skip
-
-    def __call__(self, z: np.ndarray, out: np.ndarray) -> None:
-        (m_int, c, m, r, pair, hi, lo, t, poly, even, odd,
-         ln2_parts, c2, c1, c0) = self._bufs  # fmt: skip
-        np.maximum(z, _Z_MIN, out=c)
-        np.minimum(c, _Z_MAX, out=c)
-        np.multiply(c, _NEG_INV_LN2, out=m)
-        np.rint(m, out=m)
-        np.copyto(m_int, m, casting="unsafe")
+    def sigmoid(z: np.ndarray, out: np.ndarray) -> None:
+        maximum(z, z_min, out=c)
+        minimum(c, z_max, out=c)
+        multiply(c, neg_inv_ln2, out=m)
+        rint(m, out=m)
+        copyto(m_int, m, casting="unsafe")
         # r = (-m*ln2_hi - c) - m*ln2_lo
-        np.multiply(m, ln2_parts, out=pair)
-        np.subtract(hi, c, out=r)
-        np.subtract(r, lo, out=r)
-        np.multiply(r, r, out=t)
-        np.multiply(t, c2, out=poly)
-        np.add(poly, c1, out=poly)
-        np.multiply(poly, t, out=poly)
-        np.add(poly, c0, out=poly)
-        np.multiply(odd, r, out=odd)
+        multiply(m, ln2_parts, out=pair)
+        subtract(hi, c, out=r)
+        subtract(r, lo, out=r)
+        multiply(r, r, out=t)
+        multiply(t, c2, out=poly)
+        add(poly, c1, out=poly)
+        multiply(poly, t, out=poly)
+        add(poly, c0, out=poly)
+        multiply(odd, r, out=odd)
         # 1 / (1 + 2**m * (E + O) / (E - O))
-        np.add(even, odd, out=hi)
-        np.subtract(even, odd, out=even)
-        np.ldexp(hi, m_int, out=hi)
-        np.add(hi, even, out=hi)
-        np.divide(even, hi, out=out)
+        add(even, odd, out=hi)
+        subtract(even, odd, out=even)
+        ldexp(hi, m_int, out=hi)
+        add(hi, even, out=hi)
+        divide(even, hi, out=out)
+
+    return sigmoid
 
 
 def _sigmoid(z: float) -> float:
@@ -200,6 +207,7 @@ def _sigmoid_each(z: np.ndarray, out: np.ndarray) -> None:
 def _dot(weights: list[float], inputs: list[float]) -> float:
     """Sum of the products, left to right from 0.0 as np.add.reduce adds
     a leading axis."""
+    # not sum() or math.sumprod: from Python 3.12 both compensate rounding
     total = 0.0
     for w, v in zip(weights, inputs):
         total += w * v
@@ -220,31 +228,42 @@ class _Stack:
     by term, left to right with the bias last. With a single element left
     it would sum pairwise, so one network with one hidden unit (or one
     output) gets a spare second lane. Scratch space and views are made
-    once here.
+    once here, and forward (like backward and step of a _TrainingStack) is
+    a closure that binds its buffers and ufuncs once, so that a call looks
+    nothing up.
     """
 
     def __init__(self, k: int, d: int, h: int, n_out: int) -> None:
         self.lanes = lanes = max(k, 1 if min(h, n_out) > 1 else 2)
         self.theta = np.zeros(((d + 1) * h + (h + 1) * n_out, lanes))
-        self.layer1, self.layer2 = _layers(self.theta, d, h, n_out)
+        self.layer1, self.layer2 = layer1, layer2 = _layers(self.theta, d, h, n_out)
         # [hidden ; 1 ; output] per lane
         self.acts = np.ones((h + 1 + n_out, lanes))
-        self.hidden = self.acts[:h]
-        self.output = self.acts[h + 1 :]
+        self.hidden = hidden = self.acts[:h]
+        self.output = output = self.acts[h + 1 :]
         # [hidden ; 1], layer 2's input, broadcast over the outputs
-        self.act_wide = np.ones((h + 1, n_out, lanes))
+        self.act_wide = act_wide = np.ones((h + 1, n_out, lanes))
+        act_wide_hidden, hidden_row = act_wide[:h], hidden[:, None]
+        prod1, prod2 = np.empty_like(layer1), np.empty_like(layer2)
         z1, z2 = np.empty((h, lanes)), np.empty((n_out, lanes))
         # a layer of few numbers takes them through _sigmoid one at a time
-        self.sigmoids = tuple(
+        self.sigmoids = sigmoid_hidden, sigmoid_out = tuple(
             _Sigmoid(z.shape) if z.size > _SCALAR_SIGMOID_MAX else _sigmoid_each
             for z in (z1, z2)
         )
-        self._forward_bufs = (
-            self.layer1, self.layer2, self.hidden, self.hidden[:, None],
-            self.output, self.act_wide, self.act_wide[:h],
-            np.empty_like(self.layer1), z1, np.empty_like(self.layer2), z2,
-            *self.sigmoids,
-        )  # fmt: skip
+        multiply, add_reduce, copyto = np.multiply, np.add.reduce, np.copyto
+
+        def forward(x: np.ndarray) -> None:
+            """Fill hidden and output for inputs x of shape (d + 1, h, lanes)."""
+            multiply(layer1, x, out=prod1)
+            add_reduce(prod1, axis=0, out=z1)
+            sigmoid_hidden(z1, hidden)
+            copyto(act_wide_hidden, hidden_row)
+            multiply(layer2, act_wide, out=prod2)
+            add_reduce(prod2, axis=0, out=z2)
+            sigmoid_out(z2, output)
+
+        self.forward = forward
 
     def params(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Copies of network f's w1, b1, w2, b2."""
@@ -266,18 +285,6 @@ class _Stack:
         cols[-1] = 1.0
         return np.broadcast_to(cols[:, None], self.layer1.shape)
 
-    def forward(self, x: np.ndarray) -> None:
-        """Fill hidden and output for inputs x of shape (d + 1, h, lanes)."""
-        (layer1, layer2, hidden, hidden_row, output, act_wide, act_wide_hidden,
-         prod1, z1, prod2, z2, sigmoid_hidden, sigmoid_out) = self._forward_bufs  # fmt: skip
-        np.multiply(layer1, x, out=prod1)
-        np.add.reduce(prod1, axis=0, out=z1)
-        sigmoid_hidden(z1, hidden)
-        np.copyto(act_wide_hidden, hidden_row)
-        np.multiply(layer2, act_wide, out=prod2)
-        np.add.reduce(prod2, axis=0, out=z2)
-        sigmoid_out(z2, output)
-
 
 class _TrainingStack(_Stack):
     """A _Stack with backpropagation and momentum SGD.
@@ -289,47 +296,46 @@ class _TrainingStack(_Stack):
 
     def __init__(self, k: int, d: int, h: int, n_out: int) -> None:
         super().__init__(k, d, h, n_out)
-        self.vel = np.zeros_like(self.theta)
-        self.grad = np.zeros_like(self.theta)
-        self._g_layer1, self._g_layer2 = _layers(self.grad, d, h, n_out)
-        slopes = np.empty_like(self.acts)  # acts * (1 - acts)
-        delta_out = np.empty_like(self.output)
+        forward, theta, acts, output = self.forward, self.theta, self.acts, self.output
+        act_wide = self.act_wide
+        self.vel = vel = np.zeros_like(theta)
+        self.grad = grad = np.zeros_like(theta)
+        self._g_layer1, self._g_layer2 = g_layer1, g_layer2 = _layers(grad, d, h, n_out)
+        slopes = np.empty_like(acts)  # acts * (1 - acts)
+        slope_hidden, slope_out = slopes[:h], slopes[h + 1 :]
+        delta_out = np.empty_like(output)
+        delta_out_col = delta_out[:, None]
+        w2_t = self.layer2[:h].transpose(1, 0, 2)
         # w2^T delta_out term by term, outputs leading
         back_terms = np.empty((n_out, h, self.lanes))
-        self._backward_bufs = (
-            self.act_wide, self.output, self.acts,
-            slopes, slopes[:h], slopes[h + 1 :],
-            self.layer2[:h].transpose(1, 0, 2), back_terms, np.empty_like(self.hidden),
-            np.empty_like(self.hidden), delta_out, delta_out[:, None],
-            self._g_layer1, self._g_layer2,
-        )  # fmt: skip
+        back, delta_hidden = np.empty_like(self.hidden), np.empty_like(self.hidden)
+        one, add, subtract, multiply = _ONE, np.add, np.subtract, np.multiply
+        add_reduce = np.add.reduce
 
-    def backward(self, x: np.ndarray, target: np.ndarray, err: np.ndarray) -> None:
-        """Forward pass, err = output - target (both (K, lanes)), and the
-        gradient of 0.5 * sum(err**2) in the gradient buffer."""
-        self.forward(x)
-        (act_wide, output, acts, slopes, slope_hidden, slope_out, w2_t,
-         back_terms, back, delta_hidden, delta_out, delta_out_col,
-         g_layer1, g_layer2) = self._backward_bufs  # fmt: skip
-        np.subtract(output, target, out=err)
-        # sigmoid slopes s * (1 - s) of both layers at once
-        np.subtract(_ONE, acts, out=slopes)
-        np.multiply(slopes, acts, out=slopes)
-        np.multiply(err, slope_out, out=delta_out)
-        np.multiply(act_wide, delta_out, out=g_layer2)
-        # back = w2^T delta_out, summed over the outputs left to right
-        np.multiply(w2_t, delta_out_col, out=back_terms)
-        np.add.reduce(back_terms, axis=0, out=back)
-        np.multiply(back, slope_hidden, out=delta_hidden)
-        np.multiply(x, delta_hidden, out=g_layer1)
+        def backward(x: np.ndarray, target: np.ndarray, err: np.ndarray) -> None:
+            """Forward pass, err = output - target (both (K, lanes)), and the
+            gradient of 0.5 * sum(err**2) in the gradient buffer."""
+            forward(x)
+            subtract(output, target, out=err)
+            # sigmoid slopes s * (1 - s) of both layers at once
+            subtract(one, acts, out=slopes)
+            multiply(slopes, acts, out=slopes)
+            multiply(err, slope_out, out=delta_out)
+            multiply(act_wide, delta_out, out=g_layer2)
+            # back = w2^T delta_out, summed over the outputs left to right
+            multiply(w2_t, delta_out_col, out=back_terms)
+            add_reduce(back_terms, axis=0, out=back)
+            multiply(back, slope_hidden, out=delta_hidden)
+            multiply(x, delta_hidden, out=g_layer1)
 
-    def step(self, lr: np.ndarray, momentum: np.ndarray) -> None:
-        """vel = momentum * vel - lr * grad; theta += vel."""
-        theta, vel, grad = self.theta, self.vel, self.grad
-        np.multiply(vel, momentum, out=vel)
-        np.multiply(grad, lr, out=grad)
-        np.subtract(vel, grad, out=vel)
-        np.add(theta, vel, out=theta)
+        def step(lr: np.ndarray, momentum: np.ndarray) -> None:
+            """vel = momentum * vel - lr * grad; theta += vel."""
+            multiply(vel, momentum, out=vel)
+            multiply(grad, lr, out=grad)
+            subtract(vel, grad, out=vel)
+            add(theta, vel, out=theta)
+
+        self.backward, self.step = backward, step
 
 
 def _layers(
@@ -489,6 +495,8 @@ def train_mlp_stack(
         classes = np.arange(n_out)[:, None]
         ts = np.empty((n_max, n_out, lanes))
         errs = np.empty((n_max, n_out, lanes))
+        # each step's rows of ts and errs, as views made once per fit
+        ts_rows, err_rows = list(ts), list(errs)
         # a diverging fit overflows to inf/NaN; NonFiniteLossError reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(params.epochs):
@@ -498,7 +506,7 @@ def train_mlp_stack(
                     rows[: sizes[j], j] += offsets[j]
                 np.equal(labels[rows][:, None], classes, out=ts, casting="unsafe")
                 inputs = _epoch_inputs(x_cols, rows, block)
-                for x, target, err in zip(islice(inputs, n_max - 1), ts, errs):
+                for x, target, err in zip(islice(inputs, n_max - 1), ts_rows, err_rows):
                     backward(x, target, err)
                     step(lr, momentum)
                 held = stack.theta[:, short], stack.vel[:, short]

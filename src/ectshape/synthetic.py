@@ -46,9 +46,11 @@ def parse_synth_spec(text: str) -> tuple[SynthClassSpec, ...]:
     center, rotation_deg and noise_sigma are optional. Raises BadSpecError
     for a malformed doc or class, or a duplicate name.
     """
-    # a comment line reads as an empty one, so a JSON error names its line
+    # a comment line reads as an empty one, so a JSON error names its line;
+    # lines end at "\n" alone, as JSON counts them (splitlines() would also
+    # break inside a string at U+2028, "\x0c" and the like)
     blanked = "\n".join(
-        "" if line.lstrip().startswith("#") else line for line in text.splitlines()
+        "" if line.lstrip().startswith("#") else line for line in text.split("\n")
     )
     try:
         doc = json.loads(blanked)

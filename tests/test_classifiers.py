@@ -26,8 +26,10 @@ from ectshape.classifiers.perceptron import (
     _ALONE_MAX_PARAMS,
     _POSTERIOR_LANES,
     _SCALAR_SIGMOID_MAX,
+    _dot,
     _Sigmoid,
     _sigmoid,
+    _sigmoid_each,
     _Stack,
     _TrainingStack,
     mlp_posterior,
@@ -583,7 +585,7 @@ def test_mlp_lockstep_folds_match_training_alone():
 
 def sigmoid_kinds(k, d, h, n_out):
     """"scalar" or "array": the sigmoid each layer of a stack of k takes."""
-    return tuple("array" if isinstance(sigmoid, _Sigmoid) else "scalar"
+    return tuple("scalar" if sigmoid is _sigmoid_each else "array"
                  for sigmoid in _Stack(k, d, h, n_out).sigmoids)
 
 
@@ -717,6 +719,13 @@ def test_sigmoid_accuracy():
     assert_scalar_sigmoid_matches(z, out)
 
 
+def test_dot_adds_left_to_right_without_compensation():
+    # np.add.reduce gives 0.0 here; sum() and math.sumprod give 1.0 from
+    # Python 3.12, which would change the lone network's bits
+    assert _dot([1.0, 1.0, 1.0], [1e16, 1.0, -1e16]) == 0.0
+    assert np.add.reduce(np.array([[1e16, 1e16], [1.0, 1.0], [-1e16, -1e16]]))[0] == 0.0
+
+
 # The kernel's arithmetic in Python floats: every operation in the kernel's
 # order, each sum a plain left-to-right loop with the bias last.
 
@@ -806,6 +815,68 @@ def test_mlp_kernel_matches_python_oracle(k, d, h, n_out):
         vel = [v * momentum - g * lr for v, g in zip(vel0[:, f], grad[:, f])]
         assert bits(stack.vel[:, f]) == bits(vel)
         assert bits(stack.theta[:, f]) == bits([t + v for t, v in zip(theta0[:, f], vel)])
+
+
+def lane_params(theta, d, h):
+    """w1, b1, w2, b2 as nested lists from one network's (P,) parameters."""
+    layer1 = np.reshape(theta[: (d + 1) * h], (d + 1, h))
+    layer2 = np.reshape(theta[(d + 1) * h :], (h + 1, -1))
+    return (layer1[:-1].T.tolist(), layer1[-1].tolist(),
+            layer2[:-1].T.tolist(), layer2[-1].tolist())
+
+
+def lane_vector(g_w1, g_b1, g_w2, g_b2):
+    """The (P,) parameter layout of one network's w1, b1, w2, b2 lists."""
+    parts = (np.transpose(g_w1), [g_b1], np.transpose(g_w2), [g_b2])
+    return np.concatenate(parts, axis=None).tolist()
+
+
+# Consecutive steps on one stack: its forward, backward and step bind their
+# buffers and views once, so each step must still read the values the last
+# one left. The oracle carries every network's parameters and momenta in
+# Python floats.
+@pytest.mark.parametrize("k,d,h,n_out,kinds", [
+    (10, 3, 8, 12, ("array", "array")),
+    (2, 7, 1, 8, ("scalar", "scalar")),
+    (1, 7, 1, 8, ("scalar", "scalar")),  # a spare second lane
+])  # fmt: skip
+def test_mlp_kernel_matches_python_oracle_over_steps(k, d, h, n_out, kinds):
+    assert sigmoid_kinds(k, d, h, n_out) == kinds
+    rng = np.random.default_rng(k * 1000 + d * 100 + h * 10 + n_out)
+    stack = _TrainingStack(k, d, h, n_out)
+    for f in range(k):
+        # the last network's weights are large enough to clamp the sigmoid
+        scale = 300.0 if f == k - 1 and k > 1 else 1.5
+        w1, b1 = rng.normal(size=(h, d)) * scale, rng.normal(size=h) * scale
+        w2, b2 = rng.normal(size=(n_out, h)) * scale, rng.normal(size=n_out) * scale
+        stack.set_params(f, w1, b1, w2, b2)
+    stack.vel[...] = rng.normal(size=stack.vel.shape) * 0.1
+    thetas = [stack.theta[:, f].tolist() for f in range(k)]
+    vels = [stack.vel[:, f].tolist() for f in range(k)]
+    lr, momentum = 0.3, 0.2
+    err = np.empty(stack.output.shape)
+    for _ in range(3):
+        x = rng.uniform(-0.5, 1.5, size=(k, d))
+        target = np.zeros(stack.output.shape)
+        target[rng.integers(0, n_out, size=k), np.arange(k)] = 1.0
+        with np.errstate(over="ignore"):
+            stack.backward(stack.inputs(x), target, err)
+        grads = []
+        for f in range(k):
+            hidden, output, want_err, lane_grads = oracle_backward(
+                *lane_params(thetas[f], d, h), x[f].tolist(), target[:, f].tolist()
+            )
+            assert bits(stack.hidden[:, f]) == bits(hidden)
+            assert bits(stack.output[:, f]) == bits(output)
+            assert bits(err[:, f]) == bits(want_err)
+            grads.append(lane_vector(*lane_grads))
+            assert bits(stack.grad[:, f]) == bits(grads[f])
+        stack.step(np.array(lr), np.array(momentum))
+        for f, grad in enumerate(grads):
+            vels[f] = [v * momentum - g * lr for v, g in zip(vels[f], grad)]
+            thetas[f] = [t + v for t, v in zip(thetas[f], vels[f])]
+            assert bits(stack.vel[:, f]) == bits(vels[f])
+            assert bits(stack.theta[:, f]) == bits(thetas[f])
 
 
 def test_mlp_predict_on_no_rows_and_one_row_with_one_hidden_unit():

@@ -70,6 +70,49 @@ def test_spec_json_error_names_the_file_line():
         parse_synth_spec(text)
 
 
+ONLY_CLASS = '{"name": "only", "n_points": 16, "axis_lengths": [2, 1], "n_records": 1'
+
+
+def test_spec_string_may_hold_a_line_separator():
+    doc = json.loads(ONLY_CLASS + ', "note": "a\u2028b"}')
+    text = json.dumps({"classes": [doc]}, ensure_ascii=False)
+    assert "\u2028" in text  # the character itself, not its escape
+    assert parse_synth_spec(text)[0].name == "only"
+
+
+# str.splitlines() also ends a line at each of these; JSON does not, and a
+# JSON error names the line that "\n" alone counts
+@pytest.mark.parametrize(
+    "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_spec_lines_end_only_at_newline(sep):
+    # JSON refuses a control character in a string, so those go in a comment
+    in_comment = sep < " "
+    text = "\n".join([
+        "# recipe" + (sep + "more" if in_comment else ""),
+        '{"classes": [',
+        ONLY_CLASS + ', "note": "a' + ("" if in_comment else sep) + 'b"},',
+        "  x",
+        "]}",
+    ])  # fmt: skip
+    with pytest.raises(BadSpecError, match=r": line 4 column 3 "):
+        parse_synth_spec(text)
+
+
+def test_spec_control_character_in_a_string_names_its_line():
+    text = '# recipe\n{"classes": [\n' + ONLY_CLASS + ', "note": "a\x0cb"},\n  x\n]}'
+    with pytest.raises(BadSpecError, match=r"Invalid control character at: line 3 "):
+        parse_synth_spec(text)
+
+
+def test_spec_with_crlf_line_ends_parses():
+    lines = ["# synthesis recipe", '{"classes": [', "# the only class", ONLY_CLASS + "}"]
+    spec = parse_synth_spec("\r\n".join(lines + ["]}", ""]))
+    assert spec[0].name == "only"
+    with pytest.raises(BadSpecError, match=r": line 5 column 3 "):
+        parse_synth_spec("\r\n".join(lines[:-1] + [ONLY_CLASS + "},", "  x", "]}"]))
+
+
 @pytest.mark.parametrize("doc", [
     "not json at all {",
     '["just", "a", "list"]',
