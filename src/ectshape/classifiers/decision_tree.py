@@ -1,8 +1,9 @@
 """Binary decision tree on numeric features, split by information gain ratio.
 
 Candidate thresholds are midpoints between consecutive distinct sorted
-values of each feature. The comparison convention is fixed globally:
-value <= threshold routes left. Leaves store Laplace-smoothed class
+values of each feature, or the lower value where the midpoint rounds up to
+the upper one (adjacent doubles). The comparison convention is fixed
+globally: value <= threshold routes left. Leaves store Laplace-smoothed class
 distributions.
 """
 
@@ -85,6 +86,14 @@ class _Candidate(NamedTuple):
     left_mask: np.ndarray
 
 
+def _midpoint(a: np.float64, b: np.float64) -> np.float64:
+    """A threshold t with a <= t < b for finite a < b: their midpoint,
+    or a where the midpoint rounds up to b."""
+    # halves first, so that the sum cannot overflow
+    t = 0.5 * a + 0.5 * b
+    return t if t < b else a
+
+
 def _best_split(
     features: np.ndarray,
     labels: np.ndarray,
@@ -117,7 +126,7 @@ def _best_split(
     score = np.divide(gain, split_info, out=gain.copy(), where=split_info >= _GAIN_EPS)
     best = int(np.argmax(score))  # first maximum
     j, b = int(feature[best]), int(i[best])
-    threshold = 0.5 * (v[j, b] + v[j, b + 1])
+    threshold = _midpoint(v[j, b], v[j, b + 1])
     return _Candidate(
         feature=j,
         threshold=threshold,

@@ -22,12 +22,11 @@ a network's bits depend only on its data, hyperparameters and seed: not
 on k, not on its place in the stack, and not on the kernels numpy, BLAS
 or libm pick at run time.
 
-A network takes one of three paths, and each gives the same bits: the
-kernel with array sigmoids; the kernel where a layer of few numbers (units
-x lanes) maps a Python-float sigmoid over them; and, for a lone network
-with few parameters, Python floats throughout. The Python-float code runs
-the same operations in the same order, and Python's float ``+ - * /``,
-``round`` and ``math.ldexp`` are as portable as the kernel's.
+A layer's sigmoid takes one of two paths, and both give the same bits:
+the array sigmoid, or, for a layer of few numbers (units x lanes), a
+Python-float sigmoid mapped over them. The Python-float code runs the same
+operations in the same order, and Python's float ``+ - * /``, ``round``
+and ``math.ldexp`` are as portable as the kernel's.
 """
 
 from __future__ import annotations
@@ -82,10 +81,6 @@ _ONE = _const(1.0)
 # _sigmoid's constants, as Python floats
 _NEG_INV_LN2_F, _Z_MIN_F, _Z_MAX_F = map(float, (_NEG_INV_LN2, _Z_MIN, _Z_MAX))
 (_NEG_LN2_HI, _LN2_LO), (_E2, _O2), (_E1, _O1), (_E0, _O0) = _PAIRS.tolist()
-# train_mlp_stack trains a lone network of at most this many parameters on
-# Python floats: a step took 16, 20 and 27 us at 24, 34 and 56 parameters,
-# against 19, 20 and 21 us in the kernel (2-vCPU host, numpy 2.4)
-_ALONE_MAX_PARAMS = 34
 # a _Stack layer whose sigmoid takes at most this many numbers (units x
 # lanes) maps _sigmoid over them: 5.0, 9.1 and 11.2 us for 8, 16 and 20
 # numbers, against about 9.4 us for _Sigmoid
@@ -124,8 +119,17 @@ def scale_features(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _min_max_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(x - lo) / (hi - lo) along the last axis; 0 where hi == lo."""
-    span = hi - lo
+    """(x - lo) / (hi - lo) along the last axis; 0 where hi == lo.
+
+    A column whose span overflows is scaled from the halves of x, lo and hi.
+    """
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    wide = ~np.isfinite(span)
+    if wide.any():
+        half = np.where(wide, 0.5, 1.0)
+        x, lo, hi = x * half, lo * half, hi * half
+        span = hi - lo
     scaled = np.zeros_like(x, dtype=np.float64)
     nonconst = span > 0
     scaled[..., nonconst] = (x[..., nonconst] - lo[nonconst]) / span[nonconst]
@@ -202,16 +206,6 @@ def _sigmoid(z: float) -> float:
 def _sigmoid_each(z: np.ndarray, out: np.ndarray) -> None:
     """_Sigmoid's call, with _sigmoid on each number of z."""
     out.flat = list(map(_sigmoid, z.ravel().tolist()))
-
-
-def _dot(weights: list[float], inputs: list[float]) -> float:
-    """Sum of the products, left to right from 0.0 as np.add.reduce adds
-    a leading axis."""
-    # not sum() or math.sumprod: from Python 3.12 both compensate rounding
-    total = 0.0
-    for w, v in zip(weights, inputs):
-        total += w * v
-    return total
 
 
 class _Stack:
@@ -373,46 +367,6 @@ def _epoch_inputs(x_cols: np.ndarray, rows: np.ndarray, block: np.ndarray):
         yield from wide
 
 
-def _train_alone(
-    stack: _TrainingStack, x_cols, labels, rng: SplitMix64, params: MlpParams
-) -> float | None:
-    """Train the stack's network 0 on Python floats, with the kernel's
-    operations in its order; return the first non-finite epoch loss, or None."""
-    rows, labels = x_cols.T.tolist(), labels.tolist()
-    # one list of each unit's [weights ; bias], the hidden units first
-    layer1, layer2 = stack.layer1[..., 0].T, stack.layer2[..., 0].T
-    (h, d1), h1 = layer1.shape, layer2.shape[1]
-    theta = np.concatenate((layer1, layer2), None).tolist()
-    vel, split = [0.0] * len(theta), h * d1
-    units1, units2 = range(0, split, d1), range(split, len(theta), h1)
-    lr, mom = float(params.lr), float(params.momentum)
-    order = list(range(len(rows)))
-    for _ in range(params.epochs):
-        rng.shuffle(order)
-        loss = 0.0
-        for i in order:
-            x = rows[i]
-            hidden = [_sigmoid(_dot(theta[s : s + d1], x)) for s in units1]
-            act = hidden + [1.0]
-            w2 = [theta[s : s + h1] for s in units2]
-            output = [_sigmoid(_dot(w, act)) for w in w2]
-            err = output.copy()
-            err[labels[i]] -= 1.0
-            loss += 0.5 * _dot(err, err)
-            delta_out = [e * ((1.0 - y) * y) for e, y in zip(err, output)]
-            back = [_dot(col, delta_out) for col in zip(*w2)]  # w2^T delta_out
-            delta_hidden = [b * ((1.0 - a) * a) for b, a in zip(back, hidden)]
-            grad = [v * dh for dh in delta_hidden for v in x]
-            grad += [a * do for do in delta_out for a in act]
-            vel = [q * mom - g * lr for q, g in zip(vel, grad)]
-            theta = [p + q for p, q in zip(theta, vel)]
-        if not math.isfinite(loss):
-            return loss
-    layer1[...] = np.reshape(theta[:split], layer1.shape)
-    layer2[...] = np.reshape(theta[split:], layer2.shape)
-    return None
-
-
 def _scaled(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Min-max scaled features and the ranges they were scaled with."""
     lo, hi = data.features.min(axis=0), data.features.max(axis=0)
@@ -429,10 +383,9 @@ def train_mlp_stack(
     SplitMix64(seeds[i]) and gets the same bits as when trained alone.
     Datasets must share their feature and class counts; their sizes may
     differ by one, and a network with a row fewer sits out the last step
-    of each epoch, weights and momenta unchanged. A lone network of at most
-    _ALONE_MAX_PARAMS parameters trains on Python floats, and in the kernel a
-    layer of at most _SCALAR_SIGMOID_MAX numbers takes the Python-float
-    sigmoid; both paths give the array kernel's bits.
+    of each epoch, weights and momenta unchanged. A layer's sigmoid takes
+    one of two paths with the same bits: the Python-float sigmoid for at
+    most _SCALAR_SIGMOID_MAX numbers (units x lanes), else the array one.
     A network whose epoch loss is NaN/inf gets NonFiniteLossError.
     """
     if len(datasets) != len(seeds):
@@ -480,49 +433,46 @@ def train_mlp_stack(
         stack.set_params(j, w1.reshape(h, d), b1, w2.reshape(n_out, h), b2)
 
     first_bad_loss: list[float | None] = [None] * k
-    if k == 1 and n_params <= _ALONE_MAX_PARAMS:
-        first_bad_loss[0] = _train_alone(stack, x_cols, labels, rngs[0], params)
-    else:
-        lr, momentum = _const(params.lr), _const(params.momentum)
-        backward, step = stack.backward, stack.step
-        orders = [list(range(n)) for n in sizes]
-        # rows[t, j]: the row network j sees at step t; a short network's last
-        # entry is a placeholder whose step is undone
-        rows = np.tile(offsets, (n_max, 1))
-        short = np.array([j for j, n in enumerate(sizes) if n < n_max], dtype=np.intp)
-        n_block = min(n_max, max(1, _INPUT_BLOCK // ((d + 1) * h * lanes)))
-        block = np.empty((n_block, d + 1, h, lanes))
-        classes = np.arange(n_out)[:, None]
-        ts = np.empty((n_max, n_out, lanes))
-        errs = np.empty((n_max, n_out, lanes))
-        # each step's rows of ts and errs, as views made once per fit
-        ts_rows, err_rows = list(ts), list(errs)
-        # a diverging fit overflows to inf/NaN; NonFiniteLossError reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(params.epochs):
-                for j, rng in enumerate(rngs):
-                    rng.shuffle(orders[j])
-                    rows[: sizes[j], j] = orders[j]
-                    rows[: sizes[j], j] += offsets[j]
-                np.equal(labels[rows][:, None], classes, out=ts, casting="unsafe")
-                inputs = _epoch_inputs(x_cols, rows, block)
-                for x, target, err in zip(islice(inputs, n_max - 1), ts_rows, err_rows):
-                    backward(x, target, err)
-                    step(lr, momentum)
-                held = stack.theta[:, short], stack.vel[:, short]
-                backward(next(inputs), ts[-1], errs[-1])
+    lr, momentum = _const(params.lr), _const(params.momentum)
+    backward, step = stack.backward, stack.step
+    orders = [list(range(n)) for n in sizes]
+    # rows[t, j]: the row network j sees at step t; a short network's last
+    # entry is a placeholder whose step is undone
+    rows = np.tile(offsets, (n_max, 1))
+    short = np.array([j for j, n in enumerate(sizes) if n < n_max], dtype=np.intp)
+    n_block = min(n_max, max(1, _INPUT_BLOCK // ((d + 1) * h * lanes)))
+    block = np.empty((n_block, d + 1, h, lanes))
+    classes = np.arange(n_out)[:, None]
+    ts = np.empty((n_max, n_out, lanes))
+    errs = np.empty((n_max, n_out, lanes))
+    # each step's rows of ts and errs, as views made once per fit
+    ts_rows, err_rows = list(ts), list(errs)
+    # a diverging fit overflows to inf/NaN; NonFiniteLossError reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.epochs):
+            for j, rng in enumerate(rngs):
+                rng.shuffle(orders[j])
+                rows[: sizes[j], j] = orders[j]
+                rows[: sizes[j], j] += offsets[j]
+            np.equal(labels[rows][:, None], classes, out=ts, casting="unsafe")
+            inputs = _epoch_inputs(x_cols, rows, block)
+            for x, target, err in zip(islice(inputs, n_max - 1), ts_rows, err_rows):
+                backward(x, target, err)
                 step(lr, momentum)
-                stack.theta[:, short], stack.vel[:, short] = held
-                errs[-1, :, short] = 0.0
-                # epoch loss: sum over steps of 0.5 * sum(err**2), in place
-                np.multiply(errs, errs, out=errs)
-                np.add.accumulate(errs, axis=1, out=errs)
-                losses = _fixed_sum(0.5 * errs[:, -1], axis=0)
-                for j, loss in enumerate(losses[:k].tolist()):
-                    if first_bad_loss[j] is None and not math.isfinite(loss):
-                        first_bad_loss[j] = loss
-                if all(loss is not None for loss in first_bad_loss):
-                    break
+            held = stack.theta[:, short], stack.vel[:, short]
+            backward(next(inputs), ts[-1], errs[-1])
+            step(lr, momentum)
+            stack.theta[:, short], stack.vel[:, short] = held
+            errs[-1, :, short] = 0.0
+            # epoch loss: sum over steps of 0.5 * sum(err**2), in place
+            np.multiply(errs, errs, out=errs)
+            np.add.accumulate(errs, axis=1, out=errs)
+            losses = _fixed_sum(0.5 * errs[:, -1], axis=0)
+            for j, loss in enumerate(losses[:k].tolist()):
+                if first_bad_loss[j] is None and not math.isfinite(loss):
+                    first_bad_loss[j] = loss
+            if all(loss is not None for loss in first_bad_loss):
+                break
 
     for j, i in enumerate(live):
         if first_bad_loss[j] is not None:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import tree_depth
@@ -23,15 +23,14 @@ from ectshape.classifiers import (
 from ectshape.classifiers import decision_tree, naive_bayes
 from ectshape.classifiers.decision_tree import TreeLeaf, TreeSplit
 from ectshape.classifiers.perceptron import (
-    _ALONE_MAX_PARAMS,
     _POSTERIOR_LANES,
     _SCALAR_SIGMOID_MAX,
-    _dot,
     _Sigmoid,
     _sigmoid,
     _sigmoid_each,
     _Stack,
     _TrainingStack,
+    _min_max_scale,
     mlp_posterior,
     scale_features,
     train_mlp_stack,
@@ -229,6 +228,54 @@ def test_tree_midpoint_threshold():
     assert tree_posterior(model, np.array([[3.0], [5.0]])).tolist() == [
         [0.75, 0.25], [0.75, 0.25],  # 5.0 <= threshold goes left
     ]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MAX = np.finfo(float).max
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(FINITE, FINITE).filter(lambda p: p[0] != p[1]).map(sorted),
+        FINITE.filter(lambda a: a < MAX).map(lambda a: (a, math.nextafter(a, math.inf))),
+    )
+)
+@example((1.0 + 2**-52, 1.0 + 2**-51))  # the midpoint rounds up to b
+@example((5e-324, 1e-323))  # subnormal neighbours
+@example((0.0, 5e-324))
+@example((-5e-324, 0.0))
+@example((-1.7e308, 1.7e308))  # a + b = 0, b - a overflows
+@example((1.6e308, 1.7e308))  # a + b overflows
+@example((math.nextafter(MAX, 0.0), MAX))
+@example((-MAX, math.nextafter(-MAX, 0.0)))
+def test_tree_threshold_falls_between_neighbours(pair):
+    a, b = map(np.float64, pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = decision_tree._midpoint(a, b)
+    assert a <= t < b
+
+
+@pytest.mark.parametrize("a,b", [
+    (1.0 + 2**-52, 1.0 + 2**-51),  # adjacent doubles
+    (1.6e308, 1.7e308),  # their sum overflows
+])  # fmt: skip
+def test_tree_splits_once_between_close_or_huge_values(a, b):
+    data = dataset_1d([a] * 5 + [b] * 5, [0] * 5 + [1] * 5)
+    params = TreeParams(min_leaf=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best = decision_tree._best_split(data.features, data.labels, 2, params)
+        model = train_tree(data, params)
+    # the mask routes left exactly the rows the split was scored on
+    assert best.left_mask.tolist() == [True] * 5 + [False] * 5
+    assert a <= best.threshold < b
+    root = model.root
+    assert isinstance(root, TreeSplit) and root.threshold == best.threshold
+    assert isinstance(root.left, TreeLeaf) and isinstance(root.right, TreeLeaf)
+    labels = np.argmax(tree_posterior(model, data.features), axis=1)
+    assert labels.tolist() == data.labels.tolist()
 
 
 def test_tree_identical_features_single_leaf():
@@ -562,6 +609,16 @@ def test_mlp_scaling_constant_feature_and_no_clamp():
     assert scaled[1] == 0.0  # constant feature maps to 0
 
 
+def test_mlp_scaling_halves_only_a_column_whose_span_overflows():
+    x = np.array([[-1.7e308, 0.0], [0.0, 0.1], [1.7e308, 0.3]])
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = _min_max_scale(x, lo, hi)
+    assert scaled[:, 0].tolist() == [0.0, 0.5, 1.0]
+    assert scaled[:, 1].tobytes() == (x[:, 1] / 0.3).tobytes()
+
+
 def model_bytes(model):
     return [
         getattr(model, name).tobytes()
@@ -589,23 +646,21 @@ def sigmoid_kinds(k, d, h, n_out):
                  for sigmoid in _Stack(k, d, h, n_out).sigmoids)
 
 
-# (d, h, K) on both sides of the cuts. train_mlp trains a network of at most
-# _ALONE_MAX_PARAMS parameters on Python floats and a larger one on the numpy
-# kernel. In the kernel a layer of at most _SCALAR_SIGMOID_MAX numbers (units
-# x lanes) takes the Python-float sigmoid: a stack of two has at least one
-# such layer, and a stack wide enough has none.
-@pytest.mark.parametrize("d,h,n_out,ties,alone", [
-    (1, 1, 2, False, True),  # P = 6, where numpy adds a spare lane
-    (3, 3, 3, True, True),  # 24: the traces-256 shape
-    (9, 1, 12, False, True),  # 34
-    (2, 5, 6, True, False),  # 51
-    (10, 5, 3, False, False),  # 73
-    (1, 1, 40, False, False),  # 82: 40 outputs take the array sigmoid alone
-    (3, 8, 12, True, False),  # 140: the crossval shape
+# (d, h, K) on both sides of the cut: in the kernel a layer of at most
+# _SCALAR_SIGMOID_MAX numbers (units x lanes) takes the Python-float sigmoid.
+# A lone network and a stack of two have at least one such layer, and a stack
+# wide enough has none.
+@pytest.mark.parametrize("d,h,n_out,ties", [
+    (1, 1, 2, False),  # P = 6, where numpy adds a spare lane
+    (3, 3, 3, True),  # 24: the traces-256 shape
+    (9, 1, 12, False),  # 34
+    (2, 5, 6, True),  # 51
+    (10, 5, 3, False),  # 73
+    (1, 1, 40, False),  # 82: 40 outputs take the array sigmoid alone
+    (3, 8, 12, True),  # 140: the crossval shape
 ])  # fmt: skip
-def test_mlp_alone_matches_the_lockstep_kernel(d, h, n_out, ties, alone):
-    assert ((d + 1) * h + (h + 1) * n_out <= _ALONE_MAX_PARAMS) == alone
-    assert alone or "scalar" in sigmoid_kinds(1, d, h, n_out)
+def test_mlp_alone_matches_the_lockstep_kernel(d, h, n_out, ties):
+    assert "scalar" in sigmoid_kinds(1, d, h, n_out)
     wide = _SCALAR_SIGMOID_MAX // min(h, n_out) + 1
     assert "scalar" in sigmoid_kinds(2, d, h, n_out)
     assert sigmoid_kinds(wide, d, h, n_out) == ("array", "array")
@@ -618,30 +673,20 @@ def test_mlp_alone_matches_the_lockstep_kernel(d, h, n_out, ties, alone):
         assert all(model_bytes(model) == want for model in stacked)
 
 
-def test_mlp_alone_diverges_like_the_lockstep_kernel():
-    data = xor_dataset()
-    params = MlpParams(hidden=2, lr=1e308, momentum=1e308, epochs=50)
-    assert (2 + 1) * 2 + (2 + 1) * 2 <= _ALONE_MAX_PARAMS  # d = h = K = 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        stacked = train_mlp_stack([data, data], params, [0, 0])
-    with warnings.catch_warnings(), pytest.raises(NonFiniteLossError) as alone:
-        warnings.simplefilter("error")  # Python floats overflow silently
-        train_mlp(data, params, seed=0)
-    assert str(alone.value) == str(stacked[0]) == "training diverged (epoch loss nan)"
-
-
-def test_mlp_scalar_sigmoid_layers_diverge_like_array_sigmoids():
-    # the crossval shape: alone, both layers take the Python-float sigmoid;
-    # in a stack of three, neither does
-    data = oracle_dataset(np.random.default_rng(3812), 3, 12, False)
-    params = MlpParams(hidden=8, lr=1e308, momentum=1e308, epochs=50)
-    assert (3 + 1) * 8 + (8 + 1) * 12 > _ALONE_MAX_PARAMS
-    assert sigmoid_kinds(1, 3, 8, 12) == ("scalar", "scalar")
-    assert sigmoid_kinds(3, 3, 8, 12) == ("array", "array")
+# alone, both layers take the Python-float sigmoid; in a stack of k, neither
+@pytest.mark.parametrize("d,h,n_out,k", [
+    (2, 2, 2, 9),
+    (3, 8, 12, 3),  # the crossval shape
+])  # fmt: skip
+def test_mlp_scalar_sigmoid_layers_diverge_like_array_sigmoids(d, h, n_out, k):
+    rng = np.random.default_rng(d * 1000 + h * 100 + n_out)
+    data = oracle_dataset(rng, d, n_out, False)
+    params = MlpParams(hidden=h, lr=1e308, momentum=1e308, epochs=50)
+    assert sigmoid_kinds(1, d, h, n_out) == ("scalar", "scalar")
+    assert sigmoid_kinds(k, d, h, n_out) == ("array", "array")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning, OverflowError or ValueError
-        stacked = train_mlp_stack([data] * 3, params, [0] * 3)
+        stacked = train_mlp_stack([data] * k, params, [0] * k)
         with pytest.raises(NonFiniteLossError) as alone:
             train_mlp(data, params, seed=0)
     assert str(alone.value) == str(stacked[0]) == "training diverged (epoch loss nan)"
@@ -717,13 +762,6 @@ def test_sigmoid_accuracy():
     want = np.array([1 / (1 + math.exp(-v)) for v in z[0]])
     assert np.max(np.abs(out[0] - want) / want) < 4e-15
     assert_scalar_sigmoid_matches(z, out)
-
-
-def test_dot_adds_left_to_right_without_compensation():
-    # np.add.reduce gives 0.0 here; sum() and math.sumprod give 1.0 from
-    # Python 3.12, which would change the lone network's bits
-    assert _dot([1.0, 1.0, 1.0], [1e16, 1.0, -1e16]) == 0.0
-    assert np.add.reduce(np.array([[1e16, 1e16], [1.0, 1.0], [-1e16, -1e16]]))[0] == 0.0
 
 
 # The kernel's arithmetic in Python floats: every operation in the kernel's

@@ -779,21 +779,41 @@ def test_k_above_row_count_exits_3(tmp_path, capsys):
 CLI_CHILD = "import sys; from ectshape.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def run_cli_child(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", CLI_CHILD, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_diverging_mlp_prints_one_error_line(tmp_path, synth_dir, command):
     out = ["--model-out", str(tmp_path / "m.txt")] if command == "train" else [
         "--k", "3", "--out-dir", str(tmp_path / "eval")]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", CLI_CHILD, command,
-         "--manifest", str(synth_dir / "manifest.csv"), "--classifier", "mlp",
-         "--mlp-lr", "1e308", "--mlp-momentum", "1e308", "--mlp-epochs", "3"] + out,
-        env=env, capture_output=True, text=True, timeout=120,
+    proc = run_cli_child(
+        [command, "--manifest", str(synth_dir / "manifest.csv"), "--classifier", "mlp",
+         "--mlp-lr", "1e308", "--mlp-momentum", "1e308", "--mlp-epochs", "3"] + out
     )
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert re.fullmatch(r"error: (mlp: fold \d+: )?training diverged .*\n", proc.stderr)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_mlp_on_features_near_the_float_limit_prints_nothing(tmp_path, command):
+    # each column spans about -1.7e308..1.7e308, so its width overflows
+    csv = tmp_path / "features.csv"
+    values = [(-1) ** (i + 1) * (1.7e308 - i * 1e306) for i in range(12)]
+    rows = [f"r{i},{'ab'[i % 2]}," + ",".join([f"{v:.17g}"] * 10)
+            for i, v in enumerate(values)]
+    csv.write_text(FEATURE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    out = ["--model-out", str(tmp_path / "m.txt")] if command == "train" else [
+        "--k", "3", "--out-dir", str(tmp_path / "eval")]
+    proc = run_cli_child([command, "--features-csv", str(csv), "--classifier", "mlp",
+                          "--mlp-epochs", "30"] + out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if command == "train":
+        load_model((tmp_path / "m.txt").read_text())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
