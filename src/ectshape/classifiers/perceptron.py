@@ -121,7 +121,10 @@ def scale_features(model: MlpModel, x: np.ndarray) -> np.ndarray:
 def _min_max_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(x - lo) / (hi - lo) along the last axis; 0 where hi == lo.
 
-    A column whose span overflows is scaled from the halves of x, lo and hi.
+    A column whose span overflows is scaled from the halves of x, lo and hi,
+    and so is an entry whose x - lo overflows: a query row far outside the
+    training range (training rows lie inside it). The quotient itself may
+    still overflow there.
     """
     with np.errstate(over="ignore"):
         span = hi - lo
@@ -132,7 +135,14 @@ def _min_max_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         span = hi - lo
     scaled = np.zeros_like(x, dtype=np.float64)
     nonconst = span > 0
-    scaled[..., nonconst] = (x[..., nonconst] - lo[nonconst]) / span[nonconst]
+    x, lo, span = x[..., nonconst], lo[nonconst], span[nonconst]
+    with np.errstate(over="ignore"):
+        offset = x - lo
+    far = ~np.isfinite(offset)
+    if far.any():
+        offset = np.where(far, 0.5 * x - 0.5 * lo, offset)
+        span = np.where(far, 0.5 * span, span)
+    scaled[..., nonconst] = offset / span
     return scaled
 
 
@@ -517,14 +527,17 @@ def mlp_posterior(model: MlpModel, x: np.ndarray) -> np.ndarray:
     n, n_out = x.shape[0], model.num_classes
     stack = _Stack(min(n, _POSTERIOR_LANES), d, h, n_out)
     stack.set_params(slice(None), model.w1, model.b1, model.w2, model.b2)
-    scaled = scale_features(model, x)
     posterior = np.full((n, n_out), 1.0 / n_out)
-    for start in range(0, n, _POSTERIOR_LANES):
-        rows = scaled[start : start + _POSTERIOR_LANES]
-        m = rows.shape[0]
-        stack.forward(stack.inputs(rows))
-        total = _fixed_sum(stack.output, axis=0)[:m, None]
-        usable = (total > 0.0) & np.isfinite(total)
-        block = posterior[start : start + m]
-        np.divide(stack.output[:, :m].T, total, out=block, where=usable)
+    # a row far outside the training range can scale to +-inf, and its
+    # outputs to NaN: it keeps the uniform posterior
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = scale_features(model, x)
+        for start in range(0, n, _POSTERIOR_LANES):
+            rows = scaled[start : start + _POSTERIOR_LANES]
+            m = rows.shape[0]
+            stack.forward(stack.inputs(rows))
+            total = _fixed_sum(stack.output, axis=0)[:m, None]
+            usable = (total > 0.0) & np.isfinite(total)
+            block = posterior[start : start + m]
+            np.divide(stack.output[:, :m].T, total, out=block, where=usable)
     return posterior

@@ -28,8 +28,13 @@ _ZERO_WIDTH_REL = 1e-12
 # absolute moment magnitude below which the axis direction is a tie
 _ISOTROPY_TOL = 1e-12
 # largest coordinate magnitude measured: below it no moment, hull cross
-# product, area or squared perimeter overflows for fewer than 2**20 points
+# product, area or squared perimeter overflows for fewer than 2**20 points.
+# convex_hull also filters its chains' rows only below it; measuring at
+# unit scale (ROADMAP item 7) would make that gate always hold
 _MAX_COORD = 2.0**500
+# smallest nonzero coordinate magnitude at which convex_hull filters its
+# chains' rows: no product of two coordinate differences underflows
+_MIN_COORD = 2.0**-459
 
 FEATURE_NAMES_BASIC = ("L", "W", "alpha_deg")
 FEATURE_NAMES_EXTENDED = (
@@ -208,17 +213,56 @@ def convex_hull(cloud: PointCloud2D) -> ConvexPolygon:
     runs on the Python floats of `.tolist()`: they are the same IEEE
     doubles, and arithmetic on them costs a fraction of numpy-scalar
     indexing.
+
+    Each half-chain runs only on its quadrant-maxima candidates: the rows
+    whose y is at least as low (lower chain) or as high (upper chain) as
+    every y before them, or every y after them, in sort order. A dropped
+    row has a row strictly further out on each side, so the chain over
+    every row pops it, and all it popped, by the next candidate; rounding
+    is monotone, so the vertices keep their bits. Rounding could tell the
+    two apart only by popping a chain's lowest (highest) point for a point
+    no lower (higher). That takes a product that overflows (a coordinate
+    beyond `_MAX_COORD`, the bound that also caps what is measured) or
+    underflows (a nonzero one below `_MIN_COORD`), or two rows within
+    2**-49 of the largest coordinate magnitude of each other in both
+    coordinates. Where `_candidates_suffice` cannot rule these out, both
+    chains take every row. Measuring at unit scale (ROADMAP item 7) would
+    make the `_MAX_COORD` gate always hold.
     """
-    pts = _sorted_distinct(cloud.points).tolist()
-    if len(pts) < 3:
+    ordered = _sorted_distinct(cloud.points)
+    if ordered.shape[0] < 3:
         raise CollinearCloudError("fewer than 3 distinct points")
-    lower = _half_hull(pts)
-    pts.reverse()
-    upper = _half_hull(pts)
-    hull = lower[:-1] + upper[:-1]
+    lower = upper = slice(None)
+    if _candidates_suffice(ordered):
+        # a row is as low as every row before it iff it is the running min
+        y, back = ordered[:, 1], ordered[::-1, 1]
+        low, high = np.minimum.accumulate, np.maximum.accumulate
+        lower = (y == low(y)) | (y == low(back)[::-1])
+        upper = (y == high(y)) | (y == high(back)[::-1])
+    hull = (
+        _half_hull(ordered[lower].tolist())[:-1]
+        + _half_hull(ordered[upper][::-1].tolist())[:-1]
+    )
     if len(hull) < 3:
         raise CollinearCloudError("all points are collinear")
     return ConvexPolygon(vertices=np.array(hull, dtype=np.float64))
+
+
+def _candidates_suffice(ordered: np.ndarray) -> bool:
+    """Whether every coordinate is 0 or within [_MIN_COORD, _MAX_COORD] in
+    magnitude, and no two sorted rows lie within 2**-49 of the largest
+    magnitude of each other in both coordinates. Rows that close have a
+    nonzero x gap that small between neighbours, or neighbours of equal x
+    (whose ys are sorted) with a y gap that small."""
+    mag = np.abs(ordered)
+    top = mag.max()
+    if not top <= _MAX_COORD:
+        return False
+    if mag.min() < _MIN_COORD and ((mag < _MIN_COORD) & (mag != 0.0)).any():
+        return False
+    tol = 2.0**-49 * top
+    dx, dy = (ordered[1:] - ordered[:-1]).T
+    return not ((dx <= tol) & ((dx > 0.0) | (dy <= tol))).any()
 
 
 def _sorted_distinct(points: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ A record file holds one acquisition: one "RE IM" (or "RE,IM") pair per
 line, in ohms, in acquisition order. A manifest maps record files to
 class labels, one "path,label" per line, and parses to a tuple of
 (path, label) pairs. Both formats skip blank lines and '#' comments.
-Parsed samples are read-only arrays and parsed manifests are tuples, so
-both are safe to share across workers.
+Parsed samples are read-only arrays and parsed manifests are tuples:
+neither can be changed after parsing.
 """
 
 from __future__ import annotations

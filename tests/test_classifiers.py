@@ -30,6 +30,7 @@ from ectshape.classifiers.perceptron import (
     _sigmoid_each,
     _Stack,
     _TrainingStack,
+    MlpModel,
     _min_max_scale,
     mlp_posterior,
     scale_features,
@@ -617,6 +618,32 @@ def test_mlp_scaling_halves_only_a_column_whose_span_overflows():
         scaled = _min_max_scale(x, lo, hi)
     assert scaled[:, 0].tolist() == [0.0, 0.5, 1.0]
     assert scaled[:, 1].tobytes() == (x[:, 1] / 0.3).tobytes()
+
+
+def test_mlp_scaling_halves_an_entry_far_outside_the_range():
+    # the span 1e307 is finite, but -1e308 - 1e308 overflows
+    lo, hi = np.array([1e308, 0.0]), np.array([1.1e308, 1.0])
+    x = np.array([[-1e308, 0.5], [1.05e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = _min_max_scale(x, lo, hi)
+    assert scaled[0, 0] == (-1e308 / (0.5 * (hi[0] - lo[0])))
+    assert scaled[1, 0] == (1.05e308 - 1e308) / (hi[0] - lo[0])
+    assert scaled[:, 1].tolist() == [0.5, -1e308]
+
+
+def test_mlp_posterior_of_a_row_that_scales_to_inf():
+    # 1e300 scales to inf; through the zero weight its first hidden unit is
+    # NaN, so its outputs are NaN and it keeps the uniform posterior
+    model = MlpModel(
+        w1=np.array([[0.0], [1.0]]), b1=np.zeros(2), w2=np.eye(2), b2=np.zeros(2),
+        scaler_min=np.array([0.0]), scaler_max=np.array([1e-300]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        posterior = mlp_posterior(model, np.array([[1e300], [5e-301]]))
+    assert posterior[0].tolist() == [0.5, 0.5]
+    assert posterior[1, 1] > posterior[1, 0] > 0.0
 
 
 def model_bytes(model):

@@ -816,6 +816,20 @@ def test_mlp_on_features_near_the_float_limit_prints_nothing(tmp_path, command):
         load_model((tmp_path / "m.txt").read_text())
 
 
+def test_mlp_query_row_far_outside_the_training_range_prints_nothing(tmp_path):
+    # the -1e308 row lands in a test fold whose training rows lie in
+    # [1e308, 1.1e308]: each column's span is finite, but its x - lo is not
+    csv = tmp_path / "features.csv"
+    values = [-1e308] + [1e308 + i * 1e306 for i in range(11)]
+    rows = [f"r{i},{'ab'[i % 2]}," + ",".join([f"{v:.17g}"] * 10)
+            for i, v in enumerate(values)]
+    csv.write_text(FEATURE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    proc = run_cli_child(["evaluate", "--features-csv", str(csv), "--classifier", "mlp",
+                          "--k", "3", "--mlp-epochs", "30",
+                          "--out-dir", str(tmp_path / "eval")])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_evaluate_non_finite_feature_exits_with_line(tmp_path, capsys, value):
     csv = tmp_path / "features.csv"

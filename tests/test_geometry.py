@@ -1,4 +1,6 @@
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,10 @@ from ectshape.geometry import (
 )
 from ectshape.preprocess import PointCloud2D
 from ectshape.rng import SplitMix64
+from ectshape.synthetic import generate_synthetic, parse_synth_spec
 from reference import oriented_extents
+
+SPEC_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
 
 def cloud_of(*pts):
@@ -404,6 +409,18 @@ def hull_outcome(fn, points):
         return type(exc)
 
 
+@functools.cache
+def benchmark_records() -> tuple[np.ndarray, ...]:
+    """The records `ect-shape synth` makes from the benchmark's three specs,
+    at the benchmark's default seeds."""
+    records = []
+    for spec, seed in (("traces-256", 7), ("traces-short", 7), ("crossval", 42)):
+        text = (SPEC_DIR / f"{spec}.json").read_text()
+        for clouds in generate_synthetic(parse_synth_spec(text), seed):
+            records += [cloud.points for cloud in clouds]
+    return tuple(records)
+
+
 def oracle_cloud(rng: np.random.Generator, family: str) -> np.ndarray:
     n = int(rng.integers(3, 90))
     if family == "grid":  # duplicates and collinear runs on a small lattice
@@ -415,6 +432,22 @@ def oracle_cloud(rng: np.random.Generator, family: str) -> np.ndarray:
         values = [0.0, 1.0, -1.0, 1e300, -1e300, 1.7976931348623157e308,
                   -1.7976931348623157e308, 1e-320, 5e-324]
         pts = rng.choice(values, size=(n, 2))
+    elif family == "near-line":  # points a few ulps off a line y = a*x + b
+        a, b = rng.normal(size=2) * 10.0 ** rng.integers(-3, 4, size=2)
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        y = a * x + b
+        pts = np.column_stack((x, y + rng.integers(-3, 4, size=n) * np.spacing(y)))
+    elif family == "ellipse":  # a dense noisy trace, noise 1e-16 to 1e-1
+        m = int(rng.integers(64, 257))
+        theta = 2.0 * np.pi * np.arange(m) / m
+        phi = rng.uniform(-np.pi, np.pi)
+        rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+        pts = np.column_stack((3.0 * np.cos(theta), np.sin(theta))) @ rot.T
+        pts += rng.normal(size=2) * 5.0
+        pts += rng.normal(size=(m, 2)) * 10.0 ** rng.uniform(-16, -1)
+    elif family == "synth":  # a record of the benchmark's synth step
+        records = benchmark_records()
+        pts = records[rng.integers(len(records))].copy()
     else:  # a noisy cloud at one scale, with repeated rows
         scale = {"1e300": 1e300, "1e-300": 1e-300, "1e-320": 1e-320}[family]
         pts = rng.normal(size=(n, 2)) * scale
@@ -426,8 +459,11 @@ def oracle_cloud(rng: np.random.Generator, family: str) -> np.ndarray:
 
 @pytest.mark.parametrize(
     "seed,family",
-    enumerate(["grid", "lines", "extremes", "1e300", "1e-300", "1e-320"]),
-)
+    enumerate([
+        "grid", "lines", "extremes", "1e300", "1e-300", "1e-320",
+        "near-line", "ellipse", "synth",
+    ]),
+)  # fmt: skip
 def test_hull_matches_numpy_scalar_reference_bits(seed, family):
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
@@ -445,9 +481,74 @@ def test_hull_matches_numpy_scalar_reference_bits(seed, family):
                 # cross products that overflow to inf or NaN can leave a
                 # clockwise or straight turn, even a repeated vertex; where
                 # none overflows every turn is CCW (the pipeline measures no
-                # coordinate beyond 2**500, see central_moments)
-                if family not in ("extremes", "1e300"):
+                # coordinate beyond 2**500, see central_moments). Near-line
+                # turns are straight up to rounding, and the roll check's
+                # differences round otherwise than the chain's
+                if family not in ("extremes", "1e300", "near-line"):
                     assert reference_strictly_convex_ccw(got)
+
+
+@st.composite
+def hull_input(draw):
+    """Rows drawn from a small pool of values, so that duplicates, ties and
+    collinear runs are common. "finite": coordinates of magnitude at most
+    2**500, ±0.0 and subnormals among them, some pairs a few ulps apart;
+    "past the gate": the same with one value beyond 2**500 or a nonzero one
+    below 2**-459, where convex_hull gives each chain every row; "lattice":
+    a small integer lattice, scaled and shifted."""
+    kind = draw(st.sampled_from(["finite", "past the gate", "lattice"]))
+    n = draw(st.integers(3, 40))
+    if kind == "lattice":
+        k = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                          min_size=n, max_size=n))
+        scale = draw(st.sampled_from([1.0, 0.1, 3.7, 2.0**-30, 1e6]))
+        shift = draw(st.sampled_from([0.0, 0.3, -1e3, 2.0**20 + 0.5]))
+        return np.array(k, dtype=float) * scale + shift
+    finite = st.floats(-(2.0**500), 2.0**500, allow_nan=False)
+    pool = draw(st.lists(finite, min_size=1, max_size=6))
+    ulps = draw(st.lists(st.integers(-3, 3), max_size=3))
+    pool += [pool[0] + k * np.spacing(pool[0]) for k in ulps]
+    if kind == "past the gate":
+        big = st.floats(2.0**500, 2.0**510, exclude_min=True)
+        tiny = st.floats(0.0, 2.0**-459, exclude_min=True, exclude_max=True)
+        value = draw(big | tiny)
+        pool.append(value * draw(st.sampled_from([1.0, -1.0])))
+    index = st.integers(0, len(pool) - 1)
+    rows = draw(st.lists(st.tuples(index, index), min_size=n, max_size=n))
+    if kind == "past the gate":
+        rows[0] = (len(pool) - 1, rows[0][1])
+    return np.array([[pool[i], pool[j]] for i, j in rows])
+
+
+@settings(max_examples=400, deadline=None)
+@given(points=hull_input())
+def test_hull_matches_reference_bits_on_drawn_clouds(points):
+    assert_hull_matches_reference(points)
+
+
+def assert_hull_matches_reference(points):
+    with np.errstate(all="ignore"):
+        want = hull_outcome(reference_hull, points)
+        got = hull_outcome(
+            lambda p: convex_hull(PointCloud2D(points=p)).vertices, points
+        )
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+# On these clouds the chains over the quadrant-maxima candidates alone give
+# other vertices than the chains over every row: two rows lie within
+# 2**-49 * 2**53 = 16 of each other in both coordinates, or the products of
+# coordinate differences underflow. convex_hull must see it and run both
+# chains over every row.
+@pytest.mark.parametrize("points", [
+    [[-(2.0**53), 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, -(2.0**53)]],
+    [[1e-162, -9e-163], [7e-163, 6e-163], [3e-163, -1e-162], [-1e-162, -8e-163]],
+], ids=["close rows", "underflow"])  # fmt: skip
+def test_hull_chains_take_every_row_where_rounding_could_tell(points):
+    assert_hull_matches_reference(np.array(points))
 
 
 # --- polygon measures --------------------------------------------------------
