@@ -121,29 +121,19 @@ def scale_features(model: MlpModel, x: np.ndarray) -> np.ndarray:
 def _min_max_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(x - lo) / (hi - lo) along the last axis; 0 where hi == lo.
 
-    A column whose span overflows is scaled from the halves of x, lo and hi,
-    and so is an entry whose x - lo overflows: a query row far outside the
-    training range (training rows lie inside it). The quotient itself may
-    still overflow there.
+    An entry where hi - lo or x - lo overflows, in a column wider than the
+    float range or a query row far outside the training range (training
+    rows lie inside it), is (0.5*x - 0.5*lo) / (0.5*hi - 0.5*lo) instead:
+    halving numbers that large is exact. The quotient itself may still
+    overflow there.
     """
     with np.errstate(over="ignore"):
-        span = hi - lo
-    wide = ~np.isfinite(span)
+        span, offset = hi - lo, x - lo
+    wide = ~(np.isfinite(span) & np.isfinite(offset))
     if wide.any():
-        half = np.where(wide, 0.5, 1.0)
-        x, lo, hi = x * half, lo * half, hi * half
-        span = hi - lo
-    scaled = np.zeros_like(x, dtype=np.float64)
-    nonconst = span > 0
-    x, lo, span = x[..., nonconst], lo[nonconst], span[nonconst]
-    with np.errstate(over="ignore"):
-        offset = x - lo
-    far = ~np.isfinite(offset)
-    if far.any():
-        offset = np.where(far, 0.5 * x - 0.5 * lo, offset)
-        span = np.where(far, 0.5 * span, span)
-    scaled[..., nonconst] = offset / span
-    return scaled
+        span = np.where(wide, 0.5 * hi - 0.5 * lo, span)
+        offset = np.where(wide, 0.5 * x - 0.5 * lo, offset)
+    return np.divide(offset, span, out=np.zeros_like(offset), where=span > 0)
 
 
 def _fixed_sum(values: np.ndarray, axis: int) -> np.ndarray:

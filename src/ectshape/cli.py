@@ -1,8 +1,10 @@
 """Command-line frontend for the impedance-shape pipeline.
 
 Exit codes are fixed for scriptability: 0 success, 2 usage/config error,
-3 data/processing error. Subcommands raise; `main` alone maps the class
-of what escapes them to an exit code and one `error:` line.
+3 data/processing error. A flag's type converts its text and checks its
+range, so argparse refuses a bad value before any input is read.
+Subcommands raise; `main` alone maps the class of what escapes them to an
+exit code and one `error:` line.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import sys
 from collections import Counter
 from collections.abc import Callable, Container
-from typing import NoReturn
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .classifiers.decision_tree import MAX_DEPTH
 from .classifiers.serialize import load_model, save_model
 from .dataset import (
     FEATURE_CSV_HEADER,
-    FEATURE_MODES,
+    FEATURE_SETS,
     FeatureTable,
     feature_csv_row,
     parse_feature_csv,
@@ -53,15 +55,28 @@ EXIT_DATA = 3
 
 PREDICTIONS_CSV_HEADER = "record_id,predicted_label,confidence"
 
-# inclusive (low, high) of each numeric hyperparameter flag, None unbounded
-_PARAM_RANGES = {
-    "k": (2, None),
-    "mlp_lr": (0, None),
-    "mlp_hidden": (1, None),
-    "mlp_epochs": (1, None),
-    "tree_max_depth": (1, MAX_DEPTH),
-    "tree_min_leaf": (1, None),
-}
+
+def _checked(kind: type, bound: str, ok: Callable[[Any], bool]) -> Callable[[str], Any]:
+    """An argparse type: the text converted by kind, refused unless ok, which
+    NaN must fail. It bears kind's name, so that text kind cannot convert
+    still reads `invalid int value: 'abc'`."""
+
+    def convert(text: str) -> Any:
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    convert.__name__ = kind.__name__
+    return convert
+
+
+_COUNT = _checked(int, "at least 1", lambda v: v >= 1)
+_FOLDS = _checked(int, "at least 2", lambda v: v >= 2)
+_DEPTH = _checked(int, f"in 1..{MAX_DEPTH}", lambda v: 1 <= v <= MAX_DEPTH)
+_RATE = _checked(float, "finite and at least 0", lambda v: 0 <= v < math.inf)
+_FINITE = _checked(float, "finite", math.isfinite)
+_QUANTILE = _checked(float, "in (0, 1]", lambda v: 0 < v <= 1)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,33 +88,21 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser({named}).parse_args(argv)
     except SystemExit as exc:  # --help, --version or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    for flag in ("--mlp-lr", "--mlp-momentum"):
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and not math.isfinite(value):
-            return _fail_config(f"{flag} must be finite, got {value}")
-    for name, (low, high) in _PARAM_RANGES.items():
-        value = getattr(args, name, None)
-        if value is None or (low <= value and (high is None or value <= high)):
-            continue
-        flag = "--" + name.replace("_", "-")
-        bound = f"at least {low}" if high is None else f"in {low}..{high}"
-        return _fail_config(f"{flag} must be {bound}, got {value}")
     policy = None
     if "trim_mode" in args:
-        # also false for NaN
-        if not 0.0 < args.trim_quantile <= 1.0:
-            return _fail_config("quantile_q must be in (0, 1]")
         policy = TrimPolicy(args.trim_quantile, args.trim_mode.replace("-", "_"))
     # an unreadable input is a usage error; this clause comes first because
     # UnicodeDecodeError is a ValueError
     try:
         return args.func(args, policy)
     except (OSError, UnicodeDecodeError, BadSpecError) as exc:
-        return _fail_config(str(exc))
+        code, message = EXIT_CONFIG, str(exc)
     except (EctShapeError, ValueError) as exc:
-        return _fail_data(str(exc))
+        code, message = EXIT_DATA, str(exc)
     except MemoryError as exc:  # numpy's message names the size it wanted
-        return _fail_data(str(exc) or "out of memory")
+        code, message = EXIT_DATA, str(exc) or "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,7 +147,7 @@ def _extract_arguments(p: argparse.ArgumentParser) -> None:
 def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     _add_input_group(p)
     p.add_argument("--classifier", required=True, choices=CLASSIFIER_KINDS + ("all",))
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_FOLDS, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.add_argument(
@@ -152,7 +155,7 @@ def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="summarize with fold-mean metrics instead of the pooled matrix",
     )
-    p.add_argument("--features", choices=FEATURE_MODES, default="basic")
+    p.add_argument("--features", choices=FEATURE_SETS, default="basic")
     _add_trim_flags(p)
     _add_param_flags(p)
     p.set_defaults(func=cmd_evaluate)
@@ -163,7 +166,7 @@ def _train_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classifier", required=True, choices=CLASSIFIER_KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", required=True)
-    p.add_argument("--features", choices=FEATURE_MODES, default="basic")
+    p.add_argument("--features", choices=FEATURE_SETS, default="basic")
     _add_trim_flags(p)
     _add_param_flags(p)
     p.set_defaults(func=cmd_train)
@@ -214,26 +217,17 @@ def _add_trim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trim-mode", choices=("both-axes", "radial", "none"), default="both-axes"
     )
-    p.add_argument("--trim-quantile", type=float, default=0.98)
+    p.add_argument("--trim-quantile", type=_QUANTILE, default=0.98)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mlp-hidden", type=int, default=None)
-    p.add_argument("--mlp-lr", type=float, default=0.3)
-    p.add_argument("--mlp-momentum", type=float, default=0.2)
-    p.add_argument("--mlp-epochs", type=int, default=500)
-    p.add_argument("--tree-max-depth", type=int, default=25)
-    p.add_argument("--tree-min-leaf", type=int, default=2)
-
-
-def _fail_config(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_CONFIG
-
-
-def _fail_data(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_DATA
+    """The `--<kind>-<param>` flags; `_params_for` maps them to params."""
+    p.add_argument("--mlp-hidden", type=_COUNT, default=None)
+    p.add_argument("--mlp-lr", type=_RATE, default=0.3)
+    p.add_argument("--mlp-momentum", type=_FINITE, default=0.2)
+    p.add_argument("--mlp-epochs", type=_COUNT, default=500)
+    p.add_argument("--tree-max-depth", type=_DEPTH, default=25)
+    p.add_argument("--tree-min-leaf", type=_COUNT, default=2)
 
 
 def _config_of(args: argparse.Namespace) -> dict:
@@ -318,7 +312,7 @@ def cmd_extract(args: argparse.Namespace, policy: TrimPolicy) -> int:
     table, skipped = extract_table(manifest, reader, policy)
     if skipped and args.strict:
         path, exc = skipped[0]
-        return _fail_data(f"{path}: {exc}")
+        raise EctShapeError(f"{path}: {exc}")
     _report_skips(skipped, len(manifest))
     lines = [FEATURE_CSV_HEADER] + [
         feature_csv_row(rid, label_name, values)
@@ -345,18 +339,13 @@ def _load_table(args: argparse.Namespace, policy: TrimPolicy) -> FeatureTable:
 
 
 def _params_for(kind: str, args: argparse.Namespace) -> dict:
-    if kind == "tree":
-        return {"max_depth": args.tree_max_depth, "min_leaf": args.tree_min_leaf}
-    if kind == "mlp":
-        params = {
-            "lr": args.mlp_lr,
-            "momentum": args.mlp_momentum,
-            "epochs": args.mlp_epochs,
-        }
-        if args.mlp_hidden is not None:
-            params["hidden"] = args.mlp_hidden
-        return params
-    return {}
+    """The params of kind: its `<kind>_*` flags that are set, unprefixed."""
+    prefix = f"{kind}_"
+    return {
+        key.removeprefix(prefix): value
+        for key, value in vars(args).items()
+        if key.startswith(prefix) and value is not None
+    }
 
 
 def cmd_evaluate(args: argparse.Namespace, policy: TrimPolicy) -> int:
@@ -364,7 +353,7 @@ def cmd_evaluate(args: argparse.Namespace, policy: TrimPolicy) -> int:
     try:
         data = table.to_dataset(args.features)
     except ValueError as exc:
-        return _fail_data(f"not stratifiable: {exc}")
+        raise EctShapeError(f"not stratifiable: {exc}") from exc
     kinds = CLASSIFIER_KINDS if args.classifier == "all" else (args.classifier,)
     os.makedirs(args.out_dir, exist_ok=True)
     config = _config_of(args)
@@ -384,7 +373,7 @@ def cmd_evaluate(args: argparse.Namespace, policy: TrimPolicy) -> int:
                 per_fold_mean=args.per_fold_mean,
             )
         except EctShapeError as exc:
-            return _fail_data(f"{kind}: {exc}")
+            raise EctShapeError(f"{kind}: {exc}") from exc
         write_artifact(
             os.path.join(args.out_dir, f"report_{kind}.txt"),
             report_text(report).splitlines(),
@@ -429,7 +418,7 @@ def cmd_classify(args: argparse.Namespace, policy: TrimPolicy) -> int:
     manifest, reader = _load_manifest_from(args.manifest)
     unknown = [n for n in trained.feature_names if n not in FEATURE_NAMES_EXTENDED]
     if unknown:
-        return _fail_data(f"model feature {unknown[0]!r} is not an extracted feature")
+        raise EctShapeError(f"model feature {unknown[0]!r} is not an extracted feature")
     # a model that reads no hull column needs no hull measured
     basic = set(trained.feature_names) <= set(FEATURE_NAMES_BASIC)
     table, skipped = extract_table(manifest, reader, policy, basic)
@@ -491,10 +480,7 @@ def cmd_plot(args: argparse.Namespace, policy: TrimPolicy) -> int:
         svg = record_svg(trim_noise(to_point_cloud(samples, rid), policy), rid)
         out_name = f"{rid}.svg"
     else:
-        table = parse_feature_csv(_read(args.features_csv))
-        if table.values.shape[0] == 0:
-            return _fail_config("feature CSV has no data rows")
-        svg = features_svg(table)
+        svg = features_svg(parse_feature_csv(_read(args.features_csv)))
         out_name = "features.svg"
     os.makedirs(args.out_dir, exist_ok=True)
     # the artifact header as XML comments, legal before the <svg> root

@@ -19,15 +19,8 @@ from .textio import first_failing, iter_data_lines
 
 FEATURE_CSV_HEADER = "record_id,label," + ",".join(FEATURE_NAMES_EXTENDED)
 
-FEATURE_MODES = ("basic", "extended")
-
-
-def feature_names_for_mode(mode: str) -> tuple[str, ...]:
-    if mode == "basic":
-        return FEATURE_NAMES_BASIC
-    if mode == "extended":
-        return FEATURE_NAMES_EXTENDED
-    raise ValueError(f"feature mode must be one of {FEATURE_MODES}")
+# the training columns of each --features choice
+FEATURE_SETS = {"basic": FEATURE_NAMES_BASIC, "extended": FEATURE_NAMES_EXTENDED}
 
 
 class LabeledDataset(NamedTuple):
@@ -120,7 +113,7 @@ class FeatureTable(NamedTuple):
     def to_dataset(self, mode: str = "basic") -> LabeledDataset:
         index_of = {name: i for i, name in enumerate(self.class_names)}
         labels = np.array([index_of[n] for n in self.label_names], dtype=np.int64)
-        names = feature_names_for_mode(mode)
+        names = FEATURE_SETS[mode]
         return labeled_dataset(self.columns(names), labels, len(self.class_names), names)
 
 

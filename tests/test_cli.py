@@ -10,6 +10,7 @@ from pathlib import Path
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +23,8 @@ from ectshape.artifacts import (
     comparable_artifact,
     config_echo,
 )
-from ectshape.classifiers import predict
-from ectshape.classifiers.serialize import load_model
+from ectshape.classifiers import CLASSIFIER_KINDS, predict, train_model
+from ectshape.classifiers.serialize import load_model, save_model
 from ectshape import geometry
 from ectshape.cli import (
     PREDICTIONS_CSV_HEADER,
@@ -33,7 +34,8 @@ from ectshape.cli import (
     main,
 )
 from ectshape.errors import CollinearCloudError
-from ectshape.dataset import FEATURE_CSV_HEADER, parse_feature_csv
+from ectshape.dataset import FEATURE_CSV_HEADER, feature_csv_row, parse_feature_csv
+from ectshape.evaluation import cross_validate, metrics_csv_lines
 from ectshape.ingest import parse_record
 from ectshape.plots import record_svg
 from ectshape.preprocess import TrimPolicy, to_point_cloud, trim_noise
@@ -213,6 +215,19 @@ def test_synth_bad_spec_exits_2(tmp_path, capsys):
     assert main(["synth", "--spec", str(spec),
                  "--out-dir", str(tmp_path / "o")]) == 2
     assert "n_points" in capsys.readouterr().err
+    huge = "1" + "0" * 400
+    for doc, message in [
+        ('{"classes": {}}', "'classes' must be an array"),
+        # an integer beyond the float range is refused, not converted to inf
+        ('{"classes": [{"n_points": 16, "axis_lengths": [2, 1], "n_records": 1,'
+         f' "rotation_deg": {huge}}}]}}',
+         "class 0: rotation_deg: int too large to convert to float"),
+    ]:
+        spec.write_text(doc)
+        assert main(["synth", "--spec", str(spec),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("noise_sigma", [0.1, 0.0])
@@ -722,7 +737,8 @@ def test_out_of_range_hyperparameter_exits_2_with_one_line(
     code = main([command, "--manifest", str(synth_dir / "manifest.csv"),
                  "--classifier", "mlp", flag, value] + out)
     assert code == 2
-    assert capsys.readouterr().err == f"error: {flag} must be {bound}, got {value}\n"
+    err = capsys.readouterr().err
+    assert err == f"error: argument {flag}: must be {bound}, got {value}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -738,8 +754,9 @@ def test_non_finite_mlp_rate_exits_2_before_reading_input(
     code = main([command, "--features-csv", str(tmp_path / "absent.csv"),
                  "--classifier", "mlp", f"{flag}={value}"] + out)
     assert code == 2
+    bound = "finite and at least 0" if flag == "--mlp-lr" else "finite"
     err = capsys.readouterr().err
-    assert err == f"error: {flag} must be finite, got {float(value)}\n"
+    assert err == f"error: argument {flag}: must be {bound}, got {float(value)}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -751,8 +768,75 @@ def test_negative_mlp_rate_exits_2_before_reading_input(tmp_path, capsys, comman
     code = main([command, "--features-csv", str(tmp_path / "absent.csv"),
                  "--classifier", "mlp", "--mlp-lr=-0.3"] + out)
     assert code == 2
-    assert capsys.readouterr().err == "error: --mlp-lr must be at least 0, got -0.3\n"
+    err = capsys.readouterr().err
+    assert err == "error: argument --mlp-lr: must be finite and at least 0, got -0.3\n"
     assert not any(tmp_path.iterdir())
+
+
+# each --<kind>-* flag and the param of kind it sets
+PARAM_FLAGS = {
+    "mlp": (["--mlp-hidden", "2", "--mlp-lr", "0.5", "--mlp-momentum", "0.1",
+             "--mlp-epochs", "3"],
+            {"hidden": 2, "lr": 0.5, "momentum": 0.1, "epochs": 3}),
+    "tree": (["--tree-max-depth", "2", "--tree-min-leaf", "3"],
+             {"max_depth": 2, "min_leaf": 3}),
+}
+
+
+def artifact_body(path):
+    """The lines of an artifact after its `# config:` header line."""
+    lines = path.read_text().splitlines()
+    config = next(i for i, line in enumerate(lines) if line.startswith("# config:"))
+    return lines[config + 1:]
+
+
+@pytest.fixture(scope="module")
+def noise_features(tmp_path_factory):
+    """40 rows of uniform noise in three classes, which no shallow tree fits."""
+    values = np.random.default_rng(0).uniform(1.0, 2.0, size=(40, 10))
+    rows = [feature_csv_row(f"r{i}", "abc"[i % 3], v) for i, v in enumerate(values)]
+    csv = tmp_path_factory.mktemp("features") / "features.csv"
+    csv.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
+    return csv
+
+
+@pytest.mark.parametrize("kind", sorted(PARAM_FLAGS))
+def test_every_param_flag_reaches_the_fit(tmp_path, noise_features, kind):
+    flags, params = PARAM_FLAGS[kind]
+    model = tmp_path / "model.txt"
+    assert main(["train", "--features-csv", str(noise_features), "--classifier", kind,
+                 "--seed", "4", "--model-out", str(model)] + flags) == 0
+    table = parse_feature_csv(noise_features.read_text())
+
+    def body(params):
+        trained = train_model(
+            kind, table.to_dataset(), params, seed=4, class_names=table.class_names
+        )
+        return save_model(trained).splitlines()
+
+    assert artifact_body(model) == body(params)
+    # each flag matters: its param left at the default gives another model
+    for name in params:
+        assert body({k: v for k, v in params.items() if k != name}) != body(params)
+
+
+def test_evaluate_all_gives_each_kind_its_own_params(tmp_path, noise_features):
+    flags = PARAM_FLAGS["mlp"][0] + PARAM_FLAGS["tree"][0]
+    common = ["--features-csv", str(noise_features), "--k", "3", "--seed", "4"]
+    assert main(["evaluate", "--classifier", "all",
+                 "--out-dir", str(tmp_path / "all")] + common + flags) == 0
+    table = parse_feature_csv(noise_features.read_text())
+    for kind in CLASSIFIER_KINDS:
+        single = tmp_path / kind
+        assert main(["evaluate", "--classifier", kind,
+                     "--out-dir", str(single)] + common + flags) == 0
+        name = f"metrics_{kind}.csv"
+        assert artifact_body(tmp_path / "all" / name) == artifact_body(single / name)
+        report = cross_validate(
+            table.to_dataset(), kind, PARAM_FLAGS.get(kind, ([], {}))[1], k=3, seed=4,
+            class_names=table.class_names,
+        )
+        assert artifact_body(single / name) == metrics_csv_lines(report)
 
 
 @pytest.mark.parametrize("value", ["1", "0"])
@@ -760,7 +844,8 @@ def test_k_below_two_exits_2_before_reading_input(tmp_path, capsys, value):
     code = main(["evaluate", "--features-csv", str(tmp_path / "absent.csv"),
                  "--classifier", "nb", "--k", value, "--out-dir", str(tmp_path / "eval")])
     assert code == 2
-    assert capsys.readouterr().err == f"error: --k must be at least 2, got {value}\n"
+    err = capsys.readouterr().err
+    assert err == f"error: argument --k: must be at least 2, got {value}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -1008,33 +1093,38 @@ def test_plot_degenerate_record_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_plot_empty_features_csv_exits_2(tmp_path, capsys):
+def test_plot_empty_features_csv_exits_3(tmp_path, capsys):
+    # a readable CSV with nothing to draw is a data error, as on evaluate
     csv = tmp_path / "empty.csv"
     csv.write_text(FEATURE_CSV_HEADER + "\n")
     code = main(["plot", "--features-csv", str(csv),
                  "--out-dir", str(tmp_path / "plots")])
-    assert code == 2
-    assert "no data rows" in capsys.readouterr().err
+    assert code == 3
+    assert capsys.readouterr().err == "error: feature table is empty\n"
+    assert not (tmp_path / "plots").exists()
 
 
 def test_plot_features_legend_per_class(tmp_path):
-    rows = [FEATURE_CSV_HEADER]
-    for c in range(12):
-        for r in range(2):
-            values = [4.0 + c, 1.0 + 0.1 * c, 10.0 * c - 60.0,
-                      3.0, 9.0, 0.7, 2.0, 0.8, 0.5, 0.97]
-            rows.append(
-                f"rec{c:02d}_{r},type{c:02d}," + ",".join(map(str, values))
-            )
-    csv = tmp_path / "features.csv"
-    csv.write_text("\n".join(rows) + "\n")
-    out_dir = tmp_path / "plots"
-    assert main(["plot", "--features-csv", str(csv),
-                 "--out-dir", str(out_dir)]) == 0
-    svg = (out_dir / "features.svg").read_text()
-    assert svg.count('class="legend-entry"') == 12
-    for c in range(12):
-        assert f"type{c:02d}" in svg
+    # one row spans nothing on either axis, and is centred on a unit range
+    for n_classes, n_rows in [(12, 2), (1, 1)]:
+        rows = [FEATURE_CSV_HEADER]
+        for c in range(n_classes):
+            for r in range(n_rows):
+                values = [4.0 + c, 1.0 + 0.1 * c, 10.0 * c - 60.0,
+                          3.0, 9.0, 0.7, 2.0, 0.8, 0.5, 0.97]
+                rows.append(
+                    f"rec{c:02d}_{r},type{c:02d}," + ",".join(map(str, values))
+                )
+        csv = tmp_path / "features.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        out_dir = tmp_path / f"plots{n_classes}"
+        assert main(["plot", "--features-csv", str(csv),
+                     "--out-dir", str(out_dir)]) == 0
+        svg = (out_dir / "features.svg").read_text()
+        assert svg.count("<svg") == 1
+        assert svg.count('class="legend-entry"') == n_classes
+        for c in range(n_classes):
+            assert f"type{c:02d}" in svg
 
 
 # --- artifact headers and file modes ------------------------------------------

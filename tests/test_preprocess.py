@@ -97,7 +97,9 @@ def test_trim_policy_validation(tmp_path, capsys):
         argv = ["extract", "--manifest", str(tmp_path / "missing.csv"),
                 "--out", str(tmp_path / "f.csv"), f"--trim-quantile={q}"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: quantile_q must be in (0, 1]\n"
+        assert capsys.readouterr().err == (
+            f"error: argument --trim-quantile: must be in (0, 1], got {float(q)}\n"
+        )
     assert not (tmp_path / "f.csv").exists()
     with pytest.raises(ValueError, match="mode must be one of"):
         trim_noise(cloud_of((0, 0), (1, 1), (2, 0)), TrimPolicy(mode="diagonal"))
