@@ -42,18 +42,22 @@ def artifact_header(config: dict, seed: int | None = None) -> list[str]:
     return lines
 
 
-def _is_timestamp_line(line: str) -> bool:
-    stripped = line.strip()
-    return stripped.startswith("# timestamp:") or stripped.startswith(
-        "<!-- timestamp:"
-    )
+def _xml_comment(line: str) -> str:
+    """A `# ` header line as an XML comment. XML forbids `--` inside a
+    comment, so a space goes between every two adjacent hyphens."""
+    text = line.removeprefix("# ")
+    while "--" in text:
+        text = text.replace("--", "- -")
+    return f"<!-- {text} -->\n"
 
 
 def comparable_artifact(text: str) -> str:
-    """Artifact text with the timestamp header line dropped, for bit-exact
-    comparison of reruns."""
+    """Artifact text with the timestamp header line, in either form,
+    dropped, for bit-exact comparison of reruns."""
     return "\n".join(
-        line for line in text.splitlines() if not _is_timestamp_line(line)
+        line
+        for line in text.splitlines()
+        if not line.strip().startswith((TIMESTAMP_PREFIX, "<!-- timestamp:"))
     )
 
 
@@ -89,8 +93,18 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_artifact(
-    path: str, body_lines: list[str], config: dict, seed: int | None = None
-) -> None:
-    lines = artifact_header(config, seed) + body_lines
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_artifact(path: str, text: str, config: dict, seed: int | None = None) -> None:
+    """Write text under the artifact header, atomically.
+
+    The header is `#` lines, or for a path ending in `.svg` XML comments,
+    which are legal before the <svg> root. A text that does not end in a
+    newline gets one.
+    """
+    header = artifact_header(config, seed)
+    if path.endswith(".svg"):
+        head = "".join(map(_xml_comment, header))
+    else:
+        head = "\n".join(header) + "\n"
+    if text and not text.endswith("\n"):
+        text += "\n"
+    atomic_write_text(path, head + text)

@@ -17,7 +17,7 @@ from ..dataset import LabeledDataset
 from ..errors import DimensionMismatchError
 from .decision_tree import TreeModel, TreeParams, train_tree, tree_posterior
 from .naive_bayes import GnbModel, gnb_posterior, train_gnb
-from .perceptron import MlpModel, MlpParams, mlp_posterior, train_mlp
+from .perceptron import MlpModel, MlpParams, mlp_posterior, train_mlp_stack
 
 CLASSIFIER_KINDS = ("nb", "tree", "mlp")
 
@@ -59,7 +59,9 @@ def train_model(
     elif kind == "tree":
         model = train_tree(data, TreeParams(**params))
     elif kind == "mlp":
-        model = train_mlp(data, MlpParams(**params), seed)
+        (model,) = train_mlp_stack([data], MlpParams(**params), [seed])
+        if isinstance(model, Exception):  # EmptyClassError, NonFiniteLossError
+            raise model
     else:
         raise ValueError(f"unknown classifier kind {kind!r}")
     return TrainedModel(

@@ -6,7 +6,7 @@ targets are one-hot and the loss is squared error. Weight init and the
 per-epoch example order come from one seeded generator per network.
 
 One kernel runs a stack of networks in lockstep: it trains the k folds of
-a cross-validation, or a single network (k = 1) for ``train_mlp``, and
+a cross-validation, or a single network (k = 1) for ``train_model``, and
 ``mlp_posterior`` runs one copy of a network per query row. A stack makes
 its scratch arrays and binds its sequence of ufunc calls once, when it is
 built, so that an SGD step looks up and allocates nothing. Its arithmetic
@@ -93,9 +93,6 @@ class MlpParams(NamedTuple):
     momentum: float = 0.2
     epochs: int = 500
 
-    def resolve_hidden(self, d: int, k: int) -> int:
-        return self.hidden if self.hidden is not None else math.ceil((d + k) / 2)
-
 
 class MlpModel(NamedTuple):
     w1: np.ndarray  # (h, d)
@@ -108,14 +105,6 @@ class MlpModel(NamedTuple):
     @property
     def num_classes(self) -> int:
         return int(self.w2.shape[0])
-
-
-def scale_features(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Min-max scale with the stored training ranges; no clamping.
-
-    Constant training features map to 0.
-    """
-    return _min_max_scale(x, model.scaler_min, model.scaler_max)
 
 
 def _min_max_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -258,10 +247,6 @@ class _Stack:
             sigmoid_out(z2, output)
 
         self.forward = forward
-
-    def params(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of network f's w1, b1, w2, b2."""
-        return _split(self.layer1[..., f], self.layer2[..., f])
 
     def set_params(self, f: int | slice, w1, b1, w2, b2) -> None:
         """Give network f (or every network in slice f) these parameters."""
@@ -408,7 +393,7 @@ def train_mlp_stack(
     if min(sizes) < n_max - 1:
         raise ValueError("dataset sizes differ by more than one")
     k = len(live)
-    h = params.resolve_hidden(d, n_out)
+    h = params.hidden if params.hidden is not None else math.ceil((d + n_out) / 2)
     if h < 1:
         raise ValueError("need at least one hidden unit")
     stack = _TrainingStack(k, d, h, n_out)
@@ -482,26 +467,12 @@ def train_mlp_stack(
             continue
         if not np.isfinite(stack.theta[:, j]).all():
             raise ValueError("parameters must be finite")
-        w1, b1, w2, b2 = stack.params(j)
+        w1, b1, w2, b2 = _split(stack.layer1[..., j], stack.layer2[..., j])
         _, scaler_min, scaler_max = scaled[j]
         results[i] = MlpModel(
             w1=w1, b1=b1, w2=w2, b2=b2, scaler_min=scaler_min, scaler_max=scaler_max
         )
     return results
-
-
-def train_mlp(
-    data: LabeledDataset, params: MlpParams = MlpParams(), seed: int = 0
-) -> MlpModel:
-    """Train with per-example SGD and momentum; deterministic given seed.
-
-    Raises EmptyClassError if a class has no rows and NonFiniteLossError if
-    the epoch loss diverges to NaN/inf.
-    """
-    (result,) = train_mlp_stack([data], params, [seed])
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def mlp_posterior(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -521,7 +492,7 @@ def mlp_posterior(model: MlpModel, x: np.ndarray) -> np.ndarray:
     # a row far outside the training range can scale to +-inf, and its
     # outputs to NaN: it keeps the uniform posterior
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = scale_features(model, x)
+        scaled = _min_max_scale(x, model.scaler_min, model.scaler_max)
         for start in range(0, n, _POSTERIOR_LANES):
             rows = scaled[start : start + _POSTERIOR_LANES]
             m = rows.shape[0]

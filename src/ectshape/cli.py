@@ -19,13 +19,8 @@ from typing import Any, NoReturn
 
 import numpy as np
 
-from .artifacts import (
-    TOOL_VERSION,
-    artifact_header,
-    atomic_write_text,
-    write_artifact,
-)
-from .classifiers import CLASSIFIER_KINDS, predict, train_model
+from .artifacts import TOOL_VERSION, write_artifact
+from .classifiers import CLASSIFIER_KINDS, MlpParams, TreeParams, predict, train_model
 from .classifiers.decision_tree import MAX_DEPTH
 from .classifiers.serialize import load_model, save_model
 from .dataset import (
@@ -217,17 +212,19 @@ def _add_trim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trim-mode", choices=("both-axes", "radial", "none"), default="both-axes"
     )
-    p.add_argument("--trim-quantile", type=_QUANTILE, default=0.98)
+    p.add_argument("--trim-quantile", type=_QUANTILE, default=TrimPolicy().quantile_q)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    """The `--<kind>-<param>` flags; `_params_for` maps them to params."""
-    p.add_argument("--mlp-hidden", type=_COUNT, default=None)
-    p.add_argument("--mlp-lr", type=_RATE, default=0.3)
-    p.add_argument("--mlp-momentum", type=_FINITE, default=0.2)
-    p.add_argument("--mlp-epochs", type=_COUNT, default=500)
-    p.add_argument("--tree-max-depth", type=_DEPTH, default=25)
-    p.add_argument("--tree-min-leaf", type=_COUNT, default=2)
+    """The `--<kind>-<param>` flags, defaulting to the library's params;
+    `_params_for` maps them to params."""
+    mlp, tree = MlpParams(), TreeParams()
+    p.add_argument("--mlp-hidden", type=_COUNT, default=mlp.hidden)
+    p.add_argument("--mlp-lr", type=_RATE, default=mlp.lr)
+    p.add_argument("--mlp-momentum", type=_FINITE, default=mlp.momentum)
+    p.add_argument("--mlp-epochs", type=_COUNT, default=mlp.epochs)
+    p.add_argument("--tree-max-depth", type=_DEPTH, default=tree.max_depth)
+    p.add_argument("--tree-min-leaf", type=_COUNT, default=tree.min_leaf)
 
 
 def _config_of(args: argparse.Namespace) -> dict:
@@ -320,7 +317,7 @@ def cmd_extract(args: argparse.Namespace, policy: TrimPolicy) -> int:
             table.record_ids, table.label_names, table.values
         )
     ]
-    write_artifact(args.out, lines, _config_of(args))
+    write_artifact(args.out, "\n".join(lines), _config_of(args))
     return EXIT_OK
 
 
@@ -376,13 +373,13 @@ def cmd_evaluate(args: argparse.Namespace, policy: TrimPolicy) -> int:
             raise EctShapeError(f"{kind}: {exc}") from exc
         write_artifact(
             os.path.join(args.out_dir, f"report_{kind}.txt"),
-            report_text(report).splitlines(),
+            report_text(report),
             config,
             seed=args.seed,
         )
         write_artifact(
             os.path.join(args.out_dir, f"metrics_{kind}.csv"),
-            metrics_csv_lines(report),
+            "\n".join(metrics_csv_lines(report)),
             config,
             seed=args.seed,
         )
@@ -404,12 +401,7 @@ def cmd_train(args: argparse.Namespace, policy: TrimPolicy) -> int:
         seed=args.seed,
         class_names=table.class_names,
     )
-    write_artifact(
-        args.model_out,
-        save_model(trained).splitlines(),
-        _config_of(args),
-        seed=args.seed,
-    )
+    write_artifact(args.model_out, save_model(trained), _config_of(args), seed=args.seed)
     return EXIT_OK
 
 
@@ -431,7 +423,7 @@ def cmd_classify(args: argparse.Namespace, policy: TrimPolicy) -> int:
             table.record_ids, labels.tolist(), confidences.tolist()
         )
     ]
-    write_artifact(args.out, lines, _config_of(args))
+    write_artifact(args.out, "\n".join(lines), _config_of(args))
     return EXIT_OK
 
 
@@ -446,14 +438,14 @@ def cmd_synth(args: argparse.Namespace, policy: None) -> int:
             stem = f"{cls.name}_{i:02d}"
             write_artifact(
                 os.path.join(args.out_dir, f"{stem}.csv"),
-                record_to_text(cloud.points).splitlines(),
+                record_to_text(cloud.points),
                 config,
                 seed=args.seed,
             )
             manifest_lines.append(f"{stem}.csv,{cls.name}")
     write_artifact(
         os.path.join(args.out_dir, "manifest.csv"),
-        manifest_lines,
+        "\n".join(manifest_lines),
         config,
         seed=args.seed,
     )
@@ -462,15 +454,6 @@ def cmd_synth(args: argparse.Namespace, policy: None) -> int:
         f" to {args.out_dir}"
     )
     return EXIT_OK
-
-
-def _xml_comment(line: str) -> str:
-    """A `# ` header line as an XML comment. XML forbids `--` inside a
-    comment, so a space goes between every two adjacent hyphens."""
-    text = line.removeprefix("# ")
-    while "--" in text:
-        text = text.replace("--", "- -")
-    return f"<!-- {text} -->\n"
 
 
 def cmd_plot(args: argparse.Namespace, policy: TrimPolicy) -> int:
@@ -483,9 +466,7 @@ def cmd_plot(args: argparse.Namespace, policy: TrimPolicy) -> int:
         svg = features_svg(parse_feature_csv(_read(args.features_csv)))
         out_name = "features.svg"
     os.makedirs(args.out_dir, exist_ok=True)
-    # the artifact header as XML comments, legal before the <svg> root
-    header = "".join(_xml_comment(line) for line in artifact_header(_config_of(args)))
-    atomic_write_text(os.path.join(args.out_dir, out_name), header + svg)
+    write_artifact(os.path.join(args.out_dir, out_name), svg, _config_of(args))
     return EXIT_OK
 
 

@@ -15,7 +15,6 @@ from ectshape.classifiers import (
     gnb_posterior,
     predict,
     train_gnb,
-    train_mlp,
     train_model,
     train_tree,
     tree_posterior,
@@ -33,7 +32,6 @@ from ectshape.classifiers.perceptron import (
     MlpModel,
     _min_max_scale,
     mlp_posterior,
-    scale_features,
     train_mlp_stack,
 )
 from ectshape.classifiers.serialize import save_model
@@ -544,6 +542,11 @@ def test_mlp_gradients_match_finite_differences():
                 assert rel < 1e-4
 
 
+def fit_mlp(data, params=MlpParams(), seed=0):
+    """The network that train_model fits."""
+    return train_model("mlp", data, params._asdict(), seed).model
+
+
 def xor_dataset():
     return LabeledDataset(
         features=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
@@ -555,25 +558,25 @@ def xor_dataset():
 
 def test_mlp_learns_xor():
     data = xor_dataset()
-    model = train_mlp(data, MlpParams(hidden=4, epochs=5000), seed=1)
+    model = fit_mlp(data, MlpParams(hidden=4, epochs=5000), seed=1)
     trained = TrainedModel("mlp", model, data.feature_names, 2)
     assert predict(trained, data.features)[0].tolist() == [0, 1, 1, 0]
 
 
 def test_mlp_memorizes_one_point_per_class():
     data = dataset_1d([0.0, 1.0], [0, 1])
-    model = train_mlp(data, MlpParams(epochs=500), seed=0)
+    model = fit_mlp(data, MlpParams(epochs=500), seed=0)
     trained = TrainedModel("mlp", model, data.feature_names, 2)
     assert predict(trained, np.array([[0.0], [1.0]]))[0].tolist() == [0, 1]
 
 
 def test_mlp_bitwise_deterministic():
     data = blob_dataset(seed=2, n_per=6)
-    m0 = train_mlp(data, MlpParams(epochs=20), seed=9)
-    m1 = train_mlp(data, MlpParams(epochs=20), seed=9)
+    m0 = fit_mlp(data, MlpParams(epochs=20), seed=9)
+    m1 = fit_mlp(data, MlpParams(epochs=20), seed=9)
     for a, b in ((m0.w1, m1.w1), (m0.b1, m1.b1), (m0.w2, m1.w2), (m0.b2, m1.b2)):
         assert np.array_equal(a, b)
-    m2 = train_mlp(data, MlpParams(epochs=20), seed=10)
+    m2 = fit_mlp(data, MlpParams(epochs=20), seed=10)
     assert not np.array_equal(m0.w1, m2.w1)
 
 
@@ -582,20 +585,21 @@ def test_mlp_divergence_guard():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NonFiniteLossError):
-            train_mlp(data, MlpParams(hidden=2, lr=1e308, momentum=1e308, epochs=50))
+            fit_mlp(data, MlpParams(hidden=2, lr=1e308, momentum=1e308, epochs=50))
 
 
 def test_mlp_default_hidden_size():
-    assert MlpParams().resolve_hidden(3, 12) == math.ceil((3 + 12) / 2)
     data = blob_dataset(seed=4, n_per=3)  # d=2, K=3 -> hidden ceil(5/2)=3
-    model = train_mlp(data, MlpParams(epochs=1))
+    model = fit_mlp(data, MlpParams(epochs=1))
     assert model.w1.shape == (3, 2)
+    data = oracle_dataset(np.random.default_rng(0), 3, 12, ties=False)
+    assert fit_mlp(data, MlpParams(epochs=1)).w1.shape == (math.ceil((3 + 12) / 2), 3)
 
 
 def test_mlp_empty_class_raises():
     data = dataset_1d([1.0, 2.0], [0, 0], num_classes=2)
     with pytest.raises(EmptyClassError):
-        train_mlp(data, MlpParams(epochs=1))
+        fit_mlp(data, MlpParams(epochs=1))
 
 
 def test_mlp_scaling_constant_feature_and_no_clamp():
@@ -604,8 +608,8 @@ def test_mlp_scaling_constant_feature_and_no_clamp():
         features=x, labels=np.array([0, 0, 1]),
         num_classes=2, feature_names=("a", "b"),
     )
-    model = train_mlp(data, MlpParams(epochs=1))
-    scaled = scale_features(model, np.array([20.0, 7.0]))
+    model = fit_mlp(data, MlpParams(epochs=1))
+    scaled = _min_max_scale(np.array([20.0, 7.0]), model.scaler_min, model.scaler_max)
     assert scaled[0] == 2.0  # outside training range, not clamped
     assert scaled[1] == 0.0  # constant feature maps to 0
 
@@ -663,7 +667,7 @@ def test_mlp_lockstep_folds_match_training_alone():
     seeds = [derive_seed(11, f + 1) for f in range(7)]
     stacked = train_mlp_stack(train_sets, MlpParams(epochs=3), seeds)
     for train_set, seed, model in zip(train_sets, seeds, stacked):
-        alone = train_mlp(train_set, MlpParams(epochs=3), seed=seed)
+        alone = fit_mlp(train_set, MlpParams(epochs=3), seed=seed)
         assert model_bytes(model) == model_bytes(alone)
 
 
@@ -694,7 +698,7 @@ def test_mlp_alone_matches_the_lockstep_kernel(d, h, n_out, ties):
     rng = np.random.default_rng(d * 100 + h * 10 + n_out)
     data = oracle_dataset(rng, d, n_out, ties)
     params = MlpParams(hidden=h, lr=0.5, momentum=0.6, epochs=4)
-    want = model_bytes(train_mlp(data, params, seed=5))
+    want = model_bytes(fit_mlp(data, params, seed=5))
     for k in (2, wide):
         stacked = train_mlp_stack([data] * k, params, [5] * k)
         assert all(model_bytes(model) == want for model in stacked)
@@ -715,7 +719,7 @@ def test_mlp_scalar_sigmoid_layers_diverge_like_array_sigmoids(d, h, n_out, k):
         warnings.simplefilter("error")  # no warning, OverflowError or ValueError
         stacked = train_mlp_stack([data] * k, params, [0] * k)
         with pytest.raises(NonFiniteLossError) as alone:
-            train_mlp(data, params, seed=0)
+            fit_mlp(data, params, seed=0)
     assert str(alone.value) == str(stacked[0]) == "training diverged (epoch loss nan)"
 
 
@@ -738,7 +742,7 @@ def test_mlp_stack_reports_each_networks_error():
     calm = train_mlp_stack([one_class, good], MlpParams(hidden=2, epochs=5), [2, 3])
     assert isinstance(calm[0], EmptyClassError)
     assert model_bytes(calm[1]) == model_bytes(
-        train_mlp(good, MlpParams(hidden=2, epochs=5), seed=3)
+        fit_mlp(good, MlpParams(hidden=2, epochs=5), seed=3)
     )
 
 
@@ -954,9 +958,10 @@ def test_mlp_predict_on_no_rows_and_one_row_with_one_hidden_unit():
     assert labels.shape == (0,) and posteriors.shape == (0, 12)
     model = trained.model
     for row in data.features:
+        scaled = _min_max_scale(row, model.scaler_min, model.scaler_max)
         _, output, _, _ = oracle_backward(
             model.w1.tolist(), model.b1.tolist(), model.w2.tolist(),
-            model.b2.tolist(), scale_features(model, row).tolist(), [0.0] * 12,
+            model.b2.tolist(), scaled.tolist(), [0.0] * 12,
         )  # fmt: skip
         total = output[0]
         for v in output[1:]:
@@ -1026,7 +1031,7 @@ def reference_mlp_posterior(model, x):
     h, d = model.w1.shape
     stack = _Stack(1, d, h, model.num_classes)
     stack.set_params(0, model.w1, model.b1, model.w2, model.b2)
-    stack.forward(stack.inputs(scale_features(model, x)[None]))
+    stack.forward(stack.inputs(_min_max_scale(x, model.scaler_min, model.scaler_max)[None]))
     output = stack.output[:, 0]
     total = float(np.add.accumulate(output)[-1])
     if total <= 0.0 or not math.isfinite(total):

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from datetime import datetime
 from pathlib import Path
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape
@@ -16,21 +17,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tree_depth
+from ectshape import artifacts
 from ectshape.artifacts import (
     TOOL_VERSION,
+    _xml_comment,
     artifact_header,
     atomic_write_text,
     comparable_artifact,
     config_echo,
+    write_artifact,
 )
-from ectshape.classifiers import CLASSIFIER_KINDS, predict, train_model
+from ectshape.classifiers import (
+    CLASSIFIER_KINDS,
+    MlpParams,
+    TreeParams,
+    predict,
+    train_model,
+)
 from ectshape.classifiers.serialize import load_model, save_model
 from ectshape import geometry
 from ectshape.cli import (
     PREDICTIONS_CSV_HEADER,
     _SUBCOMMANDS,
     _build_parser,
-    _xml_comment,
+    _params_for,
     main,
 )
 from ectshape.errors import CollinearCloudError
@@ -839,6 +849,18 @@ def test_evaluate_all_gives_each_kind_its_own_params(tmp_path, noise_features):
         assert artifact_body(single / name) == metrics_csv_lines(report)
 
 
+def test_param_flag_defaults_are_the_library_defaults():
+    args = _build_parser({"evaluate"}).parse_args(
+        ["evaluate", "--features-csv", "x", "--classifier", "all", "--out-dir", "o"]
+    )
+    assert _params_for("nb", args) == {}
+    # --mlp-hidden is unset by default, as MlpParams().hidden is None
+    mlp = {key: v for key, v in MlpParams()._asdict().items() if v is not None}
+    assert _params_for("mlp", args) == mlp
+    assert _params_for("tree", args) == TreeParams()._asdict()
+    assert args.trim_quantile == TrimPolicy().quantile_q
+
+
 @pytest.mark.parametrize("value", ["1", "0"])
 def test_k_below_two_exits_2_before_reading_input(tmp_path, capsys, value):
     code = main(["evaluate", "--features-csv", str(tmp_path / "absent.csv"),
@@ -1127,7 +1149,60 @@ def test_plot_features_legend_per_class(tmp_path):
             assert f"type{c:02d}" in svg
 
 
+@pytest.mark.parametrize("flag", ["--record", "--features-csv"])
+def test_plot_rerun_comparable_identical(tmp_path, synth_dir, noise_features, flag):
+    source, name = {
+        "--record": (synth_dir / "round_00.csv", "round_00.svg"),
+        "--features-csv": (noise_features, "features.svg"),
+    }[flag]
+    args = ["plot", flag, str(source), "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    first = (tmp_path / name).read_text()
+    assert main(args) == 0  # identical config, same destination
+    second = (tmp_path / name).read_text()
+    assert comparable_artifact(second) == comparable_artifact(first)
+    # what the comparison drops is the one timestamp line
+    assert len(comparable_artifact(first).splitlines()) == len(first.splitlines()) - 1
+
+
 # --- artifact headers and file modes ------------------------------------------
+
+
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    """The artifact header's timestamp, fixed at 2000-01-01."""
+
+    class Frozen(datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2000, 1, 1, tzinfo=tz)
+
+    monkeypatch.setattr(artifacts, "datetime", Frozen)
+
+
+WRITER_CONFIG = {"command": "synth", "out_dir": "a--b", "seed": 7}
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("text", ["", "\n", "1 2\n", "1 2\n3 4", "a\n\nb\n\n"])
+def test_write_artifact_puts_comment_lines_before_the_text(
+    tmp_path, frozen_clock, text, seed
+):
+    path = tmp_path / "artifact.csv"
+    write_artifact(str(path), text, WRITER_CONFIG, seed)
+    # the form of a writer that took the body as lines
+    lines = artifact_header(WRITER_CONFIG, seed) + text.splitlines()
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_write_artifact_svg_header_is_xml_comments(tmp_path, frozen_clock, seed):
+    path = tmp_path / "plot.svg"
+    text = '<svg xmlns="http://www.w3.org/2000/svg">\n</svg>\n'
+    write_artifact(str(path), text, WRITER_CONFIG, seed)
+    header = artifact_header(WRITER_CONFIG, seed)
+    assert path.read_bytes() == ("".join(map(_xml_comment, header)) + text).encode()
+    ElementTree.parse(path)
 
 def comment_header(path):
     """The leading comment lines of an artifact: `#` lines, or the XML
