@@ -248,17 +248,6 @@ def _read(path: str) -> str:
             ) from None
 
 
-def _load_manifest_from(path: str):
-    manifest = load_manifest(_read(path))
-    base = os.path.dirname(os.path.abspath(path))
-
-    def reader(rel: str) -> str:
-        full = rel if os.path.isabs(rel) else os.path.join(base, rel)
-        return _read(full)
-
-    return manifest, reader
-
-
 def extract_table(
     manifest: tuple[tuple[str, str], ...],
     reader: Callable[[str], str],
@@ -293,24 +282,33 @@ def extract_table(
     return table, skipped
 
 
-def _report_skips(skipped: list[tuple[str, Exception]], total: int) -> None:
-    """One stderr warning per skipped record, then a closing summary line."""
-    if not skipped:
-        return
-    for path, exc in skipped:
-        print(f"warning: skipping {path}: {exc}", file=sys.stderr)
-    counts = Counter(type(exc).__name__ for _, exc in skipped)
-    kinds = ", ".join(f"{name}×{n}" for name, n in counts.most_common())
-    print(f"skipped {len(skipped)}/{total}: {kinds}", file=sys.stderr)
+def _extract_manifest(
+    args: argparse.Namespace, policy: TrimPolicy, basic: bool = False
+) -> FeatureTable:
+    """extract_table of --manifest, whose paths are relative to its directory.
+
+    A skipped record is an error under --strict; otherwise each gets one
+    stderr warning, and a closing summary line follows.
+    """
+    manifest = load_manifest(_read(args.manifest))
+    base = os.path.dirname(os.path.abspath(args.manifest))
+    table, skipped = extract_table(
+        manifest, lambda rel: _read(os.path.join(base, rel)), policy, basic
+    )
+    if skipped and getattr(args, "strict", False):
+        path, exc = skipped[0]
+        raise EctShapeError(f"{path}: {exc}")
+    if skipped:
+        for path, exc in skipped:
+            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+        counts = Counter(type(exc).__name__ for _, exc in skipped)
+        kinds = ", ".join(f"{name}×{n}" for name, n in counts.most_common())
+        print(f"skipped {len(skipped)}/{len(manifest)}: {kinds}", file=sys.stderr)
+    return table
 
 
 def cmd_extract(args: argparse.Namespace, policy: TrimPolicy) -> int:
-    manifest, reader = _load_manifest_from(args.manifest)
-    table, skipped = extract_table(manifest, reader, policy)
-    if skipped and args.strict:
-        path, exc = skipped[0]
-        raise EctShapeError(f"{path}: {exc}")
-    _report_skips(skipped, len(manifest))
+    table = _extract_manifest(args, policy)
     lines = [FEATURE_CSV_HEADER] + [
         feature_csv_row(rid, label_name, values)
         for rid, label_name, values in zip(
@@ -329,10 +327,7 @@ def _load_table(args: argparse.Namespace, policy: TrimPolicy) -> FeatureTable:
     """
     if args.features_csv:
         return parse_feature_csv(_read(args.features_csv))
-    manifest, reader = _load_manifest_from(args.manifest)
-    table, skipped = extract_table(manifest, reader, policy)
-    _report_skips(skipped, len(manifest))
-    return table
+    return _extract_manifest(args, policy)
 
 
 def _params_for(kind: str, args: argparse.Namespace) -> dict:
@@ -407,14 +402,12 @@ def cmd_train(args: argparse.Namespace, policy: TrimPolicy) -> int:
 
 def cmd_classify(args: argparse.Namespace, policy: TrimPolicy) -> int:
     trained = load_model(_read(args.model))
-    manifest, reader = _load_manifest_from(args.manifest)
     unknown = [n for n in trained.feature_names if n not in FEATURE_NAMES_EXTENDED]
     if unknown:
         raise EctShapeError(f"model feature {unknown[0]!r} is not an extracted feature")
     # a model that reads no hull column needs no hull measured
     basic = set(trained.feature_names) <= set(FEATURE_NAMES_BASIC)
-    table, skipped = extract_table(manifest, reader, policy, basic)
-    _report_skips(skipped, len(manifest))
+    table = _extract_manifest(args, policy, basic)
     labels, posteriors = predict(trained, table.columns(trained.feature_names))
     confidences = posteriors[np.arange(labels.shape[0]), labels]
     lines = [PREDICTIONS_CSV_HEADER] + [

@@ -8,14 +8,13 @@ the full set.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import MalformedLineError
 from .geometry import FEATURE_NAMES_BASIC, FEATURE_NAMES_EXTENDED
-from .textio import first_failing, iter_data_lines
+from .textio import data_lines, first_bad_line, iter_data_lines
 
 FEATURE_CSV_HEADER = "record_id,label," + ",".join(FEATURE_NAMES_EXTENDED)
 
@@ -135,19 +134,17 @@ def parse_feature_csv(text: str) -> FeatureTable:
     non-finite feature value raises MalformedLineError at the first bad
     line.
     """
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    lines = data_lines(text)
     if not lines:
         raise MalformedLineError(0, "feature CSV has no header line")
-    bad, why = 0, "expected feature CSV header"
-    if lines[0] == FEATURE_CSV_HEADER:
-        rows = lines[1:]
-        table = _parse_block(rows)
+    if lines[0] != FEATURE_CSV_HEADER:
+        line_no, why = next(iter_data_lines(text))[0], "expected feature CSV header"
+    else:
+        table = _parse_block(lines[1:])
         if isinstance(table, FeatureTable):
             return table
         # the rows fail as a block only where one fails alone: raise the first
-        bad = 1 + first_failing(rows, _parse_block)
-        why = _parse_block([lines[bad]])
-    line_no, _ = next(islice(iter_data_lines(text), bad, None))
+        line_no, why = first_bad_line(text, _parse_block, start=1)
     raise MalformedLineError(line_no, f"line {line_no}: {why}")
 
 

@@ -15,8 +15,6 @@ from .errors import BadKError
 from .rng import SplitMix64, derive_seed
 from .textio import format_float
 
-METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "precision", "mcc")
-
 METRICS_CSV_HEADER = "classifier,fold,class,accuracy,sensitivity,specificity,precision,mcc"
 
 
@@ -61,7 +59,7 @@ def metric_table(counts: np.ndarray) -> np.ndarray:
     """One-vs-rest metrics of every class of a stack of confusion matrices.
 
     `counts` is `(..., K, K)`; the result is `(..., K, 5)`, one row per
-    class in METRIC_NAMES order. Each value is what the scalar formula
+    class in MetricSet field order. Each value is what the scalar formula
     gives in double precision: the cell sums are exact integers, every
     operation keeps the scalar order, and a zero denominator scores 0.
     """

@@ -10,8 +10,6 @@ neither can be changed after parsing.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from .errors import (
@@ -20,7 +18,7 @@ from .errors import (
     MalformedLineError,
     NonFiniteSampleError,
 )
-from .textio import first_failing, iter_data_lines
+from .textio import data_lines, first_bad_line, iter_data_lines
 
 
 def parse_record(text: str, record_id: str) -> np.ndarray:
@@ -40,17 +38,13 @@ def parse_record(text: str, record_id: str) -> np.ndarray:
     EmptyRecordError
         No data lines at all.
     """
-    # a comment is decided on the stripped raw line, before the comma
-    # replacement, as in iter_data_lines
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    lines = data_lines(text)
     samples = _parse_block(lines)
     if isinstance(samples, str):
         if not lines:
             raise EmptyRecordError(f"record {record_id!r} has no data lines")
         # the block fails only where a line fails alone: raise the first
-        bad = first_failing(lines, _parse_block)
-        line_no, line = next(islice(iter_data_lines(text), bad, None))
-        why = _parse_block([line])
+        line_no, why = first_bad_line(text, _parse_block)
         if why is _NON_FINITE:
             raise NonFiniteSampleError(line_no)
         raise MalformedLineError(line_no, f"line {line_no}: {why}")

@@ -102,11 +102,10 @@ def record_svg(cloud: PointCloud2D, record_id: str = "") -> str:
     moments = central_moments(cloud)
     axes = principal_axes(moments)
     cx, cy = moments.centroid
-    u = np.array(axes.major)
-    v = np.array(axes.minor)
-    pts = np.column_stack((cloud.x, cloud.y))
-    su = pts @ u
-    sv = pts @ v
+    (ux, uy), (vx, vy) = axes.major, axes.minor
+    u, v = np.array(axes.major), np.array(axes.minor)
+    # term by term, as geometry's oriented box: row 0 onto u, row 1 onto v
+    su, sv = cloud.x * ((ux,), (vx,)) + cloud.y * ((uy,), (vy,))
     # oriented box corners, walked around the rectangle
     corners = [
         su.min() * u + sv.min() * v,
@@ -114,10 +113,10 @@ def record_svg(cloud: PointCloud2D, record_id: str = "") -> str:
         su.max() * u + sv.max() * v,
         su.min() * u + sv.max() * v,
     ]
-    c_v = float(np.array([cx, cy]) @ v)
+    c_v = cx * vx + cy * vy
     axis_ends = [su.min() * u + c_v * v, su.max() * u + c_v * v]
 
-    everything = np.vstack([pts, corners])
+    everything = np.vstack([cloud.points, corners])
     frame = _Frame(
         60,
         40,
@@ -136,7 +135,7 @@ def record_svg(cloud: PointCloud2D, record_id: str = "") -> str:
         )
     parts.append(frame.frame_rect())
     parts.extend(frame.axis_labels("resistance", "reactance"))
-    for x, y in pts:
+    for x, y in cloud.points:
         sx, sy = frame.to_screen(float(x), float(y))
         parts.append(
             f'<circle class="sample" cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2.2"'

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import BadSpecError
 from .preprocess import PointCloud2D
 from .rng import SplitMix64
+from .textio import split_lines
 
 
 class SynthClassSpec(NamedTuple):
@@ -46,11 +47,9 @@ def parse_synth_spec(text: str) -> tuple[SynthClassSpec, ...]:
     center, rotation_deg and noise_sigma are optional. Raises BadSpecError
     for a malformed doc or class, or a duplicate name.
     """
-    # a comment line reads as an empty one, so a JSON error names its line;
-    # lines end at "\n" alone, as JSON counts them (splitlines() would also
-    # break inside a string at U+2028, "\x0c" and the like)
+    # a comment line reads as an empty one, so a JSON error names its line
     blanked = "\n".join(
-        "" if line.lstrip().startswith("#") else line for line in text.split("\n")
+        "" if line.lstrip().startswith("#") else line for line in split_lines(text)
     )
     try:
         doc = json.loads(blanked)

@@ -321,6 +321,21 @@ def test_extract_prints_no_skip_summary_without_skips(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_extract_ends_lines_only_at_newlines(tmp_path, capsys):
+    # str.splitlines would also end a line at U+2028 and "\x0c": gone.csv
+    # would come back from its comment, and the bad line would read as 11
+    write_record(tmp_path / "good.csv", good_points())
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("good.csv,a\n# retired: old\u2028gone.csv,a\n", encoding="utf-8")
+    argv = ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")]
+    assert main(argv + ["--strict"]) == 0
+    assert capsys.readouterr().err == ""
+    (tmp_path / "bad.csv").write_text("1 2\n" * 6 + "1 2\x0c\n" + "1 2\n" * 2 + "1 2 3\n")
+    make_manifest(tmp_path, [("good.csv", "a"), ("bad.csv", "a")])
+    assert main(argv + ["--strict"]) == 3
+    assert capsys.readouterr().err == "error: bad.csv: line 10: expected 2 fields, got 3\n"
+
+
 def ellipse_points(n, a, b, scale=1.0):
     return [
         (scale * a * math.cos(2 * math.pi * i / n),

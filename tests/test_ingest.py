@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ectshape.classifiers import train_model
+from ectshape.classifiers.serialize import load_model, save_model
 from ectshape.cli import extract_table
-from ectshape.dataset import FEATURE_CSV_HEADER, labeled_dataset, parse_feature_csv
+from ectshape.dataset import (
+    FEATURE_CSV_HEADER,
+    feature_csv_row,
+    labeled_dataset,
+    parse_feature_csv,
+)
 from ectshape.errors import (
     DuplicatePathError,
     EmptyRecordError,
     MalformedLineError,
+    ModelFormatError,
     NonFiniteSampleError,
     TooFewSamplesError,
 )
@@ -41,6 +49,56 @@ def test_format_float_round_trips_any(x):
 def test_iter_data_lines_skips_comments_and_blanks():
     text = "# header\n\n  1 2\n   # another\n3 4\n\n"
     assert list(iter_data_lines(text)) == [(3, "1 2"), (5, "3 4")]
+
+
+# --- what ends a line ----------------------------------------------------------
+
+def _table_of(text):
+    table = parse_feature_csv(text)
+    return table.record_ids, table.label_names, table.values.tolist()
+
+
+def _model_lines():
+    data = labeled_dataset(
+        [[0.0, 1.0], [0.5, 1.5], [3.0, 0.0], [3.5, 0.5]], [0, 0, 1, 1], 2, ("L", "W")
+    )
+    return save_model(train_model("nb", data, class_names=("a", "b"))).rstrip("\n").split("\n")
+
+
+# format: (parse to a comparable value, the lines of a valid text); each
+# text's second line would parse as data in a place of its own
+LINE_FORMATS = {
+    "record": (lambda t: parse_record(t, "r").tolist(), ["1 2", "3 4", "5 6", "7 8"]),
+    "manifest": (load_manifest, ["a.csv,x", "b.csv,y", "c.csv,x", "d.csv,y"]),
+    "feature CSV": (
+        _table_of,
+        [FEATURE_CSV_HEADER] + [feature_csv_row(f"r{i}", "x", [i] * 10) for i in range(3)],
+    ),
+    "model file": (lambda t: save_model(load_model(t)), _model_lines()),
+}
+NEWLINES = ["\n", "\r\n", "\r"]
+
+
+@pytest.mark.parametrize("newline", NEWLINES, ids=repr)
+@pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x0c"], ids=repr)
+@pytest.mark.parametrize("fmt", LINE_FORMATS)
+def test_a_comment_holding_a_line_separator_stays_one_comment(fmt, sep, newline):
+    parse, lines = LINE_FORMATS[fmt]
+    # str.splitlines would end the comment at sep and read its tail as data
+    commented = lines[:1] + ["# retired: old" + sep + lines[1]] + lines[1:]
+    assert parse(newline.join(commented)) == parse("\n".join(lines))
+
+
+@pytest.mark.parametrize("newline", NEWLINES, ids=repr)
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2029"], ids=repr)
+@pytest.mark.parametrize("fmt", LINE_FORMATS)
+def test_a_bad_line_is_reported_at_its_newline_number(fmt, sep, newline):
+    parse, lines = LINE_FORMATS[fmt]
+    text = newline.join(lines[:1] + [lines[1] + sep] + lines[2:-1] + ["bad line"])
+    with pytest.raises((MalformedLineError, ModelFormatError)) as exc:
+        parse(text)
+    assert exc.value.line_no == len(lines)
+    assert str(exc.value).startswith(f"line {len(lines)}: ")
 
 
 def test_parse_record_whitespace_and_comma_agree():

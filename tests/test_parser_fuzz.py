@@ -10,6 +10,7 @@ inputs stay small: no large counts, no deep nesting.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from ectshape.errors import (
 from ectshape.geometry import FEATURE_NAMES_EXTENDED
 from ectshape.ingest import load_manifest, parse_record
 from ectshape.synthetic import parse_synth_spec
-from ectshape.textio import iter_data_lines
 
 FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -70,13 +70,24 @@ def test_parse_record_raises_only_ectshape_errors(text):
 
 # --- the record parser against the per-line reference -----------------------
 
+def reference_data_lines(text):
+    """(1-based line number, stripped content) of each line that is neither
+    blank nor a '#' comment: the definition of a line.
+
+    A line ends at "\\n", "\\r\\n" or "\\r" and at no other character, so
+    "\\x0b", "\\x0c", "\\x1c" to "\\x1e", "\\x85", U+2028 and U+2029
+    (where str.splitlines would also end one) stay inside it.
+    """
+    for line_no, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 def reference_parse_record(text, record_id):
     """The per-line record parser: the definition of a valid record."""
     rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in reference_data_lines(text):
         fields = line.replace(",", " ").split()
         if len(fields) != 2:
             raise MalformedLineError(
@@ -227,7 +238,7 @@ def reference_parse_feature_csv(text):
     label_names: list[str] = []
     rows: list[list[float]] = []
     header_seen = False
-    for line_no, line in iter_data_lines(text):
+    for line_no, line in reference_data_lines(text):
         if not header_seen:
             if line != FEATURE_CSV_HEADER:
                 raise MalformedLineError(

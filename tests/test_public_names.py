@@ -1,7 +1,9 @@
 """No public name in the package that nothing uses: every top-level public
-function, class and UPPER_CASE constant of src/ectshape appears, as a whole
-word, somewhere in the program (src/, demos/ or perfbench/) outside its own
-definition. A name that only tests call belongs in tests/reference.py."""
+function, class and UPPER_CASE constant of src/ectshape is used somewhere in
+the program (src/, demos/ or perfbench/) outside its own definition. A use is
+code: a name, an attribute or an imported name, as ast finds them; a mention
+in a docstring or a comment is not one. A name that only tests call belongs
+in tests/reference.py."""
 
 from __future__ import annotations
 
@@ -30,21 +32,32 @@ def public_definitions(path: Path) -> list[tuple[str, int, int]]:
     return out
 
 
+def used_names(path: Path) -> set[tuple[str, int]]:
+    """(name, line) of each name, attribute and imported name in path's code."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            used.add((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            used.add((node.attr, node.end_lineno))
+        elif isinstance(node, ast.alias):
+            used.update((part, node.lineno) for part in node.name.split("."))
+    return used
+
+
 def unused_public_names() -> list[str]:
-    sources = {
-        path: path.read_text().splitlines()
+    uses = {
+        path: used_names(path)
         for d in PROGRAM_DIRS
         for path in sorted((ROOT / d).rglob("*.py"))
     }
     unused = []
     for path in sorted((ROOT / "src" / "ectshape").rglob("*.py")):
         for name, first, last in public_definitions(path):
-            word = re.compile(rf"\b{name}\b")
             used = any(
-                word.search(line)
-                for other, lines in sources.items()
-                for no, line in enumerate(lines, 1)
-                if not (other == path and first <= no <= last)
+                used_name == name and not (other == path and first <= no <= last)
+                for other, names in uses.items()
+                for used_name, no in names
             )
             if not used:
                 unused.append(f"{path.relative_to(ROOT)}: {name}")
